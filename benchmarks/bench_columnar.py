@@ -1,14 +1,13 @@
-"""The columnar store's three performance claims, measured.
+"""The columnar store's performance claims, measured.
 
 * **cold start** — loading a persisted index: v1 replays the §5.2 bit
   stream component by component and runs one Dijkstra per object to
   rebuild the object distance table; v2 is ``np.memmap`` on raw arrays.
   The claim: ≥ 5× faster (in practice orders of magnitude — the work is
   O(1) in index size).
-* **batch throughput** — the columnar engine reads query blocks with one
-  fancy index, no row decode and no cache; the claim: it at least
-  matches the PR-1 engine's *warm decoded-cache* path while holding no
-  cache at all (and beats the cold no-cache path outright).
+* **batch throughput** — the default columnar engine reads query blocks
+  with one fancy index, no row decode and no cache; recorded (and gated
+  by ``bench_history`` against same-host history), not asserted.
 * **served throughput** — ``repro serve --workers 2`` executes coalesced
   batches in worker processes that mmap one snapshot.  On a multi-core
   box the claim is workers-2 > workers-1; on a single core the fork can
@@ -110,7 +109,7 @@ def _bench_cold_start(index, workdir: Path) -> dict:
 
 
 # ----------------------------------------------------------------------
-# batch throughput: decode vs cache vs columnar
+# batch throughput
 # ----------------------------------------------------------------------
 def _sweep_qps(index, nodes, radius: float) -> float:
     """Warm once, then count full-batch sweeps for ``SWEEP_S`` seconds."""
@@ -127,26 +126,11 @@ def _sweep_qps(index, nodes, radius: float) -> float:
 def _bench_batch_throughput(index) -> dict:
     rng_nodes = list(range(0, index.network.num_nodes, 3))[:BATCH]
     radius = 0.9 * index.partition.boundaries[0]
-
-    index.disable_decoded_cache()
-    nocache_qps = _sweep_qps(index, rng_nodes, radius)
-
-    index.enable_decoded_cache(None)
-    cache_qps = _sweep_qps(index, rng_nodes, radius)
-    index.disable_decoded_cache()
-
-    index.enable_columnar()
     columnar_qps = _sweep_qps(index, rng_nodes, radius)
-    index.disable_columnar()
-
     return {
         "batch": len(rng_nodes),
         "radius": round(radius, 3),
-        "vectorized_nocache_qps": round(nocache_qps, 1),
-        "decoded_cache_qps": round(cache_qps, 1),
         "columnar_qps": round(columnar_qps, 1),
-        "columnar_vs_nocache": round(columnar_qps / max(nocache_qps, 1e-9), 2),
-        "columnar_vs_cache": round(columnar_qps / max(cache_qps, 1e-9), 2),
     }
 
 
@@ -188,9 +172,7 @@ def _summary_line(payload: dict) -> str:
     return (
         f"columnar: mmap load {cold['speedup']:.0f}x faster than v1 "
         f"({cold['v1_load_s']:.2f}s -> {cold['v2_load_s']*1000:.1f}ms); "
-        f"batch {batch['columnar_qps']:.0f} q/s = "
-        f"{batch['columnar_vs_cache']:.2f}x warm decoded-cache, "
-        f"{batch['columnar_vs_nocache']:.2f}x no-cache; "
+        f"batch {batch['columnar_qps']:.0f} q/s; "
         f"served workers2 {served['workers2_rps']:.0f} rps vs "
         f"workers1 {served['workers1_rps']:.0f} rps "
         f"({served['cpu_count']} cpus)"
@@ -229,8 +211,6 @@ def test_columnar_store():
 
     # The tentpole claims.
     assert cold["speedup"] >= MIN_COLD_START_SPEEDUP, cold
-    assert batch["columnar_vs_nocache"] > 1.0, batch
-    assert batch["columnar_vs_cache"] >= (0.8 if QUICK else 1.0), batch
     # Multi-process parallelism needs multiple cores to show up; on one
     # core the fork is pure overhead, so only record the numbers there.
     if (os.cpu_count() or 1) >= 2 and not QUICK:

@@ -8,12 +8,11 @@ observer-embedding bounds, best-k heap pruning, shared backtracking
 frontier) and once with ``knn_refine="legacy"`` (the original
 bucket-and-sort path).  The bench asserts the answers are *bit-identical*
 before reporting a single number, then reports the pages/query reduction
-and the qps change for four configurations:
+and the qps change for three configurations:
 
 * **scalar** — per-query :func:`repro.core.queries.knn_query`;
-* **vectorized** — one :meth:`knn_batch` call (the shared frontier also
-  amortizes across queries here);
-* **columnar** — the zero-copy block-read engine;
+* **vectorized** — one :meth:`knn_batch` call on the default columnar
+  engine (the shared frontier also amortizes across queries here);
 * **shard4** — a 4-shard index.  Sharded kNN answers from stitched tree
   rows, so its page charge is one signature record per query in *both*
   modes; the pruned win there is remote-shard stitches skipped by the
@@ -101,20 +100,16 @@ def _mode(index, mode: str):
 
 @pytest.fixture(scope="module")
 def knn_setup(query_suite):
-    """Four engine configurations answering from identical data.
+    """Three configurations answering from identical data.
 
-    The vectorized index is built once; scalar and columnar wrap the
-    *same* tables (``enable_columnar`` rebinds the shared table arrays to
-    the store's width-minimal columns — same values, so every engine
-    still answers identically).  The 4-shard index is its own build over
+    The default (columnar-engine) index is built once and reported as
+    ``vectorized``, after the batch algorithms it runs; the scalar index
+    wraps the *same* tables.  The 4-shard index is its own build over
     the same network and dataset.
     """
     network = query_suite.network
     dataset = query_suite.datasets[DENSITY_LABEL]
-    vec = SignatureIndex.build(
-        network, dataset, backend="scipy", query_engine="vectorized"
-    )
-    vec.enable_decoded_cache()
+    vec = SignatureIndex.build(network, dataset, backend="scipy")
     scalar = SignatureIndex(
         network,
         dataset,
@@ -124,20 +119,10 @@ def knn_setup(query_suite):
         stored_kind=vec.stored_kind,
         query_engine="scalar",
     )
-    columnar = SignatureIndex(
-        network,
-        dataset,
-        vec.partition,
-        vec.table,
-        vec.object_table,
-        stored_kind=vec.stored_kind,
-        query_engine="vectorized",
-    )
-    columnar.enable_columnar()
     shard4 = ShardedSignatureIndex.build(
         network.copy(), dataset, num_shards=4, backend="scipy"
     )
-    return scalar, vec, columnar, shard4
+    return scalar, vec, shard4
 
 
 def _assert_identical(index, nodes, *, batch: bool = False) -> None:
@@ -255,23 +240,19 @@ def _config_entry(pair: dict, extra: dict | None = None) -> dict:
 
 
 def test_knn_head_to_head(knn_setup, query_suite):
-    scalar, vec, columnar, shard4 = knn_setup
+    scalar, vec, shard4 = knn_setup
     nodes = make_query_nodes(query_suite.network, NUM_QUERIES, seed=406)
     identity_nodes = nodes[: min(len(nodes), 40)]
 
     # -- bit-identity first: a fast wrong answer is not a result -------
     _assert_identical(scalar, identity_nodes)
     _assert_identical(vec, identity_nodes, batch=True)
-    _assert_identical(columnar, identity_nodes, batch=True)
     _assert_identical(shard4, identity_nodes)
 
     # -- head-to-head measurements -------------------------------------
     pairs = {
         "scalar": _measure_monolith("scalar", scalar, nodes, batch=False),
         "vectorized": _measure_monolith("vectorized", vec, nodes, batch=True),
-        "columnar": _measure_monolith(
-            "columnar", columnar, nodes, batch=True
-        ),
     }
     shard_pair, shards_skipped = _measure_sharded(shard4, nodes)
     pairs["shard4"] = shard_pair
@@ -342,7 +323,7 @@ def test_knn_head_to_head(knn_setup, query_suite):
     print(f"[written to {JSON_PATH}]")
 
     # -- acceptance ----------------------------------------------------
-    for name in ("scalar", "vectorized", "columnar"):
+    for name in ("scalar", "vectorized"):
         entry = payload["configs"][name]
         assert entry["page_reduction"] >= MIN_PAGE_REDUCTION, (name, entry)
         if QUICK:

@@ -1,7 +1,7 @@
 """Served throughput: coalescing vs per-request dispatch over HTTP.
 
 Not a paper figure — the serving trajectory of the north star.  A
-``repro serve`` process (the real CLI, demo index, decoded cache on) is
+``repro serve`` process (the real CLI, demo index, columnar engine) is
 driven by an in-process asyncio load generator; server and loadgen live
 in *separate processes* because sharing one event loop makes the
 measuring side steal cycles from the measured side and flattens every
@@ -121,7 +121,6 @@ class ServerProcess:
                 "--demo-nodes", str(SERVE_NODES),
                 "--demo-seed", str(SEED),
                 "--demo-density", str(DENSITY),
-                "--decoded-cache", "0",
                 "--host", "127.0.0.1",
                 "--port", str(self.port),
                 *flags,

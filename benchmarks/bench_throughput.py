@@ -4,8 +4,8 @@ Not a paper figure — the perf trajectory of the serving north star.  One
 workload of range / kNN / ε-join queries runs twice over the same
 network, dataset, partition, and signature tables: once through the
 scalar §4 implementation (:mod:`repro.core.queries`), once through the
-vectorized batch engine (:mod:`repro.core.vectorized`, decoded-signature
-cache enabled).  Both engines charge the pager identically, so the
+vectorized batch algorithms (:mod:`repro.core.vectorized`, the default
+``columnar`` engine).  Both engines charge the pager identically, so the
 comparison isolates CPU-side query processing; the bench asserts the
 result sets match before it reports a single number.
 
@@ -70,18 +70,15 @@ MIN_SPEEDUP = 2.0 if QUICK else 5.0
 
 @pytest.fixture(scope="module")
 def engines(query_suite):
-    """Scalar and vectorized indexes sharing one set of signature tables.
+    """Scalar and columnar indexes sharing one set of signature tables.
 
-    The vectorized index is built once (construction sweep included); the
+    The columnar index is built once (construction sweep included); the
     scalar one wraps the *same* table/object-table/partition so both
     engines answer from identical data and differ only in query code.
     """
     network = query_suite.network
     dataset = query_suite.datasets[DENSITY_LABEL]
-    vec = SignatureIndex.build(
-        network, dataset, backend="scipy", query_engine="vectorized"
-    )
-    vec.enable_decoded_cache()
+    vec = SignatureIndex.build(network, dataset, backend="scipy")
     scalar = SignatureIndex(
         network,
         dataset,
@@ -113,9 +110,8 @@ def _measure_pair(scalar, vec, nodes, radius, epsilon):
     """All three workloads through both engines; verifies result equality.
 
     Each workload runs once un-timed first so the timed pass measures
-    steady state — in particular the vectorized engine's decoded-row
-    cache is populated, mirroring a serving process that has seen the
-    working set before.
+    steady state, mirroring a serving process that has seen the working
+    set before.
     """
     results = {}
 

@@ -47,9 +47,9 @@ def test_update_locality(world, benchmark):
         if rng.random() < 0.5:
             edges = list(network.edges())
             edge = edges[int(rng.integers(len(edges)))]
-            report = index.set_edge_weight(
-                edge.u, edge.v, float(rng.integers(1, 11))
-            )
+            report = index.apply_updates([(
+                "set_weight", edge.u, edge.v, float(rng.integers(1, 11))
+            )]).report
             kind = "reweight"
         else:
             while True:
@@ -57,7 +57,9 @@ def test_update_locality(world, benchmark):
                 v = int(rng.integers(network.num_nodes))
                 if u != v and not network.has_edge(u, v):
                     break
-            report = index.add_edge(u, v, float(rng.integers(1, 11)))
+            report = index.apply_updates(
+                [("add", u, v, float(rng.integers(1, 11)))]
+            ).report
             kind = "insert"
         reports.append((kind, report))
     incremental_seconds = (time.perf_counter() - start) / NUM_UPDATES
@@ -98,7 +100,9 @@ def test_update_locality(world, benchmark):
     edges = list(network.edges())
     edge = edges[0]
     benchmark.pedantic(
-        lambda: index.set_edge_weight(edge.u, edge.v, edge.weight),
+        lambda: index.apply_updates(
+            [("set_weight", edge.u, edge.v, edge.weight)]
+        ),
         rounds=1,
         iterations=1,
     )
@@ -129,7 +133,9 @@ def test_update_scaling(benchmark):
         updates = 12
         for _ in range(updates):
             edge = edges[int(rng.integers(len(edges)))]
-            index.set_edge_weight(edge.u, edge.v, float(rng.integers(1, 11)))
+            index.apply_updates(
+                [("set_weight", edge.u, edge.v, float(rng.integers(1, 11)))]
+            )
         incremental = (time.perf_counter() - start) / updates
         start = time.perf_counter()
         SignatureIndex.build(network, dataset, backend="scipy", keep_trees=True)

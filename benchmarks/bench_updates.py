@@ -192,7 +192,7 @@ def bench_signature_family(network, dataset) -> dict[str, dict]:
     rows: dict[str, dict] = {}
     variants = {
         "signature": lambda: SignatureIndex.build(
-            network.copy(), dataset, keep_trees=True
+            network.copy(), dataset, keep_trees=True, query_engine="scalar"
         ),
         "columnar": lambda: SignatureIndex.build(
             network.copy(),

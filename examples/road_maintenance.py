@@ -43,7 +43,9 @@ def main() -> None:
 
     # 1. Rush hour: a central road triples its travel cost.
     edge = next(iter(network.edges()))
-    report = index.set_edge_weight(edge.u, edge.v, edge.weight * 3)
+    report = index.apply_updates(
+        [("set_weight", edge.u, edge.v, edge.weight * 3)]
+    ).report
     rows.append(describe(f"congestion on ({edge.u},{edge.v})", report))
 
     # 2. Road closure: remove an edge outright (§5.4.2).
@@ -51,14 +53,14 @@ def main() -> None:
         e for e in network.edges()
         if network.degree(e.u) > 2 and network.degree(e.v) > 2
     )
-    report = index.remove_edge(closable.u, closable.v)
+    report = index.apply_updates([("remove", closable.u, closable.v)]).report
     rows.append(describe(f"closure of ({closable.u},{closable.v})", report))
 
     # 3. A new bypass opens between two previously unconnected junctions
     #    (§5.4.1) — a cheap shortcut, so distances improve around it.
     u, v = 10, 1200
     if not network.has_edge(u, v):
-        report = index.add_edge(u, v, 2.0)
+        report = index.apply_updates([("add", u, v, 2.0)]).report
         rows.append(describe(f"new bypass ({u},{v})", report))
 
     # 4. A new junction with two access roads (§5.4's node reduction).

@@ -24,14 +24,14 @@ holds — is everything *around* that primitive:
   :class:`~repro.errors.QueryError`.  Ties are resolved by
   ``(distance, dataset rank)`` — the ordering the monolith's
   ``EXACT_DISTANCES`` results pin.
-* **§5.4 updates as documented rebuild-on-update.**  Edge mutations
-  apply to the network and rebuild the backend's structures wholesale
-  (hierarchy preprocessing is not incremental here); the returned
+* **§5.4 updates through** ``apply_updates``.  By default a changeset
+  applies to the network and rebuilds the backend's structures
+  wholesale; backends with an incremental path override
+  ``_apply_changeset``.  A rebuild's
   :class:`~repro.core.update.UpdateReport` honestly marks every object
   affected and every node touched.  The serving tier's epoch machinery
-  (:mod:`repro.serve.coordinator`) drives these methods unchanged, so
-  acknowledged updates are never stale — they are just more expensive
-  than the signature index's incremental path.
+  (:mod:`repro.serve.coordinator`) drives ``apply_updates`` unchanged,
+  so acknowledged updates are never stale.
 """
 
 from __future__ import annotations
@@ -813,7 +813,7 @@ class HierarchyIndexBase:
             return reducer([distance for _, distance in pairs])
 
     # ------------------------------------------------------------------
-    # updates (§5.4): the unified changeset pipeline + legacy mutators
+    # updates (§5.4): the unified changeset pipeline
     # ------------------------------------------------------------------
     def _full_rebuild_report(self) -> update.UpdateReport:
         # Rebuild-on-update touches everything; report it honestly.
@@ -877,33 +877,6 @@ class HierarchyIndexBase:
         ).inc()
         result.bump("rebuilt")
         result.report.merge(self._full_rebuild_report())
-
-    def add_edge(self, u: int, v: int, weight: float) -> update.UpdateReport:
-        """Insert an edge; the backend rebuilds from the mutated network."""
-        with self._scope("update.add_edge", u=u, v=v):
-            self.network.add_edge(u, v, weight)
-            self._rebuild()
-            self.metrics.counter("backend.rebuilds").inc()
-            return self._full_rebuild_report()
-
-    def remove_edge(self, u: int, v: int) -> update.UpdateReport:
-        """Remove an edge; the backend rebuilds from the mutated network."""
-        with self._scope("update.remove_edge", u=u, v=v):
-            self.network.remove_edge(u, v)
-            self._rebuild()
-            self.metrics.counter("backend.rebuilds").inc()
-            return self._full_rebuild_report()
-
-    def set_edge_weight(
-        self, u: int, v: int, weight: float
-    ) -> update.UpdateReport:
-        """Re-weight an edge; the backend rebuilds from the mutated
-        network."""
-        with self._scope("update.set_edge_weight", u=u, v=v):
-            self.network.set_edge_weight(u, v, weight)
-            self._rebuild()
-            self.metrics.counter("backend.rebuilds").inc()
-            return self._full_rebuild_report()
 
     # ------------------------------------------------------------------
     # reporting

@@ -267,13 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="dispatch every request alone (sets max_batch to 1)",
     )
     serve.add_argument(
-        "--decoded-cache",
-        type=int,
-        default=None,
-        metavar="CAPACITY",
-        help="enable the decoded-row cache (0 = unbounded)",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -318,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compact.add_argument("index_dir")
     compact.add_argument(
         "--engine",
-        choices=("scalar", "vectorized", "columnar"),
+        choices=("scalar", "columnar"),
         default=None,
         help="also switch the saved query engine (default: keep)",
     )
@@ -724,14 +717,6 @@ def _cmd_serve(args) -> int:
             "error: serve needs an index_dir or --demo-nodes", file=sys.stderr
         )
         return 2
-    if args.decoded_cache is not None:
-        capacity = None if args.decoded_cache == 0 else args.decoded_cache
-        if hasattr(index, "enable_decoded_cache"):
-            index.enable_decoded_cache(capacity)
-        else:  # sharded: the cache lives on each shard index
-            for shard in index.shards:
-                if shard.index is not None:
-                    shard.index.enable_decoded_cache(capacity)
     workers = args.workers
     num_shards = getattr(index, "num_shards", 1)
     if num_shards > 1 and workers == 1:
@@ -839,20 +824,13 @@ def _cmd_top(args) -> int:
 def _cmd_compact(args) -> int:
     from pathlib import Path
 
-    from repro.core.columnar import ColumnarSignatureStore
-
     index_dir = Path(args.index_dir)
     before = (index_dir / "meta.txt").read_text().splitlines()[0]
     index = load_index(index_dir)
-    if args.engine == "columnar":
-        index.enable_columnar()
-    elif args.engine is not None:
-        index.disable_columnar()
+    if args.engine is not None:
         index.query_engine = args.engine
     save_index(index, index_dir, format=2)
-    store = index.columnar or ColumnarSignatureStore.from_index(
-        index, bind=False
-    )
+    store = index.columnar
     print(
         f"compacted {index_dir}: {before.split()[-1] if before else '?'} -> 2, "
         f"{store.num_nodes} nodes x {store.num_objects} objects, "

@@ -1,15 +1,11 @@
 """The unified §5.4 update pipeline: validated, coalesced edge deltas.
 
-Before this layer every implementation of
-:class:`~repro.core.interface.DistanceIndex` exposed three ad-hoc
-mutators (``add_edge`` / ``remove_edge`` / ``set_edge_weight``) with
-three different validation surfaces: the signature index raised
-:class:`~repro.errors.GraphError` from deep inside the network, the
-hierarchy backends rebuilt on every call, and the sharded index routed
-each call through its own overlay refresh.  A live-traffic workload —
-many small weight perturbations per second — wants none of that: it
-wants to hand the index *one batch* of deltas, validated up front,
-deduplicated per edge, and applied under a single maintenance pass.
+Every implementation of :class:`~repro.core.interface.DistanceIndex`
+takes edge updates through one entry point, ``apply_updates``.  A
+live-traffic workload — many small weight perturbations per second —
+hands the index *one batch* of deltas, validated up front, deduplicated
+per edge, and applied under a single maintenance pass; a single edge
+change is simply a one-delta batch.
 
 :class:`ChangeSet` is that batch.  It is built from raw ``(op, u, v,
 weight)`` tuples (or :class:`EdgeDelta` instances), normalized to

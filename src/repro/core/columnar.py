@@ -26,12 +26,12 @@ O(1) regardless of index size, page-cache-shared between every process
 mapping the same files, and still privately writable so §5.4 updates
 work on a loaded index without touching the snapshot.
 
-When attached to a live :class:`~repro.core.index.SignatureIndex`
-(``query_engine="columnar"``), the store *shares memory* with the
+Every live :class:`~repro.core.index.SignatureIndex` carries one store,
+whatever its query engine, and the store *shares memory* with the
 ``SignatureTable`` — attaching rebinds the table's arrays to the store's
 width-minimal ones — so the §5.4 update machinery keeps a single copy
-current and the engine's block reads need no decode, no cache, and no
-invalidation protocol of their own.
+current and block reads need no decode, no cache, and no invalidation
+protocol of their own.
 
 Trade-off vs. the §5 compressed encoding: format v2 spends
 ``N*D*(8 + link bits)`` of storage where the bit stream spends roughly
@@ -179,18 +179,16 @@ class ColumnarSignatureStore:
     # construction from a live index
     # ------------------------------------------------------------------
     @classmethod
-    def from_index(cls, index, *, bind: bool = True) -> "ColumnarSignatureStore":
+    def from_index(cls, index) -> "ColumnarSignatureStore":
         """Build a store over ``index``'s state, width-minimizing dtypes.
 
-        With ``bind=True`` (the attach path) the ``SignatureTable``'s
-        ``categories`` / ``links`` are **replaced** by the store's arrays
-        so the two stay one memory — §5.4 updates writing through the
-        table are immediately visible to columnar block reads.  With
-        ``bind=False`` (the persistence snapshot path) the index is left
-        untouched.
+        The ``SignatureTable``'s ``categories`` / ``links`` are
+        **replaced** by the store's arrays so the two stay one memory —
+        §5.4 updates writing through the table are immediately visible
+        to block reads.
         """
         store = cls.__new__(cls)
-        store._derive(index, bind=bind)
+        store._derive(index)
         return store
 
     def rebind(self, index) -> None:
@@ -201,9 +199,9 @@ class ColumnarSignatureStore:
         (possibly widening dtypes along the way), so the store re-derives
         its views and re-establishes the shared-memory invariant.
         """
-        self._derive(index, bind=True)
+        self._derive(index)
 
-    def _derive(self, index, *, bind: bool) -> None:
+    def _derive(self, index) -> None:
         table = index.table
         partition = table.partition
         categories = np.ascontiguousarray(
@@ -214,9 +212,8 @@ class ColumnarSignatureStore:
         links = np.ascontiguousarray(
             table.links.astype(_link_dtype(table.max_degree), copy=False)
         )
-        if bind:
-            table.categories = categories
-            table.links = links
+        table.categories = categories
+        table.links = links
         self.categories = categories
         self.links = links
         self.compressed = table.compressed
@@ -241,7 +238,7 @@ class ColumnarSignatureStore:
         fancy-indexed copy in the store's narrow dtype.  §5.3 flagged
         components still advance the index's ``decompressions`` tally
         (decompression costs CPU, never I/O — same accounting as the
-        scalar and row-decode paths), and an out-of-range node raises
+        scalar path), and an out-of-range node raises
         the same :class:`~repro.errors.StorageError` the pager would.
         """
         categories = self.categories

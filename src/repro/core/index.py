@@ -39,6 +39,7 @@ from repro.core.categories import (
     optimal_partition,
     paper_evaluation_partition,
 )
+from repro.core.columnar import ColumnarSignatureStore
 from repro.core.compression import (
     CompressionStats,
     compress_table,
@@ -79,7 +80,7 @@ class _NullScope:
 _NULL_SCOPE = _NullScope()
 
 _SIZE_KINDS = ("raw", "encoded", "compressed")
-_QUERY_ENGINES = ("vectorized", "scalar", "columnar")
+_QUERY_ENGINES = ("scalar", "columnar")
 _KNN_REFINE_MODES = ("pruned", "legacy")
 
 
@@ -199,8 +200,8 @@ class SignatureIndex:
     -----------
     The facade is **not** thread-safe — even read-only queries mutate
     shared state: the page-access :attr:`counter`, the
-    :attr:`decompressions` tally, the decoded-row LRU (:attr:`decoded`),
-    the buffer pool, every metrics instrument, and the active tracer.
+    :attr:`decompressions` tally, the buffer pool, every metrics
+    instrument, and the active tracer.
     Two constraints follow, and :mod:`repro.serve` is built around them:
 
     * concurrent *queries* must be serialized onto one thread (an asyncio
@@ -228,7 +229,7 @@ class SignatureIndex:
         storage_schema: str = "separate",
         stored_kind: str = "compressed",
         buffer_pool: LRUBufferPool | None = None,
-        query_engine: str = "vectorized",
+        query_engine: str = "columnar",
         knn_refine: str = "pruned",
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -259,6 +260,8 @@ class SignatureIndex:
         self.counter = PageAccessCounter()
         self.buffer_pool = buffer_pool
         self.decompressions = 0
+        #: §5.3 compression outcome; set by :meth:`build`.
+        self.compression_stats: CompressionStats | None = None
         self.query_engine = query_engine
         #: kNN boundary resolution: "pruned" routes through the
         #: bound-pruned shared-frontier core (repro.core.knn_refine),
@@ -268,15 +271,14 @@ class SignatureIndex:
         # Observability: an own registry (cheap, on by default — swap in
         # repro.obs.NULL_REGISTRY to disable), no tracer until trace().
         self.tracer: Tracer | None = None
-        self.decoded = vectorized.DecodedSignatureCache()
-        #: Attached zero-copy store (query_engine="columnar" only); when
-        #: set, both query engines' block reads bypass row decoding.
-        self.columnar = None
         self.use_metrics(metrics if metrics is not None else MetricsRegistry())
         self._signature_dirty_nodes: set[int] = set()
+        #: The zero-copy store every block read goes through, whatever
+        #: the engine.  It shares memory with the signature table (the
+        #: table's ``categories`` / ``links`` are rebound to the store's
+        #: width-minimal arrays), so §5.4 updates keep one copy current.
+        self.columnar = ColumnarSignatureStore.from_index(self)
         self._build_storage()
-        if query_engine == "columnar":
-            self.enable_columnar()
 
     # ------------------------------------------------------------------
     # construction
@@ -296,7 +298,7 @@ class SignatureIndex:
         storage_strategy: str = "ccam",
         storage_schema: str = "separate",
         buffer_pool: LRUBufferPool | None = None,
-        query_engine: str = "vectorized",
+        query_engine: str = "columnar",
         knn_refine: str = "pruned",
         workers: int | None = None,
         metrics: MetricsRegistry | None = None,
@@ -440,13 +442,9 @@ class SignatureIndex:
                 f"'separate' or 'merged'"
             )
         self._signature_dirty_nodes.clear()
-        # Re-packing follows structural change (updates, growth): decoded
-        # rows and the object category matrix may both be stale.
-        self.decoded.clear()
         # Structural changes replace table/dataset arrays wholesale; the
         # columnar store must re-derive its views to stay memory-shared.
-        if self.columnar is not None:
-            self.columnar.rebind(self)
+        self.columnar.rebind(self)
 
     def refresh_storage(self) -> None:
         """Re-pack the paged files after incremental updates changed sizes."""
@@ -490,7 +488,6 @@ class SignatureIndex:
         self._metric_refine_reuse = registry.counter(
             "knn_refine.frontier_hits"
         )
-        self.decoded.bind_metrics(registry)
 
     def _scope(self, kind: str, *, count: int = 1, counter=None, **attrs):
         """One instrumented region: a ``kind``-named span plus metrics.
@@ -542,63 +539,6 @@ class SignatureIndex:
             span.set("touched_nodes", report.touched_nodes)
             span.set("recompressed_nodes", report.recompressed_nodes)
         return report
-
-    # ------------------------------------------------------------------
-    # decoded-signature cache (vectorized engine)
-    # ------------------------------------------------------------------
-    def enable_decoded_cache(self, capacity: int | None = None) -> None:
-        """Opt in to memoizing decoded signature rows.
-
-        ``capacity`` caps the number of cached rows (LRU eviction);
-        ``None`` means unbounded.  The cache is invalidated explicitly by
-        the §5.4 update machinery and cleared wholesale whenever storage
-        is re-packed, so cached answers never go stale.
-        """
-        self.decoded = vectorized.DecodedSignatureCache(capacity)
-        self.decoded.row_caching = True
-        self.decoded.bind_metrics(self.metrics)
-
-    def disable_decoded_cache(self) -> None:
-        """Drop all memoized rows and stop caching new ones."""
-        self.decoded = vectorized.DecodedSignatureCache()
-        self.decoded.bind_metrics(self.metrics)
-
-    # ------------------------------------------------------------------
-    # columnar store (zero-copy engine)
-    # ------------------------------------------------------------------
-    def enable_columnar(self) -> None:
-        """Switch to the columnar engine: decode-free block reads.
-
-        Attaches a :class:`~repro.core.columnar.ColumnarSignatureStore`
-        built from (and memory-shared with) the signature table — the
-        table's ``categories`` / ``links`` are rebound to the store's
-        width-minimal arrays, so §5.4 updates keep a single copy current
-        and no separate invalidation protocol is needed.  The decoded-row
-        cache becomes irrelevant while the store is attached (block reads
-        skip it entirely).
-        """
-        from repro.core.columnar import ColumnarSignatureStore
-
-        self.query_engine = "columnar"
-        self.columnar = ColumnarSignatureStore.from_index(self)
-
-    def disable_columnar(self) -> None:
-        """Detach the columnar store and fall back to row decoding."""
-        self.columnar = None
-        if self.query_engine == "columnar":
-            self.query_engine = "vectorized"
-
-    def invalidate_decoded(
-        self, nodes=None, *, objects: bool = False
-    ) -> None:
-        """Evict decoded rows for ``nodes`` (all rows when ``None``).
-
-        With ``objects=True`` the object category matrix is dropped too —
-        required whenever the object-to-object distance table changed.
-        """
-        if objects:
-            self.decoded.invalidate_objects()
-        self.decoded.invalidate(nodes)
 
     # ------------------------------------------------------------------
     # SignatureIndexProtocol (I/O-charged primitives)
@@ -692,9 +632,9 @@ class SignatureIndex:
     def _queries(self):
         """The active query implementation module (engine dispatch).
 
-        ``"columnar"`` reuses the vectorized algorithms — only the block
-        read differs (store-backed, decode-free; see
-        :func:`repro.core.vectorized._decode_block`).
+        ``"columnar"`` runs the batch algorithms of
+        :mod:`repro.core.vectorized` over the store's block reads;
+        ``"scalar"`` is the paper-faithful per-component reference.
         """
         return queries if self.query_engine == "scalar" else vectorized
 
@@ -868,9 +808,9 @@ class SignatureIndex:
         The batch entry point of the unified update pipeline: the whole
         changeset is validated against the network *before* any tree or
         signature mutates, then each delta runs the §5.4 incremental
-        machinery in canonical order.  Scalar, vectorized, and columnar
-        query engines all share this path — the engines read the same
-        signature arrays the §5.4 functions maintain.
+        machinery in canonical order.  It is the only edge-update entry
+        point; both query engines read the signature arrays the §5.4
+        functions maintain.
         """
         from repro.core.changeset import ApplyResult, as_changeset
 
@@ -895,23 +835,6 @@ class SignatureIndex:
         result.bump("incremental", len(changeset))
         self.metrics.counter("core.update.applied").inc(len(changeset))
         return result
-
-    def add_edge(self, u: int, v: int, weight: float) -> update.UpdateReport:
-        """Insert an edge and incrementally maintain the index (§5.4.1)."""
-        with self._scope("update.add_edge", u=u, v=v) as span:
-            return self._record_update(span, update.add_edge(self, u, v, weight))
-
-    def remove_edge(self, u: int, v: int) -> update.UpdateReport:
-        """Remove an edge and incrementally maintain the index (§5.4.2)."""
-        with self._scope("update.remove_edge", u=u, v=v) as span:
-            return self._record_update(span, update.remove_edge(self, u, v))
-
-    def set_edge_weight(self, u: int, v: int, weight: float) -> update.UpdateReport:
-        """Re-weight an edge; dispatches to §5.4.1 or §5.4.2 as needed."""
-        with self._scope("update.set_edge_weight", u=u, v=v) as span:
-            return self._record_update(
-                span, update.set_edge_weight(self, u, v, weight)
-            )
 
     def add_node(
         self, x: float, y: float, edges: list[tuple[int, float]]

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Any, Protocol, runtime_checkable
 
 from repro.core.queries import KnnType
-from repro.core.update import UpdateReport
 
 __all__ = ["DistanceIndex"]
 
@@ -105,18 +104,6 @@ class DistanceIndex(Protocol):
         / edges raise :class:`~repro.errors.DatasetError` — and the
         return value is a :class:`~repro.core.changeset.ApplyResult`.
         """
-        ...
-
-    def add_edge(self, u: int, v: int, weight: float) -> UpdateReport:
-        """Insert an edge and incrementally maintain the index."""
-        ...
-
-    def remove_edge(self, u: int, v: int) -> UpdateReport:
-        """Remove an edge and incrementally maintain the index."""
-        ...
-
-    def set_edge_weight(self, u: int, v: int, weight: float) -> UpdateReport:
-        """Re-weight an edge (dispatches to §5.4.1/§5.4.2)."""
         ...
 
     # -- observability / reporting -------------------------------------

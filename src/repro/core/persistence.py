@@ -45,6 +45,7 @@ Directories with an unrecognized or future magic raise a typed
 
 from __future__ import annotations
 
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,8 @@ from repro.network.datasets import ObjectDataset
 from repro.network.graph import RoadNetwork
 from repro.network.io import load_network, save_network
 from repro.storage.layout import bits_for_values
+
+logger = logging.getLogger("repro.core.persistence")
 
 __all__ = [
     "serialize_table",
@@ -271,11 +274,6 @@ def save_index(index, directory: str | Path, *, format: int | None = None) -> No
 
     save_dataset(index.dataset, directory / "dataset.txt")
     encoding = index.stored_kind
-    if index.decoded.row_caching:
-        capacity = index.decoded.capacity
-        cache_spec = "unbounded" if capacity is None else str(capacity)
-    else:
-        cache_spec = "off"
     meta = [
         _MAGIC if format == 1 else _MAGIC_V2,
         "boundaries " + " ".join(repr(b) for b in index.partition.boundaries),
@@ -284,7 +282,6 @@ def save_index(index, directory: str | Path, *, format: int | None = None) -> No
         f"drop_last {int(index.object_table._drop_last_category)}",
         f"query_engine {index.query_engine}",
         f"knn_refine {index.knn_refine}",
-        f"decoded_cache {cache_spec}",
     ]
     if format == 1:
         payload = serialize_table(index.table, encoding=encoding)
@@ -292,12 +289,7 @@ def save_index(index, directory: str | Path, *, format: int | None = None) -> No
         (directory / "signatures.bin").write_bytes(payload)
         meta.insert(4, f"bits {writer_bits}")
     else:
-        from repro.core.columnar import ColumnarSignatureStore
-
-        store = index.columnar
-        if store is None:
-            store = ColumnarSignatureStore.from_index(index, bind=False)
-        store.save(directory / "columnar")
+        index.columnar.save(directory / "columnar")
         # A v2 directory has no bit stream; drop a stale one left behind
         # by a previous v1 save (the `repro compact` migration path).
         (directory / "signatures.bin").unlink(missing_ok=True)
@@ -354,20 +346,20 @@ def load_index(directory: str | Path):
     return loader(directory, meta)
 
 
-def _restore_serving_config(index, meta: dict[str, str]):
-    """Re-enable the saved decoded-cache configuration (both formats).
+def saved_query_engine(directory: Path, meta: dict[str, str]) -> str:
+    """The query engine a snapshot's ``meta.txt`` asks for.
 
-    Engine choice and cache enablement are restored so a served index
-    restarted from disk answers through the same code paths.  Saves
-    predating these keys fall back to the construction-time defaults.
+    Snapshots predating the always-on columnar store may say
+    ``query_engine vectorized`` or carry no engine at all; both load as
+    ``"columnar"``.  Their ``decoded_cache`` line is ignored.
     """
-    cache_spec = meta.get("decoded_cache", "off")
-    if cache_spec != "off":
-        index.enable_decoded_cache(
-            None if cache_spec == "unbounded" else int(cache_spec)
+    if "decoded_cache" in meta:
+        logger.warning(
+            "%s: ignoring obsolete decoded_cache setting %r",
+            directory, meta["decoded_cache"],
         )
-    index.compression_stats = None
-    return index
+    engine = meta.get("query_engine", "columnar")
+    return "columnar" if engine == "vectorized" else engine
 
 
 def _load_index_v1(directory: Path, meta: dict[str, str]):
@@ -405,19 +397,10 @@ def _load_index_v1(directory: Path, meta: dict[str, str]):
         distances, partition, drop_last_category=meta.get("drop_last") == "1"
     )
 
-    index = SignatureIndex(
-        network,
-        dataset,
-        partition,
-        table,
-        object_table,
-        stored_kind=encoding,
-        query_engine=meta.get("query_engine", "vectorized"),
-        knn_refine=meta.get("knn_refine", "pruned"),
-    )
     if table.compressed.any():
         # Restore the logical categories of flagged components and the
-        # base bookkeeping, so resolution works without a scan per read.
+        # base bookkeeping before the index binds its columnar store, so
+        # block reads see logical values and resolution needs no scan.
         from repro.core.compression import _find_base, signature_summation
 
         table.bases = np.full(table.categories.shape, -1, dtype=np.int32)
@@ -433,7 +416,16 @@ def _load_index_v1(directory: Path, meta: dict[str, str]):
                 int(table.categories[node, base]),
                 object_table.category(base, int(rank)),
             )
-    return _restore_serving_config(index, meta)
+    return SignatureIndex(
+        network,
+        dataset,
+        partition,
+        table,
+        object_table,
+        stored_kind=encoding,
+        query_engine=saved_query_engine(directory, meta),
+        knn_refine=meta.get("knn_refine", "pruned"),
+    )
 
 
 def _load_index_v2(directory: Path, meta: dict[str, str]):
@@ -482,7 +474,7 @@ def _load_index_v2(directory: Path, meta: dict[str, str]):
         trees = ObjectSpanningTrees(
             dataset, store.tree_distances, store.tree_parents
         )
-    index = SignatureIndex(
+    return SignatureIndex(
         network,
         dataset,
         partition,
@@ -490,10 +482,9 @@ def _load_index_v2(directory: Path, meta: dict[str, str]):
         object_table,
         trees=trees,
         stored_kind=encoding,
-        query_engine=meta.get("query_engine", "vectorized"),
+        query_engine=saved_query_engine(directory, meta),
         knn_refine=meta.get("knn_refine", "pruned"),
     )
-    return _restore_serving_config(index, meta)
 
 
 def _load_index_v3(directory: Path, meta: dict[str, str]):

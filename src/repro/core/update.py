@@ -128,8 +128,6 @@ def _refresh_components(index, changes: dict[int, set[int]]) -> UpdateReport:
         span.set("changed_components", report.changed_components)
     report.touched_nodes = len(touched_nodes)
     index._signature_dirty_nodes |= touched_nodes
-    # Changed categories/links make any memoized decoded rows stale.
-    index.invalidate_decoded(touched_nodes)
     return report
 
 
@@ -147,9 +145,6 @@ def _refresh_object_table(index, affected_ranks: set[int]) -> None:
         row = trees.distances[rank, object_nodes]
         for other, value in enumerate(row):
             index.object_table.set_distance(rank, other, float(value))
-    # Compressed components decode through the object category matrix, so
-    # every memoized decoded row is suspect once pair distances move.
-    index.invalidate_decoded(objects=True)
 
 
 def _decrease_wave(

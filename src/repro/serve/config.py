@@ -3,8 +3,9 @@
 The defaults target the interactive regime the ROADMAP's north star
 describes — many concurrent clients issuing single-node queries — where
 micro-batching (a few milliseconds of linger, tens of requests per
-sweep) buys an order of magnitude of served throughput from the PR-1
-vectorized engine while staying far below human-perceptible latency.
+sweep) buys an order of magnitude of served throughput from the
+vectorized batch algorithms while staying far below human-perceptible
+latency.
 """
 
 from __future__ import annotations

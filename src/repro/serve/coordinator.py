@@ -14,12 +14,12 @@ behind it so sustained query traffic cannot starve updates.
 
 :class:`UpdateCoordinator` wraps an index with that lock: batch
 dispatches run under :meth:`read`, ``POST /v1/edges`` mutations run
-under :meth:`write` via :meth:`apply`.  Decoded-row staleness is handled
-by the §5.4 machinery itself (``update.py`` invalidates the decoded
-cache precisely, per touched node — asserted by the interleaving stress
-test in ``tests/test_serve_coordinator.py``); the coordinator's job is
-ordering, plus a wholesale invalidation whenever an update forced a
-storage re-pack.
+under :meth:`write` via :meth:`apply`.  There is no derived row state
+to go stale: block reads come straight off the index's columnar store,
+which shares memory with the tables the §5.4 machinery rewrites
+(asserted by the interleaving stress test in
+``tests/test_serve_coordinator.py``); the coordinator's job is
+ordering.
 """
 
 from __future__ import annotations
@@ -121,17 +121,16 @@ class UpdateCoordinator:
         self.index = index
         self.lock = ReadWriteLock()
         #: Monotonic update counter.  Each applied changeset bumps it
-        #: once and appends one entry to :attr:`update_log` — a legacy
-        #: ``(epoch, op, u, v, weight)`` tuple for single-delta
-        #: changesets, ``(epoch, "changeset", deltas, 0, None)`` for
-        #: batches — which worker processes replay to bring their
-        #: mmapped snapshot up to the dispatching epoch (see
-        #: :mod:`repro.serve.workers`).  Failed updates never enter the
+        #: once and appends one ``(epoch, deltas)`` entry to
+        #: :attr:`update_log` (``deltas`` being the changeset's
+        #: ``(op, u, v, weight)`` tuples), which worker processes replay
+        #: to bring their mmapped snapshot up to the dispatching epoch
+        #: (see :mod:`repro.serve.workers`).  Failed updates never enter the
         #: log, so workers only ever replay operations the primary
         #: actually applied.  :meth:`compact` truncates entries every
         #: worker has acknowledged.
         self.epoch = 0
-        self.update_log: list[tuple[int, str, object, object, object]] = []
+        self.update_log: list[tuple[int, tuple]] = []
         self._pending: list[tuple[tuple, asyncio.Future]] = []
         self._flusher: asyncio.Task | None = None
         registry = registry if registry is not None else NULL_REGISTRY
@@ -246,15 +245,7 @@ class UpdateCoordinator:
         self._metric_update_seconds.observe(loop.time() - start)
         if changeset:
             self.epoch += 1
-            if len(changeset) == 1:
-                delta = changeset.deltas[0]
-                self.update_log.append(
-                    (self.epoch, delta.op, delta.u, delta.v, delta.weight)
-                )
-            else:
-                self.update_log.append(
-                    (self.epoch, "changeset", changeset.as_tuples(), 0, None)
-                )
+            self.update_log.append((self.epoch, changeset.as_tuples()))
             self._metric_log_length.set(len(self.update_log))
         result.epoch = self.epoch
         for future in futures:
@@ -284,6 +275,10 @@ class UpdateCoordinator:
         return dropped
 
     async def refresh_storage(self) -> None:
-        """Re-pack the paged files exclusively (clears the decoded cache)."""
+        """Re-pack the paged files under the write lock.
+
+        Re-packing re-derives the index's columnar store views, so it
+        must not interleave with a query batch.
+        """
         async with self.lock.write():
             self.index.refresh_storage()

@@ -11,8 +11,8 @@ kernel page cache no matter how many workers serve from them, and no
 index is ever pickled across the process boundary.
 
 Consistency with §5.4 live updates uses an epoch-stamped replay log.
-The coordinator bumps ``epoch`` and appends ``(epoch, op, u, v, weight)``
-for every successful edge mutation; every batch dispatched to the pool
+The coordinator bumps ``epoch`` and appends ``(epoch, deltas)`` for
+every applied changeset; every batch dispatched to the pool
 carries the coordinator's current epoch plus the log tail, and
 :func:`run_batch` replays any entries this worker has not yet applied
 before answering.  Copy-on-write mapping makes the replay private: the
@@ -107,28 +107,19 @@ def warm() -> int:
 def _catch_up(index, epoch: int, log) -> None:
     """Replay update-log entries this worker has not applied yet.
 
-    ``log`` holds ``(entry_epoch, op, u, v, weight)`` tuples sorted by
-    epoch — ``op == "changeset"`` carries a whole coalesced batch in
-    ``u`` (its ``(op, u, v, weight)`` delta tuples) and is applied
-    through the same ``apply_updates`` pipeline the coordinator used.
-    Entries at or below our applied epoch are skipped, entries beyond
-    the batch's target epoch are ignored (they belong to updates that
-    committed after this batch was gated).
+    ``log`` holds ``(entry_epoch, deltas)`` entries sorted by epoch, each
+    applied through the same ``apply_updates`` pipeline the coordinator
+    used.  Entries at or below our applied epoch are skipped, entries
+    beyond the batch's target epoch are ignored (they belong to updates
+    that committed after this batch was gated).
     """
     applied = _STATE["epoch"]
     if applied >= epoch:
         return
-    for entry_epoch, op, u, v, weight in log:
+    for entry_epoch, deltas in log:
         if entry_epoch <= applied or entry_epoch > epoch:
             continue
-        if op == "changeset":
-            index.apply_updates(u)
-        elif op == "add":
-            index.add_edge(u, v, weight)
-        elif op == "remove":
-            index.remove_edge(u, v)
-        else:
-            index.set_edge_weight(u, v, weight)
+        index.apply_updates(deltas)
         applied = entry_epoch
     if applied < epoch:
         raise RuntimeError(
@@ -210,12 +201,7 @@ def _apply_shard_delta(worker, op: str, u, v, weight) -> None:
     u_in, v_in = worker.in_shard(u), worker.in_shard(v)
     if u_in and v_in:
         lu, lv = worker.local_of[u], worker.local_of[v]
-        if op == "add":
-            index.add_edge(lu, lv, weight)
-        elif op == "remove":
-            index.remove_edge(lu, lv)
-        else:
-            index.set_edge_weight(lu, lv, weight)
+        index.apply_updates([(op, lu, lv, weight)])
     elif op == "add" and (u_in or v_in):
         node = u if u_in else v
         if node not in worker.pseudo_rank:
@@ -242,16 +228,12 @@ def _catch_up_shard(worker, epoch: int, log) -> None:
     applied = _SHARD_STATE["epoch"]
     if applied >= epoch:
         return
-    for entry_epoch, op, u, v, weight in log:
+    for entry_epoch, deltas in log:
         if entry_epoch <= applied or entry_epoch > epoch:
             continue
-        if op == "changeset":
-            # A coalesced batch: route each delta exactly as a bare
-            # entry would be (deltas are canonically ordered, so every
-            # replica promotes pseudo objects in the same order).
-            for delta_op, du, dv, dw in u:
-                _apply_shard_delta(worker, delta_op, du, dv, dw)
-        else:
+        # Deltas are canonically ordered, so every replica promotes
+        # pseudo objects in the same order.
+        for op, u, v, weight in deltas:
             _apply_shard_delta(worker, op, u, v, weight)
         applied = entry_epoch
     if applied < epoch:

@@ -194,7 +194,7 @@ def _shard_state_from(
 def load_sharded_index(directory: str | Path, meta: dict[str, str]):
     """Load a v3 directory; called by
     :func:`repro.core.persistence.load_index` after magic dispatch."""
-    from repro.core.persistence import load_index
+    from repro.core.persistence import load_index, saved_query_engine
     from repro.shard.sharded import ShardedSignatureIndex
 
     directory = Path(directory)
@@ -242,7 +242,7 @@ def load_sharded_index(directory: str | Path, meta: dict[str, str]):
         shards,
         drop_last_category_pairs=meta.get("drop_last", "1") == "1",
         stored_kind=meta.get("encoding", "compressed"),
-        query_engine=meta.get("query_engine", "vectorized"),
+        query_engine=saved_query_engine(directory, meta),
         knn_refine=meta.get("knn_refine", "pruned"),
     )
 

@@ -561,7 +561,7 @@ class ShardedSignatureIndex:
         cut_pairs: set[tuple[int, int]] | None = None,
         drop_last_category_pairs: bool = True,
         stored_kind: str = "compressed",
-        query_engine: str = "vectorized",
+        query_engine: str = "columnar",
         knn_refine: str = "pruned",
         page_size: int = DEFAULT_PAGE_SIZE,
         metrics: MetricsRegistry | None = None,
@@ -621,7 +621,7 @@ class ShardedSignatureIndex:
         page_size: int = DEFAULT_PAGE_SIZE,
         storage_strategy: str = "ccam",
         storage_schema: str = "separate",
-        query_engine: str = "vectorized",
+        query_engine: str = "columnar",
         knn_refine: str = "pruned",
         workers: int | None = None,
         metrics: MetricsRegistry | None = None,
@@ -1129,8 +1129,9 @@ class ShardedSignatureIndex:
         ).astype(np.int64)
 
     def _apply_update(self, op: str, u: int, v: int,
-                      weight: float | None, *,
-                      refresh: bool = True) -> UpdateReport:
+                      weight: float | None) -> UpdateReport:
+        """Apply one delta to its shard(s); the caller refreshes the
+        boundary overlay, which every delta leaves stale."""
         su, sv = int(self.assignment[u]), int(self.assignment[v])
         if su == sv:
             shard = self.shards[su]
@@ -1140,14 +1141,12 @@ class ShardedSignatureIndex:
                 )
             lu = int(self.local_index[u])
             lv = int(self.local_index[v])
+            report = shard.index.apply_updates([(op, lu, lv, weight)]).report
             if op == "add":
-                report = shard.index.add_edge(lu, lv, weight)
                 self.network.add_edge(u, v, weight)
             elif op == "remove":
-                report = shard.index.remove_edge(lu, lv)
                 self.network.remove_edge(u, v)
             else:
-                report = shard.index.set_edge_weight(lu, lv, weight)
                 self.network.set_edge_weight(u, v, weight)
         else:
             pair = (u, v) if u < v else (v, u)
@@ -1162,11 +1161,6 @@ class ShardedSignatureIndex:
             else:
                 self.network.set_edge_weight(u, v, weight)
             report = UpdateReport()
-        # Either way the overlay is stale: intra updates moved shard trees
-        # (boundary-to-boundary distances), cut updates changed the cut.
-        # Batched applies defer the refresh to one pass per changeset.
-        if refresh:
-            self._refresh_overlay()
         return report
 
     def apply_updates(self, changeset):
@@ -1191,29 +1185,15 @@ class ShardedSignatureIndex:
                 su = int(self.assignment[delta.u])
                 sv = int(self.assignment[delta.v])
                 touched.update((su, sv))
-                report = self._apply_update(
-                    delta.op, delta.u, delta.v, delta.weight,
-                    refresh=False,
-                )
-                result.report.merge(report)
+                result.report.merge(self._apply_update(
+                    delta.op, delta.u, delta.v, delta.weight
+                ))
             if changeset:
                 self._refresh_overlay()
         result.touched_shards = tuple(sorted(touched))
         result.bump("incremental", len(changeset))
         self.metrics.counter("shard.update.applied").inc(len(changeset))
         return result
-
-    def add_edge(self, u: int, v: int, weight: float) -> UpdateReport:
-        with self._scope("update.add_edge", u=u, v=v):
-            return self._apply_update("add", u, v, weight)
-
-    def remove_edge(self, u: int, v: int) -> UpdateReport:
-        with self._scope("update.remove_edge", u=u, v=v):
-            return self._apply_update("remove", u, v, None)
-
-    def set_edge_weight(self, u: int, v: int, weight: float) -> UpdateReport:
-        with self._scope("update.set_edge_weight", u=u, v=v):
-            return self._apply_update("set_weight", u, v, weight)
 
     # ------------------------------------------------------------------
     # reporting / verification

@@ -260,16 +260,16 @@ def test_updates_rebuild_to_exact_answers(name):
             for obj in dataset
         ),
     )
-    report = index.add_edge(far, dataset[0], 1.0)
+    report = index.apply_updates([("add", far, dataset[0], 1.0)]).report
     assert report.affected_objects == set(range(len(dataset)))
     assert report.touched_nodes == network.num_nodes
     oracle = {obj: shortest_path_tree(network, obj) for obj in dataset}
     for node in range(0, network.num_nodes, 9):
         for obj in dataset:
             assert index.distance(node, obj) == oracle[obj].distance[node]
-    index.set_edge_weight(far, dataset[0], 0.5)
+    index.apply_updates([("set_weight", far, dataset[0], 0.5)])
     assert index.distance(far, dataset[0]) == 0.5
-    index.remove_edge(far, dataset[0])
+    index.apply_updates([("remove", far, dataset[0])])
     oracle_d = shortest_path_tree(network, dataset[0]).distance[far]
     assert index.distance(far, dataset[0]) == oracle_d
 
@@ -288,7 +288,9 @@ def updatable(request, planar):
     network, dataset = planar
     name = request.param
     if name == "signature":
-        return SignatureIndex.build(network.copy(), dataset, keep_trees=True)
+        return SignatureIndex.build(
+            network.copy(), dataset, keep_trees=True, query_engine="scalar"
+        )
     if name == "columnar":
         return SignatureIndex.build(
             network.copy(), dataset, keep_trees=True,

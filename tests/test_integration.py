@@ -107,13 +107,13 @@ def test_update_stream_keeps_index_exact_property(seed):
                 v = int(rng.integers(network.num_nodes))
                 if u != v and not network.has_edge(u, v):
                     break
-            index.add_edge(u, v, float(rng.integers(1, 11)))
+            index.apply_updates([("add", u, v, float(rng.integers(1, 11)))])
         elif op == 1:  # reweight
             edges = list(network.edges())
             edge = edges[int(rng.integers(len(edges)))]
-            index.set_edge_weight(
-                edge.u, edge.v, float(rng.integers(1, 11))
-            )
+            index.apply_updates([(
+                "set_weight", edge.u, edge.v, float(rng.integers(1, 11))
+            )])
         else:  # remove (keep min degree to limit disconnection churn)
             edges = [
                 e
@@ -123,7 +123,7 @@ def test_update_stream_keeps_index_exact_property(seed):
             if not edges:
                 continue
             edge = edges[int(rng.integers(len(edges)))]
-            index.remove_edge(edge.u, edge.v)
+            index.apply_updates([("remove", edge.u, edge.v)])
     # Exactness against fresh Dijkstra from every object.
     from repro.network.dijkstra import shortest_path_tree
     from repro.core.operations import retrieve_distance

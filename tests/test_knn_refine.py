@@ -1,7 +1,7 @@
 """Bound-pruned kNN refinement (repro.core.knn_refine).
 
 The load-bearing property: with ``knn_refine="pruned"`` every engine —
-scalar, vectorized, columnar, and the sharded stitcher — returns answers
+scalar, columnar, and the sharded stitcher — returns answers
 **bit-identical** to the legacy path (same members, same ties, same
 order per ``KnnType``) while reading strictly fewer pages on boundary-
 heavy workloads.  Plus the validation sweep: ``k < 1`` and empty object
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core import SignatureIndex
 from repro.core import knn_refine, queries, vectorized
+from repro.core.persistence import load_index, save_index
 from repro.core.queries import KnnType
 from repro.core.signature import ObjectDistanceTable, SignatureTable
 from repro.errors import IndexError_, QueryError
@@ -72,16 +73,39 @@ def refine_oracle(refine_net, refine_objs):
     )
 
 
+def reload_as_vectorized_snapshot(index, path):
+    """Save ``index`` and reload it from a ``meta.txt`` rewritten to the
+    older form that named the batch engine ``vectorized``."""
+    save_index(index, path)
+    meta_path = path / "meta.txt"
+    lines = [
+        "query_engine vectorized" if line.startswith("query_engine")
+        else line
+        for line in meta_path.read_text().splitlines()
+    ]
+    meta_path.write_text("\n".join(lines) + "\n")
+    return load_index(path)
+
+
 @pytest.fixture(
     scope="module", params=["scalar", "vectorized", "columnar"]
 )
-def engine_index(request, refine_net, refine_objs):
-    return SignatureIndex.build(
+def engine_index(request, refine_net, refine_objs, tmp_path_factory):
+    """``vectorized`` is a snapshot saved under the older engine name:
+    it must load onto the columnar engine and answer identically."""
+    engine = "columnar" if request.param == "vectorized" else request.param
+    index = SignatureIndex.build(
         refine_net,
         refine_objs,
         backend="scipy",
-        query_engine=request.param,
+        query_engine=engine,
     )
+    if request.param == "vectorized":
+        index = reload_as_vectorized_snapshot(
+            index, tmp_path_factory.mktemp("knn_refine") / "idx"
+        )
+        assert index.query_engine == "columnar"
+    return index
 
 
 def sample_nodes(network, count, seed=0):

@@ -70,7 +70,7 @@ class TestAddObject:
         )
         index.add_object(new_node)
         edge = next(iter(index.network.edges()))
-        index.set_edge_weight(edge.u, edge.v, edge.weight + 2)
+        index.apply_updates([("set_weight", edge.u, edge.v, edge.weight + 2)])
         index.refresh_storage()
         index.verify(sample_nodes=6, seed=0)
 

@@ -318,7 +318,7 @@ class TestTracer:
         assert root.attributes == {"node": 1, "extra": 2}
 
 
-@pytest.fixture(scope="module", params=("vectorized", "scalar"))
+@pytest.fixture(scope="module", params=("columnar", "scalar"))
 def engine_index(request, small_net, small_objs):
     """A fresh index per query engine (counters not shared with others)."""
     return SignatureIndex.build(
@@ -354,7 +354,7 @@ class TestPageAccounting:
             idx.counter.logical_reads,
             idx.counter.physical_reads,
         )
-        if idx.query_engine == "vectorized":
+        if idx.query_engine == "columnar":
             assert "decode" in {s.name for s in tracer.walk()}
 
     def test_tracer_detaches_after_block(self, engine_index):
@@ -394,99 +394,6 @@ class TestPageAccounting:
         finally:
             idx.use_metrics(recording)
         assert idx.metrics is recording
-
-
-class TestDecodedCacheAccounting:
-    """decoded_cache.* metrics mirror the cache across §5.4 update paths."""
-
-    def _counters(self, idx):
-        m = idx.metrics
-        return (
-            m.counter("decoded_cache.hits").value,
-            m.counter("decoded_cache.misses").value,
-            m.counter("decoded_cache.invalidated_rows").value,
-        )
-
-    def test_metrics_track_hits_misses_and_invalidation(self, updatable_index):
-        idx = updatable_index
-        idx.enable_decoded_cache()
-        nodes = [0, 1, 2, 3, 4, 5]
-        radius = 150.0
-
-        idx.range_query_batch(nodes, radius)  # cold: misses populate rows
-        hits, misses, invalidated = self._counters(idx)
-        assert misses == idx.decoded.misses > 0
-        assert hits == idx.decoded.hits
-        cached_before = idx.decoded.cached_rows
-        assert cached_before > 0
-
-        idx.range_query_batch(nodes, radius)  # warm: same rows hit
-        hits2, misses2, _ = self._counters(idx)
-        assert misses2 == misses  # nothing new decoded
-        assert hits2 == idx.decoded.hits > hits
-
-        # §5.4.1 edge insertion invalidates the touched rows, and the
-        # metric counts exactly the rows actually dropped.
-        u = nodes[0]
-        v = next(
-            n
-            for n in range(1, idx.network.num_nodes)
-            if n != u and not idx.network.has_edge(u, n)
-        )
-        report = idx.add_edge(u, v, 1.0)
-        _, _, invalidated2 = self._counters(idx)
-        dropped = cached_before - idx.decoded.cached_rows
-        assert invalidated2 - invalidated == dropped
-        assert report.touched_nodes >= 0
-
-        # Re-querying decodes the dropped rows again: misses resume.
-        idx.range_query_batch(nodes, radius)
-        _, misses3, _ = self._counters(idx)
-        assert misses3 == idx.decoded.misses
-        if dropped:
-            assert misses3 > misses2
-
-    def test_object_distance_change_counts_object_invalidation(
-        self, updatable_index
-    ):
-        idx = updatable_index
-        idx.enable_decoded_cache()
-        idx.range_query_batch([0, 1, 2], 150.0)
-        metric = idx.metrics.counter("decoded_cache.object_invalidations")
-        before = metric.value
-        # A near-zero shortcut between two objects changes their pair
-        # distance, which must drop the memoized object category matrix.
-        objects = list(idx.dataset)
-        a, b = next(
-            (x, y)
-            for x in objects
-            for y in objects
-            if x != y and not idx.network.has_edge(x, y)
-        )
-        idx.add_edge(a, b, 0.001)
-        assert metric.value > before
-
-    def test_remove_object_flushes_all_rows(self, updatable_index):
-        idx = updatable_index
-        idx.enable_decoded_cache()
-        idx.range_query_batch([0, 1, 2], 150.0)
-        cached = idx.decoded.cached_rows
-        assert cached > 0
-        metric = idx.metrics.counter("decoded_cache.invalidated_rows")
-        before = metric.value
-        idx.remove_object(idx.dataset[0])
-        assert idx.decoded.cached_rows == 0
-        assert metric.value >= before + cached
-
-    def test_cache_and_metrics_agree_after_mixed_workload(self, updatable_index):
-        idx = updatable_index
-        idx.enable_decoded_cache(capacity=4)
-        for node in range(10):
-            idx.range_query(node, 120.0)
-        idx.range_query_batch(list(range(10)), 120.0)
-        hits, misses, _ = self._counters(idx)
-        assert hits == idx.decoded.hits
-        assert misses == idx.decoded.misses
 
 
 class TestHarnessTracing:

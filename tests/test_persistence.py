@@ -1,5 +1,7 @@
 """On-disk persistence: the storage schema materialized and round-tripped."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -124,7 +126,7 @@ class TestIndexRoundTrip:
 
 
 class TestEngineFidelity:
-    """Save/load restores query-engine choice and cache enablement."""
+    """Save/load restores the query-engine choice."""
 
     def test_scalar_engine_round_trips(self, small_net, small_objs, tmp_path):
         index = SignatureIndex.build(
@@ -134,32 +136,39 @@ class TestEngineFidelity:
         loaded = load_index(tmp_path / "idx")
         assert loaded.query_engine == "scalar"
 
-    def test_bounded_decoded_cache_round_trips(self, sig_index, tmp_path):
-        assert sig_index.decoded.row_caching is False
-        save_index(sig_index, tmp_path / "plain")
-        assert load_index(tmp_path / "plain").decoded.row_caching is False
-
-        index = load_index(tmp_path / "plain")
-        index.enable_decoded_cache(48)
-        save_index(index, tmp_path / "cached")
-        loaded = load_index(tmp_path / "cached")
-        assert loaded.query_engine == "vectorized"
-        assert loaded.decoded.row_caching is True
-        assert loaded.decoded.capacity == 48
-        # And the restored cache actually caches.
-        loaded.range_query_batch([0, 1, 2], 100.0)
-        loaded.range_query_batch([0, 1, 2], 100.0)
-        assert loaded.decoded.hits > 0
-
-    def test_unbounded_decoded_cache_round_trips(self, sig_index, tmp_path):
-        index = SignatureIndex.build(
-            sig_index.network, sig_index.dataset, backend="scipy"
-        )
-        index.enable_decoded_cache(None)
-        save_index(index, tmp_path / "idx")
-        loaded = load_index(tmp_path / "idx")
-        assert loaded.decoded.row_caching is True
-        assert loaded.decoded.capacity is None
+    @pytest.mark.parametrize("format", [1, 2])
+    def test_pre_columnar_meta_loads_as_columnar(
+        self, sig_index, small_net, ground_truth, tmp_path, caplog,
+        monkeypatch, format,
+    ):
+        """Snapshots written while the engine was called ``vectorized``
+        and carried a decoded-row cache setting load on the columnar
+        engine; the obsolete cache line is ignored with one warning."""
+        # The CLI's log setup may have stopped "repro" propagating.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        save_index(sig_index, tmp_path / "idx", format=format)
+        meta_path = tmp_path / "idx" / "meta.txt"
+        lines = [
+            "query_engine vectorized" if line.startswith("query_engine")
+            else line
+            for line in meta_path.read_text().splitlines()
+        ]
+        meta_path.write_text("\n".join(lines + ["decoded_cache 48"]) + "\n")
+        with caplog.at_level("WARNING", logger="repro.core.persistence"):
+            loaded = load_index(tmp_path / "idx")
+        assert loaded.query_engine == "columnar"
+        warnings = [r for r in caplog.records if "decoded_cache" in r.message]
+        assert len(warnings) == 1
+        nodes = list(range(0, small_net.num_nodes, 9))
+        radius = 40.0
+        got = loaded.range_query_batch(nodes, radius, with_distances=True)
+        for node, hits in zip(nodes, got):
+            want = [
+                (sig_index.dataset[rank], float(d))
+                for rank, d in enumerate(ground_truth[:, node])
+                if d <= radius
+            ]
+            assert hits == want
 
     def test_legacy_meta_without_engine_lines_loads(self, sig_index, tmp_path):
         """Indexes saved before these meta lines existed still load."""
@@ -172,5 +181,4 @@ class TestEngineFidelity:
         ]
         meta_path.write_text("\n".join(kept) + "\n")
         loaded = load_index(tmp_path / "idx")
-        assert loaded.query_engine == "vectorized"
-        assert loaded.decoded.row_caching is False
+        assert loaded.query_engine == "columnar"

@@ -125,7 +125,7 @@ class TestTreesAndUpdates:
         }
         loaded = load_index(tmp_path / "idx")
         v, w = loaded.network.neighbors(0)[0]
-        loaded.set_edge_weight(0, v, w * 3.0)
+        loaded.apply_updates([("set_weight", 0, v, w * 3.0)])
         oracle = SignatureIndex.build(
             loaded.network, small_objs, backend="scipy"
         )

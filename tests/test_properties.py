@@ -184,9 +184,9 @@ class TestGridIndexProperties:
         edges = list(network.edges())
         for _ in range(4):
             edge = edges[int(rng.integers(len(edges)))]
-            index.set_edge_weight(
-                edge.u, edge.v, float(rng.integers(1, 5))
-            )
+            index.apply_updates([(
+                "set_weight", edge.u, edge.v, float(rng.integers(1, 5))
+            )])
         rebuilt = SignatureIndex.build(
             network, objects, index.partition, backend="python",
             keep_trees=True,

@@ -149,11 +149,10 @@ def test_updates_never_tear_batch_queries(updatable_index):
 
     Every batch runs under the read lock and is checked, *while still
     holding the lock*, against a reference Dijkstra over the network as
-    it stands — so any half-applied update (stale signature rows, stale
-    decoded cache, torn spanning trees) shows up as a mismatch.
+    it stands — so any half-applied update (stale signature rows, torn
+    spanning trees) shows up as a mismatch.
     """
     index = updatable_index
-    index.enable_decoded_cache(64)  # stale-cache bugs should surface too
     radius = 120.0
     num_nodes = index.network.num_nodes
 

@@ -69,8 +69,9 @@ class TestWorkerModule:
 
             # An epoch the log can satisfy: replay then answer.
             v, w = index.network.neighbors(0)[0]
-            index.set_edge_weight(0, v, w * 3.0)
-            log = ((1, "set_weight", 0, v, w * 3.0),)
+            deltas = (("set_weight", 0, v, w * 3.0),)
+            index.apply_updates(deltas)
+            log = ((1, deltas),)
             got, telemetry = worker_mod.run_batch(
                 1, log, "range", QUERY_NODES, (30.0, False)
             )

@@ -76,8 +76,30 @@ class TestV3Roundtrip:
             network.copy(), dataset, backend="scipy", keep_trees=True
         )
         edge = next(iter(network.edges()))
-        loaded.set_edge_weight(edge.u, edge.v, edge.weight * 4.0)
-        mono.set_edge_weight(edge.u, edge.v, edge.weight * 4.0)
+        deltas = [("set_weight", edge.u, edge.v, edge.weight * 4.0)]
+        loaded.apply_updates(deltas)
+        mono.apply_updates(deltas)
+        _assert_same_answers(loaded, mono)
+
+    def test_pre_columnar_meta_loads_as_columnar(self, built, tmp_path):
+        """A v3 snapshot whose metas say ``query_engine vectorized`` and
+        carry a ``decoded_cache`` line loads on the columnar engine."""
+        _, _, sharded, mono = built
+        save_index(sharded, tmp_path / "idx")
+        for meta_path in (tmp_path / "idx").rglob("meta.txt"):
+            lines = [
+                "query_engine vectorized" if line.startswith("query_engine")
+                else line
+                for line in meta_path.read_text().splitlines()
+            ]
+            meta_path.write_text("\n".join(lines + ["decoded_cache 48"]))
+        loaded = load_index(tmp_path / "idx")
+        assert loaded.query_engine == "columnar"
+        assert all(
+            shard.index.query_engine == "columnar"
+            for shard in loaded.shards
+            if shard.index is not None
+        )
         _assert_same_answers(loaded, mono)
 
     def test_v2_monolith_roundtrip_unchanged(self, built, tmp_path):

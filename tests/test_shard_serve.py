@@ -85,8 +85,9 @@ class TestShardWorkerModule:
                 if int(sharded.assignment[e.u]) == shard_id
                 and int(sharded.assignment[e.v]) == shard_id
             )
-            sharded.set_edge_weight(edge.u, edge.v, edge.weight * 3.0)
-            log = [(1, "set_weight", edge.u, edge.v, edge.weight * 3.0)]
+            deltas = (("set_weight", edge.u, edge.v, edge.weight * 3.0),)
+            sharded.apply_updates(deltas)
+            log = [(1, deltas)]
 
             # Cut-edge reweight: a no-op for the shard, but the epoch
             # still advances in lockstep with the coordinator.
@@ -95,8 +96,9 @@ class TestShardWorkerModule:
                 for e in network.edges()
                 if sharded.assignment[e.u] != sharded.assignment[e.v]
             )
-            sharded.set_edge_weight(cut.u, cut.v, cut.weight * 2.0)
-            log.append((2, "set_weight", cut.u, cut.v, cut.weight * 2.0))
+            deltas = (("set_weight", cut.u, cut.v, cut.weight * 2.0),)
+            sharded.apply_updates(deltas)
+            log.append((2, deltas))
 
             rows, telemetry = worker_mod.run_shard_rows(
                 2, tuple(log), locals_
@@ -122,8 +124,9 @@ class TestShardWorkerModule:
                 if int(sharded.assignment[n]) != shard_id
                 and not network.has_edge(u, n)
             )
-            sharded.add_edge(u, v, 6.0)
-            log.append((3, "add", u, v, 6.0))
+            deltas = (("add", u, v, 6.0),)
+            sharded.apply_updates(deltas)
+            log.append((3, deltas))
             worker_mod.run_shard_rows(3, tuple(log), locals_)
             assert u in worker.pseudo_rank
             assert worker.pseudo_rank == shard.pseudo_rank

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import SignatureIndex
-from repro.errors import GraphError, UpdateError
+from repro.errors import DatasetError, QueryError
 from repro.network import random_planar_network, uniform_dataset
 from repro.network.dijkstra import shortest_path_tree
 from repro.shard import ShardedSignatureIndex
@@ -73,8 +73,8 @@ class TestIntraShardUpdates:
         owner = int(sharded.assignment[u])
         before = _shard_fingerprints(sharded)
 
-        sharded.set_edge_weight(u, v, w * 3.0)
-        mono.set_edge_weight(u, v, w * 3.0)
+        sharded.apply_updates([("set_weight", u, v, w * 3.0)])
+        mono.apply_updates([("set_weight", u, v, w * 3.0)])
 
         after = _shard_fingerprints(sharded)
         for shard_id, (prev, cur) in enumerate(zip(before, after)):
@@ -99,10 +99,10 @@ class TestIntraShardUpdates:
         sharded, mono = pair
         u, v, w = _find_edge(sharded, cut=False)
         for index in (sharded, mono):
-            index.remove_edge(u, v)
+            index.apply_updates([("remove", u, v)])
         _assert_answers_match(sharded, mono)
         for index in (sharded, mono):
-            index.add_edge(u, v, w * 1.5)
+            index.apply_updates([("add", u, v, w * 1.5)])
         _assert_answers_match(sharded, mono)
 
 
@@ -120,8 +120,9 @@ class TestCutEdgeUpdates:
             ):
                 continue
             d_before = sharded.D.copy()
-            sharded.set_edge_weight(edge.u, edge.v, edge.weight * 10.0)
-            mono.set_edge_weight(edge.u, edge.v, edge.weight * 10.0)
+            deltas = [("set_weight", edge.u, edge.v, edge.weight * 10.0)]
+            sharded.apply_updates(deltas)
+            mono.apply_updates(deltas)
             if not np.array_equal(d_before, sharded.D):
                 moved = True
                 break
@@ -139,10 +140,10 @@ class TestCutEdgeUpdates:
         sharded, mono = pair
         u, v, w = _find_edge(sharded, cut=True)
         for index in (sharded, mono):
-            index.remove_edge(u, v)
+            index.apply_updates([("remove", u, v)])
         _assert_answers_match(sharded, mono)
         for index in (sharded, mono):
-            index.add_edge(u, v, w)
+            index.apply_updates([("add", u, v, w)])
         _assert_answers_match(sharded, mono)
 
     def test_new_cut_edge_promotes_interior_endpoints(self, pair):
@@ -163,8 +164,8 @@ class TestCutEdgeUpdates:
         )
         boundary_before = int(sharded.boundary.size)
 
-        sharded.add_edge(u, v, 7.0)
-        mono.add_edge(u, v, 7.0)
+        sharded.apply_updates([("add", u, v, 7.0)])
+        mono.apply_updates([("add", u, v, 7.0)])
 
         assert int(sharded.boundary.size) == boundary_before + 2
         for node in (u, v):
@@ -193,7 +194,7 @@ class TestCutEdgeUpdates:
                 edges.append((u, v, w))
                 break
         for step, (u, v, w) in enumerate(edges):
-            sharded.set_edge_weight(u, v, w * (2.0 + step % 3))
+            sharded.apply_updates([("set_weight", u, v, w * (2.0 + step % 3))])
             for node in (u, 42, 250):
                 assert sorted(sharded.range_query(node, 45.0)) == (
                     oracle_range(node, 45.0)
@@ -204,9 +205,9 @@ class TestUpdateValidation:
     def test_bad_edges_rejected(self, pair):
         sharded, _ = pair
         u, v, w = _find_edge(sharded, cut=False)
-        with pytest.raises(GraphError):
-            sharded.add_edge(u, v, 1.0)  # already exists
-        with pytest.raises((GraphError, UpdateError)):
-            sharded.set_edge_weight(u, u, 1.0)
-        with pytest.raises(GraphError):
-            sharded.remove_edge(u, u)
+        with pytest.raises(DatasetError):
+            sharded.apply_updates([("add", u, v, 1.0)])  # already exists
+        with pytest.raises(QueryError):
+            sharded.apply_updates([("set_weight", u, u, 1.0)])
+        with pytest.raises(QueryError):
+            sharded.apply_updates([("remove", u, u)])

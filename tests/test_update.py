@@ -70,7 +70,7 @@ class TestAddEdge:
     def test_shortcut_edge_updates_to_rebuild(self, updatable_index):
         rng = np.random.default_rng(0)
         u, v = _pick_absent_edge(updatable_index.network, rng)
-        report = updatable_index.add_edge(u, v, 1.0)
+        report = updatable_index.apply_updates([("add", u, v, 1.0)]).report
         assert_equals_rebuild(updatable_index)
         assert report.changed_components >= 0
 
@@ -78,7 +78,7 @@ class TestAddEdge:
         rng = np.random.default_rng(1)
         u, v = _pick_absent_edge(updatable_index.network, rng)
         before = updatable_index.table.categories.copy()
-        report = updatable_index.add_edge(u, v, 1e9)
+        report = updatable_index.apply_updates([("add", u, v, 1e9)]).report
         assert np.array_equal(updatable_index.table.categories, before)
         assert report.changed_components == 0
         assert report.touched_nodes == 0
@@ -87,7 +87,8 @@ class TestAddEdge:
         rng = np.random.default_rng(2)
         for _ in range(3):
             u, v = _pick_absent_edge(updatable_index.network, rng)
-            updatable_index.add_edge(u, v, float(rng.integers(1, 5)))
+            weight = float(rng.integers(1, 5))
+            updatable_index.apply_updates([("add", u, v, weight)])
         assert_equals_rebuild(updatable_index)
 
 
@@ -97,7 +98,7 @@ class TestRemoveEdge:
         u, v, _ = _pick_existing_edge(
             updatable_index.network, rng, updatable_index.trees, on_tree=True
         )
-        updatable_index.remove_edge(u, v)
+        updatable_index.apply_updates([("remove", u, v)])
         assert_equals_rebuild(updatable_index)
 
     def test_non_tree_edge_removal_keeps_categories(self, updatable_index):
@@ -109,7 +110,7 @@ class TestRemoveEdge:
         except AssertionError:
             pytest.skip("every edge lies on some spanning tree")
         before = updatable_index.table.categories.copy()
-        updatable_index.remove_edge(u, v)
+        updatable_index.apply_updates([("remove", u, v)])
         assert np.array_equal(updatable_index.table.categories, before)
         assert_equals_rebuild(updatable_index)
 
@@ -123,7 +124,7 @@ class TestRemoveEdge:
                 or updatable_index.network.degree(v) <= 1
             ):
                 continue
-            updatable_index.remove_edge(u, v)
+            updatable_index.apply_updates([("remove", u, v)])
         updatable_index.refresh_storage()
         updatable_index.verify(sample_nodes=8, seed=1)
 
@@ -143,7 +144,7 @@ class TestRemoveEdge:
         if leaf is None:
             pytest.skip("no non-object leaf in this network")
         neighbor, _ = network.neighbors(leaf)[0]
-        updatable_index.remove_edge(leaf, neighbor)
+        updatable_index.apply_updates([("remove", leaf, neighbor)])
         unreachable = updatable_index.partition.unreachable
         assert all(
             updatable_index.table.categories[leaf, rank] == unreachable
@@ -160,9 +161,10 @@ class TestReweight:
         )
         if w <= 1:
             updatable_index.network.set_edge_weight(u, v, 5.0)
-            updatable_index.set_edge_weight(u, v, 5.0)  # no-op sync
+            # no-op sync
+            updatable_index.apply_updates([("set_weight", u, v, 5.0)])
             w = 5.0
-        updatable_index.set_edge_weight(u, v, w / 2)
+        updatable_index.apply_updates([("set_weight", u, v, w / 2)])
         assert_equals_rebuild(updatable_index)
 
     def test_increase_updates_to_rebuild(self, updatable_index):
@@ -170,13 +172,14 @@ class TestReweight:
         u, v, w = _pick_existing_edge(
             updatable_index.network, rng, updatable_index.trees, on_tree=True
         )
-        updatable_index.set_edge_weight(u, v, w * 3)
+        updatable_index.apply_updates([("set_weight", u, v, w * 3)])
         assert_equals_rebuild(updatable_index)
 
     def test_same_weight_is_a_noop(self, updatable_index):
         rng = np.random.default_rng(8)
         u, v, w = _pick_existing_edge(updatable_index.network, rng)
-        report = updatable_index.set_edge_weight(u, v, w)
+        result = updatable_index.apply_updates([("set_weight", u, v, w)])
+        report = result.report
         assert report.changed_components == 0
         assert not report.affected_objects
 
@@ -188,7 +191,8 @@ class TestReweight:
             )
         except AssertionError:
             pytest.skip("every edge lies on some spanning tree")
-        report = updatable_index.set_edge_weight(u, v, w * 10)
+        result = updatable_index.apply_updates([("set_weight", u, v, w * 10)])
+        report = result.report
         assert report.changed_components == 0
         assert_equals_rebuild(updatable_index)
 
@@ -231,11 +235,13 @@ class TestUpdateLocality:
         u, v, w = _pick_existing_edge(
             updatable_index.network, rng, updatable_index.trees, on_tree=True
         )
-        report = updatable_index.set_edge_weight(u, v, w + 1)
+        result = updatable_index.apply_updates([("set_weight", u, v, w + 1)])
+        report = result.report
         total = updatable_index.network.num_nodes * len(updatable_index.dataset)
         assert report.changed_components < total * 0.5
 
     def test_requires_trees(self, small_net, small_objs):
         index = SignatureIndex.build(small_net, small_objs, backend="scipy")
+        neighbor = next(iter(small_net.neighbors(0)))[0]
         with pytest.raises(UpdateError):
-            index.set_edge_weight(0, next(iter(small_net.neighbors(0)))[0], 2.0)
+            index.apply_updates([("set_weight", 0, neighbor, 2.0)])

@@ -262,20 +262,20 @@ class TestCoordinatorBatching:
 
         results = asyncio.run(main())
         # All six writes landed in one changeset: one epoch, one shared
-        # ApplyResult, one multi-delta log entry.
+        # ApplyResult, one (epoch, deltas) log entry.
         assert coordinator.epoch == 1
         assert all(r is results[0] for r in results)
         assert results[0].epoch == 1
         assert results[0].applied == len(edges)
         assert len(coordinator.update_log) == 1
-        epoch, op, deltas, _, _ = coordinator.update_log[0]
-        assert (epoch, op) == (1, "changeset")
+        epoch, deltas = coordinator.update_log[0]
+        assert epoch == 1
         assert len(deltas) == len(edges)
         assert registry.counter("serve.update_batches").value == 1
         for (u, v), weight in zip(edges, (2.0, 3.0, 4.0, 5.0, 6.0, 7.0)):
             assert coordinator.index.network.edge_weight(u, v) == weight
 
-    def test_single_write_logs_legacy_tuple(self, serving_world):
+    def test_single_write_logs_one_delta_changeset(self, serving_world):
         network, dataset = serving_world
         coordinator, _ = _coordinator(network, dataset)
         edge = sorted(
@@ -290,7 +290,7 @@ class TestCoordinatorBatching:
         result = asyncio.run(main())
         assert result.epoch == 1
         assert coordinator.update_log == [
-            (1, "set_weight", edge[0], edge[1], 3.25)
+            (1, (("set_weight", edge[0], edge[1], 3.25),))
         ]
 
     def test_bad_request_is_a_query_error(self, serving_world):

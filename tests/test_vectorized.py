@@ -1,4 +1,4 @@
-"""Vectorized query engine: scalar equivalence and cache invalidation.
+"""Vectorized batch algorithms: scalar equivalence over the columnar store.
 
 The contract under test: every vectorized query returns *element-for-
 element* the scalar reference's result AND charges the pager identically
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.core import queries, vectorized
 from repro.core.index import SignatureIndex
 from repro.core.queries import KnnType
-from repro.core.vectorized import DecodedSignatureCache
 from repro.errors import IndexError_
 from repro.network import (
     ObjectDataset,
@@ -36,14 +35,14 @@ PROPERTY_SETTINGS = dict(
 
 
 def build_engines(seed: int, *, num_nodes: int = 60, density: float = 0.1):
-    """Scalar and vectorized indexes over one random configuration."""
+    """Scalar- and columnar-engine indexes over one random configuration."""
     network = random_planar_network(num_nodes, seed=seed)
     objects = uniform_dataset(network, density=density, seed=seed + 1)
     scalar = SignatureIndex.build(
         network, objects, keep_trees=True, query_engine="scalar"
     )
     vec = SignatureIndex.build(
-        network, objects, keep_trees=True, query_engine="vectorized"
+        network, objects, keep_trees=True, query_engine="columnar"
     )
     return network, objects, scalar, vec
 
@@ -306,89 +305,10 @@ class TestDecoding:
         assert vec.counter.logical_reads == 0  # decoding is pure CPU
 
 
-class TestDecodedCache:
-    def test_opt_in_and_hits(self):
-        _, _, _, vec = build_engines(5)
-        assert vec.decoded.row_caching is False
-        vec.enable_decoded_cache()
-        radius = 50.0
-        vec.range_query(1, radius)
-        assert vec.decoded.cached_rows == 1
-        vec.range_query(1, radius)
-        assert vec.decoded.hits >= 1
-        vec.disable_decoded_cache()
-        assert vec.decoded.cached_rows == 0
-
-    def test_capacity_evicts_lru(self):
-        cache = DecodedSignatureCache(capacity=2)
-        cache.row_caching = True
-        for node in (1, 2, 3):
-            cache.store_row(node, np.array([node]))
-        assert cache.cached_rows == 2
-        assert cache.get_row(1) is None  # evicted
-        assert cache.get_row(3) is not None
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(IndexError_):
-            DecodedSignatureCache(capacity=0)
-
-    def _assert_cache_consistent(self, vec):
-        """Cached vectorized answers must equal the (uncached) scalar path
-        reading the live tables — any stale row breaks this."""
-        finite = vec.trees.distances[np.isfinite(vec.trees.distances)]
-        radius = float(np.median(finite)) if finite.size else 1.0
-        for node in range(0, vec.network.num_nodes, 7):
-            assert vectorized.range_query(vec, node, radius) == \
-                queries.range_query(vec, node, radius)
-
-    def test_edge_updates_invalidate(self):
-        network, objects, _, vec = build_engines(11)
-        vec.enable_decoded_cache()
-        vectorized.range_query_batch(vec, list(range(network.num_nodes)), 40.0)
-        assert vec.decoded.cached_rows == network.num_nodes
-
-        rng = np.random.default_rng(0)
-        u = int(rng.integers(network.num_nodes))
-        v = int((u + network.num_nodes // 2) % network.num_nodes)
-        if not network.has_edge(u, v):
-            vec.add_edge(u, v, 0.5)
-            self._assert_cache_consistent(vec)
-
-        edge = next(iter(network.edges()))
-        vec.set_edge_weight(edge.u, edge.v, edge.weight * 3)
-        self._assert_cache_consistent(vec)
-
-        edge = next(iter(network.edges()))
-        vec.remove_edge(edge.u, edge.v)
-        self._assert_cache_consistent(vec)
-
-    def test_refresh_storage_clears(self):
-        _, _, _, vec = build_engines(13)
-        vec.enable_decoded_cache()
-        vectorized.range_query_batch(vec, [0, 1, 2], 10.0)
-        assert vec.decoded.cached_rows == 3
-        vec.refresh_storage()
-        assert vec.decoded.cached_rows == 0
-
-    def test_object_updates_invalidate(self):
-        network, objects, _, vec = build_engines(19)
-        vec.enable_decoded_cache()
-        vectorized.range_query_batch(vec, list(range(network.num_nodes)), 40.0)
-        free = next(
-            node for node in range(network.num_nodes) if node not in objects
-        )
-        vec.add_object(free)
-        assert vec.decoded.cached_rows == 0
-        self._assert_cache_consistent(vec)
-        vec.remove_object(free)
-        assert vec.decoded.cached_rows == 0
-        self._assert_cache_consistent(vec)
-
-
 class TestFacadeDispatch:
     def test_engines_agree_through_facade(self):
         network, objects, scalar, vec = build_engines(23)
-        assert vec.query_engine == "vectorized"
+        assert vec.query_engine == "columnar"
         for node in (0, 9, 31):
             assert vec.range_query(node, 60.0) == scalar.range_query(node, 60.0)
             assert vec.knn(node, 3) == scalar.knn(node, 3)
