@@ -1,16 +1,10 @@
-"""Construction parallelism and batch-kernel throughput at DIMACS scale.
+"""Hierarchy build time and batch-kernel throughput at DIMACS scale.
 
-Two claims from PR 9, proven on one large graph:
+One large graph, two measurements:
 
-1. **Parallel builds are free of nondeterminism.**  The contraction
-   hierarchy and the hub-label distillation are built twice — serial
-   (``workers=1``) and parallel — and every output array (contraction
-   order, upward CSR, label CSR) must be byte-identical *before* any
-   timing is reported.  The speedup itself is hardware-dependent: the
-   ``>= 2x with 4 workers`` bar is asserted only on hosts with at least
-   4 CPUs (``os.cpu_count()`` is recorded in the payload, so a
-   single-CPU container publishes honest overhead numbers instead of a
-   vacuous pass).
+1. **Build time.**  The contraction hierarchy and the hub-label
+   distillation are built once; the contraction, label and total wall
+   times are reported (``os.cpu_count()`` is recorded alongside them).
 2. **The vectorized batch label-join beats the scalar loop.**  Random
    node pairs are answered by the scalar sorted-merge
    (:func:`~repro.backends.base.label_join`, one pair at a time) and by
@@ -39,7 +33,6 @@ from pathlib import Path
 QUICK = "--quick" in sys.argv
 if QUICK:
     os.environ.setdefault("REPRO_BENCH_SCALE_NODES", "2000")
-    os.environ.setdefault("REPRO_BENCH_SCALE_WORKERS", "2")
 
 _REPO_ROOT_PATH = Path(__file__).resolve().parent.parent
 _REPO_ROOT = str(_REPO_ROOT_PATH)
@@ -60,7 +53,6 @@ from repro.network import random_planar_network  # noqa: E402
 JSON_PATH = _REPO_ROOT_PATH / "BENCH_scale.json"
 
 NUM_NODES = int(os.environ.get("REPRO_BENCH_SCALE_NODES", "100000"))
-WORKERS = int(os.environ.get("REPRO_BENCH_SCALE_WORKERS", "4"))
 SEED = 2006
 BATCH = 256
 #: Batched pairs answered by the kernel; the scalar loop gets a subset
@@ -69,7 +61,6 @@ KERNEL_PAIRS = BATCH * (8 if QUICK else 80)
 SCALAR_PAIRS = BATCH * (4 if QUICK else 16)
 
 MIN_KERNEL_SPEEDUP = 2.0 if QUICK else 5.0
-MIN_BUILD_SPEEDUP = 2.0  # asserted only with >= 4 real CPUs, full mode
 TIMING_PASSES = 3  # per side; best pass counts (ratio is the claim)
 
 
@@ -83,13 +74,13 @@ def _load_graph():
     return random_planar_network(NUM_NODES, seed=SEED), "generated-planar"
 
 
-def _build(network, workers: int):
+def _build(network):
     """One full hierarchy + label build; returns (artifacts, timings)."""
     start = time.perf_counter()
-    hierarchy = ContractionHierarchy.build(network, workers=workers)
+    hierarchy = ContractionHierarchy.build(network)
     contract_s = time.perf_counter() - start
     start = time.perf_counter()
-    labels = build_labels(hierarchy, workers=workers)
+    labels = build_labels(hierarchy)
     labels_s = time.perf_counter() - start
     return hierarchy, labels, {
         "contract_s": round(contract_s, 3),
@@ -103,52 +94,19 @@ def main() -> int:
     network, source = _load_graph()
     print(
         f"scale graph: {source}, {network.num_nodes} nodes, "
-        f"{network.num_edges} edges; workers={WORKERS}, cpus={cpus}"
+        f"{network.num_edges} edges; cpus={cpus}"
     )
 
-    serial_h, serial_labels, serial_times = _build(network, workers=1)
+    hierarchy, labels, build_times = _build(network)
     print(
-        f"serial build: contract {serial_times['contract_s']}s "
-        f"({serial_h.rounds} rounds, {serial_h.num_shortcuts} shortcuts), "
-        f"labels {serial_times['labels_s']}s"
-    )
-    parallel_h, parallel_labels, parallel_times = _build(
-        network, workers=WORKERS
-    )
-    print(
-        f"parallel build (workers={WORKERS}): "
-        f"contract {parallel_times['contract_s']}s, "
-        f"labels {parallel_times['labels_s']}s, "
-        f"efficiency {parallel_h.parallel_efficiency}"
-    )
-
-    # -- bit-identity before any speedup is reported --------------------
-    identical = (
-        serial_h.num_shortcuts == parallel_h.num_shortcuts
-        and serial_h.rounds == parallel_h.rounds
-    )
-    for name, a, b in (
-        ("order", serial_h.order, parallel_h.order),
-        ("up_indptr", serial_h.up_indptr, parallel_h.up_indptr),
-        ("up_targets", serial_h.up_targets, parallel_h.up_targets),
-        ("up_weights", serial_h.up_weights, parallel_h.up_weights),
-        ("label_indptr", serial_labels[0], parallel_labels[0]),
-        ("label_hubs", serial_labels[1], parallel_labels[1]),
-        ("label_dists", serial_labels[2], parallel_labels[2]),
-    ):
-        if np.asarray(a).tobytes() != np.asarray(b).tobytes():
-            print(f"error: serial/parallel {name} differ", file=sys.stderr)
-            identical = False
-    if not identical:
-        return 1
-    print("serial and parallel artifacts are byte-identical")
-
-    build_speedup = round(
-        serial_times["build_s"] / parallel_times["build_s"], 2
+        f"build: contract {build_times['contract_s']}s "
+        f"({hierarchy.rounds} rounds, {hierarchy.num_shortcuts} shortcuts), "
+        f"labels {build_times['labels_s']}s, "
+        f"total {build_times['build_s']}s"
     )
 
     # -- scalar vs batched label join -----------------------------------
-    indptr, hubs, dists = serial_labels
+    indptr, hubs, dists = labels
     rng = np.random.default_rng(SEED)
     left = rng.integers(0, network.num_nodes, size=KERNEL_PAIRS)
     right = rng.integers(0, network.num_nodes, size=KERNEL_PAIRS)
@@ -197,7 +155,6 @@ def main() -> int:
             "source": source,
             "nodes": network.num_nodes,
             "edges": network.num_edges,
-            "workers": WORKERS,
             "cpus": cpus,
             "batch": BATCH,
             "kernel_pairs": KERNEL_PAIRS,
@@ -206,17 +163,11 @@ def main() -> int:
             "seed": SEED,
             "quick": QUICK,
         },
-        "identical_artifacts": True,
         "identical_batch_answers": True,
         "build": {
-            "serial": serial_times,
-            "parallel": {
-                **parallel_times,
-                "efficiency": parallel_h.parallel_efficiency,
-            },
-            "speedup": build_speedup,
-            "rounds": serial_h.rounds,
-            "shortcuts": serial_h.num_shortcuts,
+            **build_times,
+            "rounds": hierarchy.rounds,
+            "shortcuts": hierarchy.num_shortcuts,
             "mean_label_size": round(len(hubs) / max(network.num_nodes, 1), 2),
         },
         "batch_kernel": {
@@ -233,15 +184,10 @@ def main() -> int:
         "\n".join(
             [
                 f"scale bench ({source}, {network.num_nodes} nodes, "
-                f"workers={WORKERS}, cpus={cpus})",
-                f"serial build:   contract {serial_times['contract_s']:>8.2f}s"
-                f"  labels {serial_times['labels_s']:>8.2f}s"
-                f"  total {serial_times['build_s']:>8.2f}s",
-                f"parallel build: contract "
-                f"{parallel_times['contract_s']:>8.2f}s"
-                f"  labels {parallel_times['labels_s']:>8.2f}s"
-                f"  total {parallel_times['build_s']:>8.2f}s"
-                f"  ({build_speedup:g}x, artifacts byte-identical)",
+                f"cpus={cpus})",
+                f"build: contract {build_times['contract_s']:>8.2f}s"
+                f"  labels {build_times['labels_s']:>8.2f}s"
+                f"  total {build_times['build_s']:>8.2f}s",
                 f"label join: scalar {scalar_qps:,.0f} qps, batch({BATCH}) "
                 f"{batch_qps:,.0f} qps ({kernel_speedup:g}x)",
             ]
@@ -255,18 +201,6 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    if not QUICK and cpus >= 4 and build_speedup < MIN_BUILD_SPEEDUP:
-        print(
-            f"error: parallel build only {build_speedup:g}x serial on a "
-            f"{cpus}-cpu host (bar: {MIN_BUILD_SPEEDUP:g}x)",
-            file=sys.stderr,
-        )
-        return 1
-    if cpus < 4:
-        print(
-            f"note: build-speedup bar skipped on a {cpus}-cpu host; "
-            "numbers above are the honest single-cpu overhead"
-        )
     return 0
 
 

@@ -10,7 +10,7 @@ comparison isolates CPU-side query processing; the bench asserts the
 result sets match before it reports a single number.
 
 Also times the §5.2 construction sweep per backend (``python``,
-``python-parallel``, ``scipy``).
+``scipy``).
 
 Beyond the human-readable table, writes machine-readable
 ``BENCH_throughput.json`` at the repo root to seed the perf trajectory.
@@ -205,30 +205,30 @@ def _phase_breakdown(scalar, vec, nodes, radius) -> dict:
     }
 
 
-def _metrics_overhead(vec, nodes, radius) -> dict:
+def _metrics_overhead(vec, nodes, radius, passes: int = 20) -> dict:
     """Best-of-N range-batch timings: default registry vs NULL_REGISTRY.
 
     The instrumentation claim — cheap enough to stay on by default —
     quantified: ``overhead`` is the fractional slowdown of the default
-    (recording) registry relative to the no-op one.
+    (recording) registry relative to the no-op one.  The two registries
+    alternate pass by pass, so host speed drift lands on both sides
+    instead of on whichever ran second.
     """
-
-    def best_of(runs: int = 5) -> float:
-        best = float("inf")
-        for _ in range(runs):
-            start = time.perf_counter()
-            vec.range_query_batch(nodes, radius)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    vec.range_query_batch(nodes, radius)  # warm
     recording = vec.metrics
-    seconds_on = best_of()
-    vec.use_metrics(NULL_REGISTRY)
+    best = {recording: float("inf"), NULL_REGISTRY: float("inf")}
+    vec.range_query_batch(nodes, radius)  # warm
     try:
-        seconds_off = best_of()
+        for _ in range(passes):
+            for registry in best:
+                vec.use_metrics(registry)
+                start = time.perf_counter()
+                vec.range_query_batch(nodes, radius)
+                best[registry] = min(
+                    best[registry], time.perf_counter() - start
+                )
     finally:
         vec.use_metrics(recording)
+    seconds_on, seconds_off = best[recording], best[NULL_REGISTRY]
     overhead = (
         (seconds_on - seconds_off) / seconds_off if seconds_off > 0 else 0.0
     )
@@ -243,12 +243,9 @@ def _construction_times(query_suite) -> dict[str, float]:
     network = query_suite.network
     dataset = query_suite.datasets[DENSITY_LABEL]
     times = {}
-    for backend in ("python", "python-parallel", "scipy"):
-        kwargs = {"workers": 2} if backend == "python-parallel" else {}
+    for backend in ("python", "scipy"):
         with Stopwatch() as watch:
-            run_construction_sweep(
-                network, dataset, backend=backend, **kwargs
-            )
+            run_construction_sweep(network, dataset, backend=backend)
         times[backend] = watch.seconds
     return times
 

@@ -1,18 +1,17 @@
-"""Load a DIMACS road graph and serve distances from parallel-built hub labels.
+"""Load a DIMACS road graph and serve distances from hub labels.
 
 Run with ``python examples/dimacs_hub_labels.py``.
 
 The 9th DIMACS Implementation Challenge distributes the standard road
 benchmarks (USA-road-d.NY.gr and friends) in a simple arc format.  This
 example writes a tiny graph in that exact format, loads it with
-:func:`repro.network.load_dimacs`, builds a hub-label index with the
-parallel construction path, and answers single and batched distance
-queries.  Point ``load_dimacs`` at a real challenge file (``.gr`` or
+:func:`repro.network.load_dimacs`, builds a hub-label index, and answers
+single and batched distance queries.  Point ``load_dimacs`` at a real challenge file (``.gr`` or
 ``.gr.gz``, optionally with its ``.co`` coordinate file) and everything
 below scales up unchanged — or use the CLI:
 
     python -m repro build USA-road-d.NY.gr objs.txt idx/ \\
-        --backend hub --build-workers 4
+        --backend hub
 """
 
 import tempfile
@@ -57,16 +56,13 @@ def main() -> None:
         f"{network.num_edges} undirected edges"
     )
 
-    # 2. Objects on the network and a hub-label index.  workers=2
-    #    parallelizes contraction witness searches and label
-    #    distillation; the output is bit-identical to workers=1.
+    # 2. Objects on the network and a hub-label index.
     objects = uniform_dataset(network, density=0.5, seed=3)
-    index = HubLabelIndex.build(network, objects, workers=2)
+    index = HubLabelIndex.build(network, objects)
     stats = index.stats()
     print(
         f"hub-label index: {stats['label_entries']} label entries, "
         f"mean label {stats['mean_label_size']:.1f}, "
-        f"built with workers={stats['build_workers']}, "
         f"settle_cap={stats['settle_cap']}"
     )
 

@@ -205,7 +205,6 @@ def save_ch_index(index: CHIndex, directory: str | Path) -> None:
         [
             f"num_shortcuts {hierarchy.num_shortcuts}",
             f"settle_cap {index.settle_cap}",
-            f"build_workers {index.build_workers}",
         ],
     )
 
@@ -232,12 +231,11 @@ def load_ch_index(directory: Path, meta: dict[str, str]) -> CHIndex:
         arrays["up_weights"],
         int(meta.get("num_shortcuts", 0)),
     )
-    # Older snapshots predate the settle_cap/build_workers meta lines;
-    # default to the historical constants.
+    # Older snapshots predate the settle_cap meta line; default to the
+    # historical constant.  Some also record the worker count of a
+    # parallel build; like any unknown meta key, that line is ignored.
     settle_cap = int(meta.get("settle_cap", WITNESS_SETTLE_CAP))
-    build_workers = int(meta.get("build_workers", 1))
     hierarchy.settle_cap = settle_cap
-    hierarchy.build_workers = build_workers
     return CHIndex(
         network,
         dataset,
@@ -246,7 +244,6 @@ def load_ch_index(directory: Path, meta: dict[str, str]) -> CHIndex:
         _object_table(arrays, partition, len(dataset), directory),
         _buckets_from(arrays, network.num_nodes, directory),
         settle_cap=settle_cap,
-        build_workers=build_workers,
     )
 
 
@@ -273,7 +270,6 @@ def save_hub_index(index: HubLabelIndex, directory: str | Path) -> None:
         directory, HUB_MAGIC, index,
         [
             f"settle_cap {index.settle_cap}",
-            f"build_workers {index.build_workers}",
         ],
     )
 
@@ -304,7 +300,6 @@ def load_hub_index(directory: Path, meta: dict[str, str]) -> HubLabelIndex:
         _object_table(arrays, partition, len(dataset), directory),
         _buckets_from(arrays, network.num_nodes, directory),
         settle_cap=int(meta.get("settle_cap", WITNESS_SETTLE_CAP)),
-        build_workers=int(meta.get("build_workers", 1)),
     )
 
 

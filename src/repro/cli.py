@@ -8,7 +8,7 @@ repro generate-dataset net.txt objects.txt --density 0.01 --seed 1
 repro partition net.txt --shards 4
 repro build net.txt objects.txt index_dir --partition optimal
 repro build net.txt objects.txt index_dir --shards 4
-repro build usa.gr objects.txt index_dir --backend hub --build-workers 4
+repro build usa.gr objects.txt index_dir --backend hub
 repro info index_dir
 repro query index_dir knn --node 42 --k 5
 repro query index_dir range --node 42 --radius 50
@@ -146,17 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "build a sharded index over this many network partitions "
             "(1 = monolithic, the default); persisted as format v3"
-        ),
-    )
-    build.add_argument(
-        "--build-workers",
-        type=int,
-        default=1,
-        dest="build_workers",
-        help=(
-            "processes used during construction (ch/hub: witness "
-            "searches and label distillation; signature: per-object "
-            "trees); output is bit-identical for any worker count"
         ),
     )
     build.add_argument(
@@ -454,7 +443,7 @@ def _cmd_build(args) -> int:
                 f"--backend {args.backend} does not support --shards; "
                 "sharding is a signature-index feature"
             )
-        build_kwargs = {"workers": args.build_workers}
+        build_kwargs = {}
         if args.settle_cap is not None:
             build_kwargs["settle_cap"] = args.settle_cap
         index = build_backend(
@@ -471,8 +460,7 @@ def _cmd_build(args) -> int:
             f"built {args.backend} index in {args.index_dir}: "
             f"{stats['nodes']} nodes, {stats['objects']} objects, "
             f"{extra}, {stats['index_bytes']} index bytes "
-            f"(settle_cap={stats['settle_cap']}, "
-            f"workers={stats['build_workers']})"
+            f"(settle_cap={stats['settle_cap']})"
         )
         return 0
     if args.settle_cap is not None:
@@ -498,9 +486,6 @@ def _cmd_build(args) -> int:
             f"empirical optimizer: c={partition.c:g}, "
             f"T={partition.first_boundary:g}"
         )
-    # workers=None keeps the historical default (cpu-count fan-out when
-    # the python sweep is in play); an explicit --build-workers pins it.
-    sig_workers = args.build_workers if args.build_workers > 1 else None
     if args.shards > 1:
         from repro.shard import ShardedSignatureIndex
 
@@ -511,7 +496,6 @@ def _cmd_build(args) -> int:
             num_shards=args.shards,
             refine_passes=args.refine_passes,
             compress=not args.no_compress,
-            workers=sig_workers,
         )
         save_index(index, args.index_dir)
         stats = index.stats()
@@ -529,7 +513,6 @@ def _cmd_build(args) -> int:
         dataset,
         partition,
         compress=not args.no_compress,
-        workers=sig_workers,
     )
     save_index(index, args.index_dir)
     report = index.storage_report()

@@ -22,8 +22,8 @@ partitioning) need real coordinates to be useful.
 
 Edges land in each node's adjacency list in first-seen file order, so
 loading the same file always yields a bit-identical
-:class:`~repro.network.graph.RoadNetwork` — the property the
-parallel-build equivalence tests (PR 9) rely on.
+:class:`~repro.network.graph.RoadNetwork` — the property deterministic
+hierarchy builds rely on.
 """
 
 from __future__ import annotations

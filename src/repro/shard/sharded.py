@@ -623,7 +623,6 @@ class ShardedSignatureIndex:
         storage_schema: str = "separate",
         query_engine: str = "columnar",
         knn_refine: str = "pruned",
-        workers: int | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> "ShardedSignatureIndex":
         """Partition, sweep each shard once, stitch, and assemble.
@@ -707,7 +706,6 @@ class ShardedSignatureIndex:
                     subnet,
                     pseudo_dataset,
                     backend=backend,
-                    workers=workers,
                     registry=shard.registry,
                 )
                 shard._subnet = subnet

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.builder import (
-    _neighbor_position_matrix,
     build_raw_signature_data,
     categorize_array,
     run_construction_sweep,
@@ -61,33 +60,10 @@ class TestBackendEquivalence:
                     neighbor, weight = small_net.neighbor_at(node, link)
                     assert ground_truth[rank, neighbor] + weight == truth
 
-    def test_parallel_bit_identical_to_python(self, small_net, small_objs):
-        """The process-pool fan-out merges in rank order: same trees, not
-        just same distances."""
-        d_py, p_py = run_construction_sweep(
-            small_net, small_objs, backend="python"
-        )
-        d_par, p_par = run_construction_sweep(
-            small_net, small_objs, backend="python-parallel", workers=2
-        )
-        assert np.array_equal(d_py, d_par)
-        assert np.array_equal(p_py, p_par)
-
-    def test_parallel_single_worker_falls_back_to_serial(
-        self, small_net, small_objs
-    ):
-        d_py, p_py = run_construction_sweep(
-            small_net, small_objs, backend="python"
-        )
-        d_one, p_one = run_construction_sweep(
-            small_net, small_objs, backend="python-parallel", workers=1
-        )
-        assert np.array_equal(d_py, d_one)
-        assert np.array_equal(p_py, p_one)
-
     def test_unknown_backend_rejected(self, small_net, small_objs):
-        with pytest.raises(IndexError_):
-            run_construction_sweep(small_net, small_objs, backend="gpu")
+        for backend in ("gpu", "python-parallel"):
+            with pytest.raises(IndexError_):
+                run_construction_sweep(small_net, small_objs, backend=backend)
 
     def test_empty_dataset_rejected(self, small_net):
         with pytest.raises(IndexError_):
@@ -141,15 +117,6 @@ class TestAdjacencyArrays:
                 (int(n), float(w))
                 for n, w in zip(neighbors[lo:hi], weights[lo:hi])
             ] == small_net.neighbors(node)
-
-    def test_position_matrix_matches_neighbor_position(self, small_net):
-        posmat = _neighbor_position_matrix(small_net)
-        for node in range(0, small_net.num_nodes, 17):
-            for neighbor, _ in small_net.neighbors(node):
-                assert (
-                    posmat[node, neighbor] - 1
-                    == small_net.neighbor_position(node, neighbor)
-                )
 
 
 class TestCategorizeArray:
