@@ -114,14 +114,6 @@ METRIC_SPECS: dict[str, dict[str, dict[str, tuple[str, ...]]]] = {
             "columnar_qps": ("batch_throughput", "columnar_qps"),
         },
     },
-    "shard": {
-        "pages": {
-            # Partition quality is seeded-deterministic: a drift here is
-            # an algorithmic change, not noise.
-            "cut_fraction": ("partition_quality", "cut_fraction"),
-            "boundary_fraction": ("partition_quality", "boundary_fraction"),
-        },
-    },
     "scale": {
         "ratio": {
             "kernel_speedup": ("batch_kernel", "speedup"),

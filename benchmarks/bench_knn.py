@@ -8,15 +8,11 @@ observer-embedding bounds, best-k heap pruning, shared backtracking
 frontier) and once with ``knn_refine="legacy"`` (the original
 bucket-and-sort path).  The bench asserts the answers are *bit-identical*
 before reporting a single number, then reports the pages/query reduction
-and the qps change for three configurations:
+and the qps change for two configurations:
 
 * **scalar** — per-query :func:`repro.core.queries.knn_query`;
 * **vectorized** — one :meth:`knn_batch` call on the default columnar
-  engine (the shared frontier also amortizes across queries here);
-* **shard4** — a 4-shard index.  Sharded kNN answers from stitched tree
-  rows, so its page charge is one signature record per query in *both*
-  modes; the pruned win there is remote-shard stitches skipped by the
-  per-shard lower bound (reported as ``shards_skipped``), not pages.
+  engine (the shared frontier also amortizes across queries here).
 
 Writes machine-readable ``BENCH_knn.json`` at the repo root.  The quick
 mode doubles as the CI smoke: pruned-path pages/query must stay under
@@ -28,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -54,9 +49,7 @@ from benchmarks.conftest import (  # noqa: E402
     write_result,
 )
 from repro.core import SignatureIndex  # noqa: E402
-from repro.shard import ShardedSignatureIndex  # noqa: E402
 from repro.workloads import (  # noqa: E402
-    Measurement,
     format_table,
     make_query_nodes,
     measure_batch_queries,
@@ -100,12 +93,11 @@ def _mode(index, mode: str):
 
 @pytest.fixture(scope="module")
 def knn_setup(query_suite):
-    """Three configurations answering from identical data.
+    """Two configurations answering from identical data.
 
     The default (columnar-engine) index is built once and reported as
     ``vectorized``, after the batch algorithms it runs; the scalar index
-    wraps the *same* tables.  The 4-shard index is its own build over
-    the same network and dataset.
+    wraps the *same* tables.
     """
     network = query_suite.network
     dataset = query_suite.datasets[DENSITY_LABEL]
@@ -119,10 +111,7 @@ def knn_setup(query_suite):
         stored_kind=vec.stored_kind,
         query_engine="scalar",
     )
-    shard4 = ShardedSignatureIndex.build(
-        network.copy(), dataset, num_shards=4, backend="scipy"
-    )
-    return scalar, vec, shard4
+    return scalar, vec
 
 
 def _assert_identical(index, nodes, *, batch: bool = False) -> None:
@@ -167,48 +156,6 @@ def _measure_monolith(config: str, index, nodes, *, batch: bool) -> dict:
     return out
 
 
-def _shard_pages(index) -> int:
-    """Total logical page reads across every shard worker."""
-    return sum(
-        shard.index.counter.logical_reads
-        for shard in index.shards
-        if shard.index is not None
-    )
-
-
-def _measure_sharded(index, nodes) -> tuple[dict, int]:
-    """Legacy/pruned measurements for the sharded index, plus the number
-    of remote-shard stitches the pruned pass skipped.
-
-    The sharded index has no ``reset_counters`` facade (each shard
-    worker owns its counter), so this measures by counter deltas instead
-    of going through :func:`measure_queries`.
-    """
-    out = {}
-    skipped = 0
-    skip_counter = index.metrics.counter("knn_refine.shards_skipped")
-    for mode in ("legacy", "pruned"):
-        with _mode(index, mode):
-            for node in nodes:  # warm
-                index.knn(node, KNN_K)
-            pages_before = _shard_pages(index)
-            skips_before = skip_counter.value
-            start = time.perf_counter()
-            for node in nodes:
-                index.knn(node, KNN_K)
-            elapsed = time.perf_counter() - start
-            if mode == "pruned":
-                skipped = skip_counter.value - skips_before
-        count = len(nodes)
-        out[mode] = Measurement(
-            label=f"knn/shard4/{mode}",
-            queries=count,
-            pages=(_shard_pages(index) - pages_before) / count,
-            seconds=elapsed / count,
-        )
-    return out, skipped
-
-
 def _pruning_counters(index) -> dict:
     """Cumulative refinement counters from the index's registry."""
     metrics = index.metrics
@@ -223,9 +170,9 @@ def _pruning_counters(index) -> dict:
     }
 
 
-def _config_entry(pair: dict, extra: dict | None = None) -> dict:
+def _config_entry(pair: dict) -> dict:
     legacy, pruned = pair["legacy"], pair["pruned"]
-    entry = {
+    return {
         "legacy_pages": legacy.pages,
         "pruned_pages": pruned.pages,
         "page_reduction": (
@@ -235,27 +182,22 @@ def _config_entry(pair: dict, extra: dict | None = None) -> dict:
         "pruned_qps": pruned.qps,
         "speedup": pruned.qps / legacy.qps if legacy.qps else float("inf"),
     }
-    entry.update(extra or {})
-    return entry
 
 
 def test_knn_head_to_head(knn_setup, query_suite):
-    scalar, vec, shard4 = knn_setup
+    scalar, vec = knn_setup
     nodes = make_query_nodes(query_suite.network, NUM_QUERIES, seed=406)
     identity_nodes = nodes[: min(len(nodes), 40)]
 
     # -- bit-identity first: a fast wrong answer is not a result -------
     _assert_identical(scalar, identity_nodes)
     _assert_identical(vec, identity_nodes, batch=True)
-    _assert_identical(shard4, identity_nodes)
 
     # -- head-to-head measurements -------------------------------------
     pairs = {
         "scalar": _measure_monolith("scalar", scalar, nodes, batch=False),
         "vectorized": _measure_monolith("vectorized", vec, nodes, batch=True),
     }
-    shard_pair, shards_skipped = _measure_sharded(shard4, nodes)
-    pairs["shard4"] = shard_pair
 
     payload = {
         "config": {
@@ -268,22 +210,9 @@ def test_knn_head_to_head(knn_setup, query_suite):
             "quick": QUICK,
         },
         "configs": {
-            name: _config_entry(
-                pair,
-                {"shards_skipped_per_query": shards_skipped / len(nodes)}
-                if name == "shard4"
-                else None,
-            )
-            for name, pair in pairs.items()
+            name: _config_entry(pair) for name, pair in pairs.items()
         },
         "pruning_counters": _pruning_counters(scalar),
-        "notes": {
-            "shard4": (
-                "answers from stitched tree rows: one signature record "
-                "per query in both modes, so the pruned win is skipped "
-                "remote-shard stitches (CPU), not pages"
-            ),
-        },
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -328,13 +257,6 @@ def test_knn_head_to_head(knn_setup, query_suite):
         assert entry["page_reduction"] >= MIN_PAGE_REDUCTION, (name, entry)
         if QUICK:
             assert entry["pruned_pages"] <= QUICK_PAGE_BUDGET, (name, entry)
-    shard_entry = payload["configs"]["shard4"]
-    # Sharded pages are mode-independent (see notes); the pruned pass
-    # must skip remote stitches without ever reading more.
-    assert shard_entry["pruned_pages"] <= shard_entry["legacy_pages"] * (
-        1 + 1e-9
-    ), shard_entry
-    assert shard_entry["shards_skipped_per_query"] > 0, shard_entry
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ what that buys, on traffic-shaped single-edge reweights from
   direction-only in ``--quick``), with the
   ``backend.<name>.update.{repaired,rebuilt}`` counters recorded to
   prove the incremental path actually ran.
-* **Signature-family throughput** — the monolith (scalar + columnar
-  engines) and the 2-shard index driven through the same
+* **Signature-family throughput** — the signature index under both
+  query engines (scalar + columnar) driven through the same
   ``apply_updates`` entry point.
 * **Live traffic** — an in-process server (worker pool, so the
   epoch-replay and log-compaction machinery engages) under a mixed
@@ -70,7 +70,6 @@ from repro.serve import (  # noqa: E402
     mixed_workload,
 )
 from repro.serve.loadgen import fetch_edge_sample  # noqa: E402
-from repro.shard import ShardedSignatureIndex  # noqa: E402
 from repro.workloads import TrafficSimulator  # noqa: E402
 
 JSON_PATH = _REPO_ROOT_PATH / "BENCH_updates.json"
@@ -199,9 +198,6 @@ def bench_signature_family(network, dataset) -> dict[str, dict]:
             dataset,
             keep_trees=True,
             query_engine="columnar",
-        ),
-        "sharded": lambda: ShardedSignatureIndex.build(
-            network.copy(), dataset, num_shards=2
         ),
     }
     for name, builder in variants.items():

@@ -60,11 +60,6 @@ def backend_of(index) -> str:
     """The backend name of any loaded ``DistanceIndex``.
 
     Backends from this package carry ``backend_name``; the original
-    families report as ``"signature"`` (monolithic) or ``"sharded"``.
+    signature index reports as ``"signature"``.
     """
-    name = getattr(index, "backend_name", None)
-    if name is not None:
-        return name
-    if getattr(index, "num_shards", 1) > 1 or hasattr(index, "shards"):
-        return "sharded"
-    return "signature"
+    return getattr(index, "backend_name", "signature")

@@ -897,7 +897,6 @@ class HierarchyIndexBase:
         return {
             "type": self.backend_name,
             "backend": self.backend_name,
-            "shards": 1,
             "nodes": self.network.num_nodes,
             "edges": self.network.num_edges,
             "objects": len(self.dataset),

@@ -5,9 +5,7 @@ Usage (also via ``python -m repro``):
 ```
 repro generate-network net.txt --nodes 2000 --seed 7
 repro generate-dataset net.txt objects.txt --density 0.01 --seed 1
-repro partition net.txt --shards 4
 repro build net.txt objects.txt index_dir --partition optimal
-repro build net.txt objects.txt index_dir --shards 4
 repro build usa.gr objects.txt index_dir --backend hub
 repro info index_dir
 repro query index_dir knn --node 42 --k 5
@@ -88,22 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cluster count for a non-uniform dataset (0 = uniform)",
     )
 
-    part = sub.add_parser(
-        "partition",
-        help="partition a network into shards and report cut quality",
-    )
-    part.add_argument("network", help="network file to read")
-    part.add_argument("--shards", type=int, default=2)
-    part.add_argument(
-        "--refine-passes",
-        type=int,
-        default=2,
-        help="greedy boundary-refinement passes after bisection",
-    )
-    part.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-
     build = sub.add_parser("build", help="build and persist a distance index")
     build.add_argument("network", help="network file")
     build.add_argument("dataset", help="dataset file")
@@ -140,15 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip §5.3 signature compression",
     )
     build.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "build a sharded index over this many network partitions "
-            "(1 = monolithic, the default); persisted as format v3"
-        ),
-    )
-    build.add_argument(
         "--settle-cap",
         type=int,
         default=None,
@@ -158,13 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "60); lower builds faster with more redundant shortcuts"
         ),
     )
-    build.add_argument(
-        "--refine-passes",
-        type=int,
-        default=2,
-        help="partition refinement passes (only with --shards > 1)",
-    )
-
     info = sub.add_parser("info", help="describe a persisted index")
     info.add_argument("index_dir")
 
@@ -261,17 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "processes executing coalesced batches; above 1 the index is "
-            "snapshotted once (format v2) and mmapped by every worker; a "
-            "sharded index instead gets one single-shard worker per shard"
-        ),
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "with --demo-nodes: build the demo index sharded; workers "
-            "default to the shard count (one process per shard)"
+            "snapshotted once (format v2) and mmapped by every worker"
         ),
     )
     serve.add_argument(
@@ -410,18 +366,6 @@ def _cmd_generate_dataset(args) -> int:
     return 0
 
 
-def _cmd_partition(args) -> int:
-    from repro.shard import partition_network
-
-    network = load_network(args.network)
-    node_partition = partition_network(
-        network, args.shards, refine_passes=args.refine_passes
-    )
-    report = node_partition.report(network)
-    print(report.to_json() if args.json else report.describe())
-    return 0
-
-
 def _load_build_network(path: str):
     """Load a network file for ``repro build``, sniffing DIMACS ``.gr``."""
     if path.endswith((".gr", ".gr.gz")):
@@ -436,13 +380,7 @@ def _cmd_build(args) -> int:
     dataset = load_dataset(args.dataset)
     if args.backend != "signature":
         from repro.backends import build_backend
-        from repro.errors import QueryError
 
-        if args.shards > 1:
-            raise QueryError(
-                f"--backend {args.backend} does not support --shards; "
-                "sharding is a signature-index feature"
-            )
         build_kwargs = {}
         if args.settle_cap is not None:
             build_kwargs["settle_cap"] = args.settle_cap
@@ -486,28 +424,6 @@ def _cmd_build(args) -> int:
             f"empirical optimizer: c={partition.c:g}, "
             f"T={partition.first_boundary:g}"
         )
-    if args.shards > 1:
-        from repro.shard import ShardedSignatureIndex
-
-        index = ShardedSignatureIndex.build(
-            network,
-            dataset,
-            partition,
-            num_shards=args.shards,
-            refine_passes=args.refine_passes,
-            compress=not args.no_compress,
-        )
-        save_index(index, args.index_dir)
-        stats = index.stats()
-        print(
-            f"built sharded index in {args.index_dir}: "
-            f"{stats['shards']} shards, "
-            f"{stats['categories']} categories, "
-            f"{stats['boundary_nodes']} boundary nodes "
-            f"({stats['boundary_nodes'] / stats['nodes']:.1%} of nodes), "
-            f"{stats['cut_edges']} cut edges"
-        )
-        return 0
     index = SignatureIndex.build(
         network,
         dataset,
@@ -523,18 +439,6 @@ def _cmd_build(args) -> int:
         f"encoding ratio {report.encoded_ratio:.2f}"
     )
     return 0
-
-
-def _logical_reads(index) -> int:
-    """Total logical page reads, summed over shards for a sharded index."""
-    shards = getattr(index, "shards", None)
-    if shards is not None:
-        return sum(
-            shard.index.counter.logical_reads
-            for shard in shards
-            if shard.index is not None
-        )
-    return index.counter.logical_reads
 
 
 def _cmd_info(args) -> int:
@@ -557,26 +461,6 @@ def _cmd_info(args) -> int:
         if "label_entries" in stats:
             print(f"label entries:       {stats['label_entries']}")
             print(f"mean label size:     {stats['mean_label_size']:.1f}")
-        return 0
-    if stats["type"] == "sharded":
-        print(f"type:                sharded ({stats['shards']} shards)")
-        print(f"nodes:               {stats['nodes']}")
-        print(f"edges:               {stats['edges']}")
-        print(f"objects:             {stats['objects']}")
-        print(f"categories:          {stats['categories']}")
-        print(f"stored encoding:     {stats['stored']}")
-        print(f"knn refinement:      {stats['knn_refine']}")
-        print(f"boundary nodes:      {stats['boundary_nodes']} "
-              f"({stats['boundary_nodes'] / stats['nodes']:.1%} of nodes)")
-        print(f"cut edges:           {stats['cut_edges']}")
-        for entry in stats["per_shard"]:
-            print(
-                f"  shard {entry['shard']}: {entry['nodes']} nodes, "
-                f"{entry['objects']} objects, "
-                f"{entry['boundary']} boundary, "
-                f"{entry['pseudo_objects']} pseudo objects, "
-                f"{entry.get('signature_pages', 0)} signature pages"
-            )
         return 0
     report = index.storage_report()
     print(f"nodes:               {index.network.num_nodes}")
@@ -628,7 +512,7 @@ def _cmd_query(args) -> int:
     else:  # distance
         print(f"{index.distance(args.node, args.object_node):g}")
     print(
-        f"# page accesses: {_logical_reads(index)}", file=sys.stderr
+        f"# page accesses: {index.counter.logical_reads}", file=sys.stderr
     )
     return 0
 
@@ -654,17 +538,9 @@ def _cmd_stats(args) -> int:
         from repro.backends import backend_of
 
         print(metrics_summary_table(index.metrics, title=args.index_dir))
-        stats = index.stats()
         print(f"# backend: {backend_of(index)}", file=sys.stderr)
-        if stats["type"] == "sharded":
-            for entry in stats["per_shard"]:
-                print(
-                    f"# shard {entry['shard']}: {entry['nodes']} nodes, "
-                    f"{entry['boundary']} boundary",
-                    file=sys.stderr,
-                )
         print(
-            f"# page accesses: {_logical_reads(index)}",
+            f"# page accesses: {index.counter.logical_reads}",
             file=sys.stderr,
         )
     return 0
@@ -685,14 +561,7 @@ def _cmd_serve(args) -> int:
             f"demo index: {network.num_nodes} nodes, {len(dataset)} objects",
             file=sys.stderr,
         )
-        if args.shards > 1:
-            from repro.shard import ShardedSignatureIndex
-
-            index = ShardedSignatureIndex.build(
-                network, dataset, num_shards=args.shards
-            )
-        else:
-            index = SignatureIndex.build(network, dataset, keep_trees=True)
+        index = SignatureIndex.build(network, dataset, keep_trees=True)
     elif args.index_dir:
         index = load_index(args.index_dir)
     else:
@@ -700,10 +569,6 @@ def _cmd_serve(args) -> int:
             "error: serve needs an index_dir or --demo-nodes", file=sys.stderr
         )
         return 2
-    workers = args.workers
-    num_shards = getattr(index, "num_shards", 1)
-    if num_shards > 1 and workers == 1:
-        workers = num_shards  # one single-shard worker per shard
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -713,7 +578,7 @@ def _cmd_serve(args) -> int:
         deadline_ms=args.deadline_ms,
         shed_latency_ms=args.shed_latency_ms,
         degrade_latency_ms=args.degrade_latency_ms,
-        workers=workers,
+        workers=args.workers,
         slow_query_ms=args.slow_query_ms,
         slow_query_log=args.slow_query_log,
     )
@@ -841,7 +706,6 @@ def _cmd_trace(args) -> int:
 _COMMANDS = {
     "generate-network": _cmd_generate_network,
     "generate-dataset": _cmd_generate_dataset,
-    "partition": _cmd_partition,
     "build": _cmd_build,
     "info": _cmd_info,
     "network-info": _cmd_network_info,

@@ -31,9 +31,9 @@ touching anything, so a rejected changeset leaves the index untouched.
 
 :class:`ApplyResult` is the uniform return value: the post-apply epoch
 (when a serving coordinator assigns one), the merged
-:class:`~repro.core.update.UpdateReport`, the shards a sharded apply
-touched, and per-phase counters (``repaired`` / ``rebuilt`` / ... —
-whatever the implementation's maintenance strategy wants to report).
+:class:`~repro.core.update.UpdateReport`, and per-phase counters
+(``repaired`` / ``rebuilt`` / ... — whatever the implementation's
+maintenance strategy wants to report).
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ class ChangeSet:
 
     Construct with :meth:`build` (normalizes, validates structurally,
     coalesces) — the constructor itself trusts its input and is meant
-    for internal routing (shard sub-changesets, replayed log entries).
+    for internal routing (replayed log entries).
     """
 
     __slots__ = ("deltas",)
@@ -289,9 +289,6 @@ class ApplyResult:
         Merged §5.4 :class:`~repro.core.update.UpdateReport` (tree /
         signature locality for the signature families; the honest
         everything-touched report for rebuild paths).
-    touched_shards:
-        Shard ids a sharded apply routed deltas into (empty for
-        monolithic indexes).
     counters:
         Per-phase counts — e.g. ``{"repaired": 3}`` when a hierarchy
         backend repaired incrementally, ``{"rebuilt": 1}`` when it fell
@@ -301,19 +298,8 @@ class ApplyResult:
     epoch: int = 0
     applied: int = 0
     report: UpdateReport = field(default_factory=UpdateReport)
-    touched_shards: tuple[int, ...] = ()
     counters: dict[str, int] = field(default_factory=dict)
 
     def bump(self, phase: str, count: int = 1) -> None:
         """Increment a per-phase counter."""
         self.counters[phase] = self.counters.get(phase, 0) + count
-
-    def merge(self, other: "ApplyResult") -> None:
-        """Fold another result into this one (multi-shard applies)."""
-        self.applied += other.applied
-        self.report.merge(other.report)
-        self.touched_shards = tuple(
-            sorted(set(self.touched_shards) | set(other.touched_shards))
-        )
-        for phase, count in other.counters.items():
-            self.bump(phase, count)

@@ -980,15 +980,10 @@ class SignatureIndex:
         )
 
     def stats(self) -> dict:
-        """Structural summary as plain data (CLI ``stats``, dashboards).
-
-        The same shape :meth:`~repro.shard.sharded.ShardedSignatureIndex.stats`
-        returns, with ``type="monolithic"`` and a single implicit shard.
-        """
+        """Structural summary as plain data (CLI ``stats``, dashboards)."""
         report = self.storage_report()
         return {
             "type": "monolithic",
-            "shards": 1,
             "nodes": self.network.num_nodes,
             "edges": self.network.num_edges,
             "objects": len(self.dataset),

@@ -3,10 +3,10 @@
 Historically every layer of the library imported the concrete
 :class:`~repro.core.index.SignatureIndex`: persistence, the serving
 stack, the CLI, and the workload harness all called its methods
-directly.  With the sharded index (:mod:`repro.shard`) there are now two
-implementations of the same surface, so the contract those layers
-actually rely on is captured here as a :func:`typing.runtime_checkable`
-:class:`typing.Protocol`.
+directly.  With the hierarchy backends (:mod:`repro.backends`) there
+are several implementations of the same surface, so the contract those
+layers actually rely on is captured here as a
+:func:`typing.runtime_checkable` :class:`typing.Protocol`.
 
 Any object satisfying this protocol can be persisted with
 :func:`~repro.core.persistence.save_index`, served by
@@ -30,7 +30,7 @@ __all__ = ["DistanceIndex"]
 
 @runtime_checkable
 class DistanceIndex(Protocol):
-    """What every distance index exposes (monolithic or sharded).
+    """What every distance index exposes (signature or hierarchy backend).
 
     Attributes
     ----------
@@ -116,7 +116,7 @@ class DistanceIndex(Protocol):
         ...
 
     def stats(self) -> dict:
-        """Structural summary (nodes, objects, categories, shards...)."""
+        """Structural summary (nodes, objects, categories...)."""
         ...
 
     def verify(self, *, sample_nodes: int = 16, seed: int = 0) -> None:

@@ -35,12 +35,12 @@ the loaded index (private pages, the snapshot is never mutated).  Both
 versions load transparently through :func:`load_index`; ``repro
 compact`` migrates a v1 directory in place.
 
-Version 3 stores a *sharded* index: a shard manifest plus one complete,
-independently mmap-able v2 directory per shard — see
-:mod:`repro.shard.persistence`.  :func:`save_index` dispatches by index
-type (or explicit ``format=3``) and :func:`load_index` by magic line.
-Directories with an unrecognized or future magic raise a typed
-:class:`~repro.errors.PersistenceError` carrying the found magic.
+Version 3 stored a sharded index, which this build no longer has; its
+magic stays registered so such a directory fails with a typed
+:class:`~repro.errors.PersistenceError` telling the user to rebuild.
+:func:`load_index` dispatches by magic line.  Directories with an
+unrecognized or future magic raise the same error type carrying the
+found magic.
 """
 
 from __future__ import annotations
@@ -218,12 +218,9 @@ def deserialize_table(
 
 
 def save_index(index, directory: str | Path, *, format: int | None = None) -> None:
-    """Persist a distance index (monolithic or sharded) to a directory.
+    """Persist a distance index to a directory.
 
-    ``format=None`` (default) picks the natural format for the index:
-    3 for a :class:`~repro.shard.sharded.ShardedSignatureIndex` (a shard
-    manifest plus independently mmap-able per-shard v2 directories, see
-    :mod:`repro.shard.persistence`), 2 for a monolithic
+    ``format=None`` (default) picks format 2 for a
     :class:`~repro.core.index.SignatureIndex`.
 
     ``format=2`` writes the columnar array files under ``columnar/`` —
@@ -248,25 +245,10 @@ def save_index(index, directory: str | Path, *, format: int | None = None) -> No
             )
         _BACKEND_SAVERS[backend](index, directory)
         return
-    sharded = getattr(index, "num_shards", 1) > 1 or hasattr(index, "shards")
     if format is None:
-        format = 3 if sharded else 2
-    if format not in (1, 2, 3):
-        raise IndexError_(f"unknown index format {format!r}; use 1, 2, or 3")
-    if format == 3:
-        if not sharded:
-            raise IndexError_(
-                "format 3 stores sharded indexes; save this monolithic "
-                "index with format 2 (or shard it first)"
-            )
-        from repro.shard.persistence import save_sharded_index
-
-        save_sharded_index(index, directory)
-        return
-    if sharded:
-        raise IndexError_(
-            f"a sharded index can only be saved as format 3, not {format}"
-        )
+        format = 2
+    if format not in (1, 2):
+        raise IndexError_(f"unknown index format {format!r}; use 1 or 2")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_network(index.network, directory / "network.txt")
@@ -488,9 +470,12 @@ def _load_index_v2(directory: Path, meta: dict[str, str]):
 
 
 def _load_index_v3(directory: Path, meta: dict[str, str]):
-    from repro.shard.persistence import load_sharded_index
-
-    return load_sharded_index(directory, meta)
+    raise PersistenceError(
+        f"{directory}: format-3 snapshots hold a sharded index, and "
+        f"sharded indexes were removed; rebuild the snapshot with "
+        f"`repro build`",
+        magic=_MAGIC_V3,
+    )
 
 
 register_format(_MAGIC, _load_index_v1)

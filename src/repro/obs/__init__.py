@@ -39,7 +39,6 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
-    LabelledRegistry,
     MetricsRegistry,
     NullRegistry,
     get_default_registry,
@@ -52,7 +51,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LabelledRegistry",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",

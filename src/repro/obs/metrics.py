@@ -30,7 +30,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LabelledRegistry",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
@@ -345,11 +344,10 @@ class MetricsRegistry:
     def merge_state(self, state: dict, *, label: str | None = None) -> None:
         """Fold a :meth:`state`/:meth:`drain` payload into this registry.
 
-        With ``label``, every instrument lands under ``{name}.{label}``
-        — the same naming scheme :class:`LabelledRegistry` uses — so a
-        coordinator can keep per-shard worker deltas separate:
-        ``registry.merge_state(delta, label="shard2")`` records the
-        worker's ``pages.logical`` as ``pages.logical.shard2``.
+        With ``label``, every instrument lands under ``{name}.{label}``,
+        so a coordinator can keep worker deltas apart from its own:
+        ``registry.merge_state(delta, label="worker")`` records the
+        worker's ``pages.logical`` as ``pages.logical.worker``.
 
         Counters and histogram states add; gauges overwrite (last value
         wins, matching their semantics).  Merging is exact, so the sum
@@ -381,60 +379,6 @@ class MetricsRegistry:
             f"{type(self).__name__}(counters={len(self._counters)}, "
             f"gauges={len(self._gauges)}, histograms={len(self._histograms)})"
         )
-
-
-class LabelledRegistry(MetricsRegistry):
-    """A labelled view onto a parent registry.
-
-    Every instrument created through this view lives in the *parent*
-    under ``{name}.{label}`` — e.g. a shard index bound to
-    ``LabelledRegistry(parent, "shard2")`` records its query histograms
-    as ``query.range.seconds.shard2`` next to the coordinator's
-    unlabelled ``query.range.seconds``.  One parent snapshot/export thus
-    carries the per-shard breakdown with no label machinery in the hot
-    path (the Prometheus exporter sanitizes the dots as usual).
-
-    The view is stateless beyond the name mapping: ``enabled``,
-    ``snapshot`` and ``reset`` delegate to the parent.
-    """
-
-    def __init__(self, parent: MetricsRegistry, label: str) -> None:
-        if not label:
-            raise ValueError("registry label must be non-empty")
-        self.parent = parent
-        self.label = label
-
-    @property
-    def enabled(self) -> bool:  # type: ignore[override]
-        return self.parent.enabled
-
-    def _labelled(self, name: str) -> str:
-        return f"{name}.{self.label}"
-
-    def counter(self, name: str) -> Counter:
-        return self.parent.counter(self._labelled(name))
-
-    def gauge(self, name: str) -> Gauge:
-        return self.parent.gauge(self._labelled(name))
-
-    def histogram(self, name: str) -> Histogram:
-        return self.parent.histogram(self._labelled(name))
-
-    def snapshot(self) -> dict:
-        return self.parent.snapshot()
-
-    def state(self) -> dict:
-        return self.parent.state()
-
-    def drain(self) -> dict:
-        return self.parent.drain()
-
-    def merge_state(self, state: dict, *, label: str | None = None) -> None:
-        combined = f"{label}.{self.label}" if label else self.label
-        self.parent.merge_state(state, label=combined)
-
-    def reset(self) -> None:
-        self.parent.reset()
 
 
 class _NullCounter(Counter):

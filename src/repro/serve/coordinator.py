@@ -105,7 +105,7 @@ class UpdateCoordinator:
     flusher coalesces everything queued into one
     :class:`~repro.core.changeset.ChangeSet` applied under a single
     write-lock acquisition — under concurrent write pressure the index
-    runs one maintenance pass (one overlay refresh, one hierarchy
+    runs one maintenance pass (one §5.4 refresh, one hierarchy
     repair) for the whole batch instead of one per request.  A batch
     whose deltas cannot coalesce (or fail validation together) degrades
     to one-at-a-time applies, so errors land on exactly the requests

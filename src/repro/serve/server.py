@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core.queries import KnnType
 from repro.core.vectorized import category_bound_arrays, decode_signature_row
-from repro.errors import QueryError, ReproError
+from repro.errors import ReproError
 from repro.obs.export import metrics_to_prometheus
 from repro.serve import workers as worker_mod
 from repro.serve.admission import AdmissionController, Rejected, deadline_scope
@@ -188,7 +188,6 @@ class QueryServer:
         registry.gauge(f"serve.build_info.backend.{self.backend}").set(1)
         self._server: asyncio.AbstractServer | None = None
         self._pool: ProcessPoolExecutor | None = None
-        self._shard_pools: list[ProcessPoolExecutor | None] | None = None
         self._snapshot_tmp: tempfile.TemporaryDirectory | None = None
         self._connections: set[asyncio.StreamWriter] = set()
         self._active_requests = 0
@@ -202,13 +201,13 @@ class QueryServer:
         """Fan one coalesced batch out to the engine.
 
         Single-process (the default): calls the vectorized batch entry
-        points inline and returns the list.  With a worker pool or shard
-        pools: returns a coroutine the coalescer awaits while still
-        holding the coordinator's read gate, so the ``(epoch, log)``
-        pair captured at dispatch stays consistent until the answer
-        lands.  ``batch`` (the coalescer's bucket, when provided) gets
-        execution telemetry attached — page counts, span trees, worker
-        identity — for the member requests' slow-query records.
+        points inline and returns the list.  With a worker pool: returns
+        a coroutine the coalescer awaits while still holding the
+        coordinator's read gate, so the ``(epoch, log)`` pair captured
+        at dispatch stays consistent until the answer lands.  ``batch``
+        (the coalescer's bucket, when provided) gets execution telemetry
+        attached — page counts, span trees, worker identity — for the
+        member requests' slow-query records.
         """
         if key.kind == "distance":
             # Distance batches always execute on the coordinator index
@@ -217,8 +216,6 @@ class QueryServer:
             # label-join kernel pass, and every other index loops its
             # scalar primitive.
             return self._execute_local_batch(key, nodes, batch)
-        if self._shard_pools is not None:
-            return self._dispatch_shard_batch(key, list(nodes), batch)
         if self._pool is not None:
             return self._dispatch_pool_batch(key, list(nodes), batch)
         return self._execute_local_batch(key, nodes, batch)
@@ -306,124 +303,6 @@ class QueryServer:
                 worker_label="worker",
                 epoch=telemetry.get("epoch"),
             )
-        return results
-
-    async def _dispatch_shard_batch(
-        self, key: BatchKey, nodes: list, batch=None
-    ) -> list:
-        """Shard-routed execution of one coalesced batch.
-
-        Nodes are grouped by owning shard and each group goes to that
-        shard's worker process, which answers exact local spanning-tree
-        rows at the batch's epoch.  Stitching across shards and result
-        selection run here on the coordinator — identical math to
-        :meth:`ShardedSignatureIndex._exact_row`, so answers are exactly
-        the monolithic ones.  Each shard's telemetry payload folds into
-        the registry under ``shard{N}``, so ``/metrics`` breaks worker
-        cost down per shard.
-        """
-        from repro.core.builder import categorize_array
-        from repro.shard.sharded import (
-            select_knn,
-            select_range,
-            stitch_row,
-            stitched_knn_row,
-        )
-
-        index = self.index
-        epoch = self.coordinator.epoch
-        log = tuple(self.coordinator.update_log)
-        loop = asyncio.get_running_loop()
-        by_shard: dict[int, list[int]] = {}
-        for node in nodes:
-            by_shard.setdefault(int(index.assignment[node]), []).append(node)
-        futures = {}
-        for shard_id, members in by_shard.items():
-            pool = self._shard_pools[shard_id]
-            if pool is None:  # empty shard: no index, every row is inf
-                continue
-            locals_ = [int(index.local_index[node]) for node in members]
-            futures[shard_id] = loop.run_in_executor(
-                pool, worker_mod.run_shard_rows, epoch, log, locals_
-            )
-        # kNN batches skip remote shards whose lower bound loses to the
-        # k-th upper bound (same rule as ShardedSignatureIndex._knn_row);
-        # skipped objects can never reach the answer, so it stays exact.
-        prune_k = None
-        if key.kind != "range" and index.knn_refine == "pruned":
-            prune_k = key.params[0]
-        shards_skipped = 0
-        pages_logical = pages_physical = 0
-        spans: list = []
-        labels: list[str] = []
-        worker_epoch: int | None = None
-        stitched: dict[int, np.ndarray] = {}
-        for shard_id, members in by_shard.items():
-            future = futures.get(shard_id)
-            if future is None:
-                for node in members:
-                    stitched[node] = np.full(len(index.dataset), np.inf)
-                continue
-            rows, telemetry = await future
-            label = f"shard{shard_id}"
-            self.telemetry.fold(label, telemetry, coordinator_epoch=epoch)
-            pages = telemetry.get("pages", {})
-            pages_logical += int(pages.get("logical", 0))
-            pages_physical += int(pages.get("physical", 0))
-            spans.extend(telemetry.get("spans") or ())
-            labels.append(label)
-            shard_epoch = telemetry.get("epoch")
-            if shard_epoch is not None and (
-                worker_epoch is None or shard_epoch < worker_epoch
-            ):
-                worker_epoch = shard_epoch
-            for node, row in zip(members, rows):
-                if prune_k is not None:
-                    out, skipped = stitched_knn_row(
-                        index, shard_id, row, prune_k
-                    )
-                    stitched[node] = out
-                    shards_skipped += skipped
-                else:
-                    stitched[node] = stitch_row(index, shard_id, row)
-        self._maybe_compact()
-        if shards_skipped and self._registry.enabled:
-            self._registry.counter("knn_refine.shards_skipped").inc(
-                shards_skipped
-            )
-        if batch is not None:
-            batch.attach_execution(
-                pages_logical=pages_logical,
-                pages_physical=pages_physical,
-                spans=spans or None,
-                worker_label="+".join(sorted(labels)) if labels else None,
-                epoch=worker_epoch,
-            )
-        results = []
-        if key.kind == "range":
-            radius, with_distances = key.params
-            for node in nodes:
-                hits = select_range(
-                    index, stitched[node], radius,
-                    with_distances=with_distances,
-                )
-                if with_distances:
-                    results.append(
-                        [(index.dataset[rank], d) for rank, d in hits]
-                    )
-                else:
-                    results.append([index.dataset[rank] for rank in hits])
-            return results
-        k, with_distances = key.params
-        knn_type = KnnType.EXACT_DISTANCES if with_distances else KnnType.SET
-        for node in nodes:
-            out = stitched[node]
-            cats = categorize_array(index.partition, out)
-            hits = select_knn(index, out, cats, k, knn_type)
-            if with_distances:
-                results.append([(index.dataset[rank], d) for rank, d in hits])
-            else:
-                results.append([index.dataset[rank] for rank in hits])
         return results
 
     def _approx_range(self, node: int, radius: float) -> list[int]:
@@ -653,18 +532,12 @@ class QueryServer:
         """
         if not self.coordinator.update_log:
             return
-        if self._shard_pools is not None:
-            expected = {
-                f"shard{shard_id}": 1
-                for shard_id, pool in enumerate(self._shard_pools)
-                if pool is not None
-            }
-        elif self._pool is not None:
-            expected = {"worker": self.config.workers}
-        else:
+        if self._pool is None:
             self.coordinator.compact(self.coordinator.epoch)
             return
-        acknowledged = self.telemetry.min_acknowledged_epoch(expected)
+        acknowledged = self.telemetry.min_acknowledged_epoch(
+            {"worker": self.config.workers}
+        )
         if acknowledged is not None:
             self.coordinator.compact(acknowledged)
 
@@ -681,7 +554,6 @@ class QueryServer:
             "objects": len(self.index.dataset),
             "backend": self.backend,
             "workers": self.config.workers,
-            "shards": getattr(self.index, "num_shards", 1),
             # §5.4 staleness at a glance: the coordinator's update epoch
             # and, per worker label, the epoch each worker last replayed
             # (populated lazily — a worker appears after its first batch).
@@ -987,64 +859,10 @@ class QueryServer:
         )
         return Path(self._snapshot_tmp.name)
 
-    def _start_shard_pools(self) -> None:
-        """Snapshot the sharded index (format v3) and fork K shard pools.
-
-        One single-process pool per shard: each worker maps *only* its
-        own ``shard-NNNN/`` directory, so resident memory per worker is
-        ~1/K of the monolithic footprint.  Batches route nodes to their
-        owning shard's pool; the coordinator stitches.
-        """
-        num_shards = self.index.num_shards
-        if self.config.workers != num_shards:
-            raise QueryError(
-                f"serving a {num_shards}-shard index needs exactly one "
-                f"worker per shard: set workers={num_shards}, got "
-                f"{self.config.workers}"
-            )
-        snapshot = self._snapshot_path()
-        from repro.core.persistence import save_index
-
-        save_index(self.index, snapshot, format=3)
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX
-            ctx = multiprocessing.get_context()
-        self._shard_pools = []
-        for shard_id in range(num_shards):
-            if self.index.shards[shard_id].index is None:
-                self._shard_pools.append(None)
-                continue
-            self._shard_pools.append(
-                ProcessPoolExecutor(
-                    max_workers=1,
-                    mp_context=ctx,
-                    initializer=worker_mod.init_shard_worker,
-                    initargs=(str(snapshot), shard_id),
-                )
-            )
-        # Startup barrier: every shard worker must map its shard now,
-        # not on the first query.
-        for pool in self._shard_pools:
-            if pool is not None:
-                pool.submit(worker_mod.warm_shard).result()
-        logger.info(
-            "shard pools up: %d single-process pools mapping %s",
-            num_shards,
-            snapshot,
-        )
-
     async def start(self) -> None:
         """Bind and start accepting; resolves :attr:`port` when 0."""
-        if (
-            self.config.workers > 1
-            and self._pool is None
-            and self._shard_pools is None
-        ):
-            if getattr(self.index, "num_shards", 1) > 1:
-                self._start_shard_pools()
-            else:
-                self._start_pool()
+        if self.config.workers > 1 and self._pool is None:
+            self._start_pool()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -1083,11 +901,6 @@ class QueryServer:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        if self._shard_pools is not None:
-            for pool in self._shard_pools:
-                if pool is not None:
-                    pool.shutdown(wait=True, cancel_futures=True)
-            self._shard_pools = None
         if self._snapshot_tmp is not None:
             self._snapshot_tmp.cleanup()
             self._snapshot_tmp = None

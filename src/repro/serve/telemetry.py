@@ -1,10 +1,11 @@
 """Per-request identity, stage timing, slow queries, worker telemetry.
 
-Serving crossed the process boundary in PR 4/5 (shard workers run in a
-``ProcessPoolExecutor`` with their own registries), which made two things
-invisible from the coordinator: *what a request cost* (worker-side page
-counters never reached ``/metrics``) and *who a request was* (coalescing
-dissolves requests into anonymous batches).  This module restores both:
+Multi-process serving runs batches in worker processes (a
+``ProcessPoolExecutor``, each worker with its own registry), which makes
+two things invisible from the coordinator: *what a request cost*
+(worker-side page counters never reach ``/metrics``) and *who a request
+was* (coalescing dissolves requests into anonymous batches).  This
+module restores both:
 
 * :func:`new_request_id` / :class:`RequestContext` — every request gets
   an identity at HTTP ingress (client-supplied ``X-Request-Id`` wins)
@@ -26,10 +27,9 @@ dissolves requests into anonymous batches).  This module restores both:
   :meth:`~repro.obs.metrics.MetricsRegistry.drain` payloads (plus their
   applied epoch, busy time, and compact span trees) alongside batch
   results; the collector folds each payload into the server's registry
-  under the worker's label (``pages.logical.shard2``), and maintains the
-  serving-tier gauges the ROADMAP's rotation/chaos work needs: per-shard
-  applied epoch, epoch lag (coordinator epoch minus last replayed),
-  cumulative busy seconds, and utilization.
+  under the worker's label (``pages.logical.worker``), and maintains the
+  serving-tier gauges: per-label applied epoch, epoch lag (coordinator
+  epoch minus last replayed), cumulative busy seconds, and utilization.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ class TelemetryCollector:
          "spans": [...]}        # compact span-tree dicts
 
     :meth:`fold` merges the metric delta under the worker's label (so
-    ``/metrics`` reports ``pages.logical.shard2`` next to the
+    ``/metrics`` reports ``pages.logical.worker`` next to the
     coordinator's own counters), folds the page delta in as counters,
     and refreshes the serving-tier gauges:
 
@@ -413,10 +413,10 @@ class TelemetryCollector:
         """The epoch every expected worker process has replayed past.
 
         ``expected`` maps each pool label to how many worker processes
-        serve under it (``{"worker": config.workers}`` for a flat pool,
-        ``{"shard0": 1, ...}`` for shard pools).  Returns the minimum
-        epoch over every reporting process — the compaction bound: log
-        entries at or below it can never be replayed again — or ``None``
+        serve under it (``{"worker": config.workers}`` for the pool).
+        Returns the minimum epoch over every reporting process — the
+        compaction bound: log entries at or below it can never be
+        replayed again — or ``None``
         when it cannot be established safely: a label has not reported
         at all, or has reported from fewer distinct pids than expected
         (``ProcessPoolExecutor`` spawns workers lazily, so an unseen pid

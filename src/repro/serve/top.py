@@ -47,11 +47,11 @@ class TopSnapshot:
 
 
 def discover_worker_labels(samples: dict[str, float]) -> list[str]:
-    """Worker labels present in a scrape (``worker``, ``shard0`` …).
+    """Worker labels present in a scrape (``worker`` for the pool).
 
     Labels are discovered, not configured: a worker appears in
     ``/metrics`` after its first folded batch, so the dashboard's rows
-    grow as traffic reaches each shard.
+    grow as traffic reaches the pool.
     """
     labels = set()
     for name in samples:

@@ -20,20 +20,6 @@ snapshot file on disk is never modified.  Ordering is inherited from the
 readers-writer lock on the server — a batch's ``(epoch, log)`` pair is
 captured under the read side, so it can never observe a half-applied
 update.
-
-Sharded serving (``--shards K``) uses the second half of this module:
-the server snapshots a
-:class:`~repro.shard.sharded.ShardedSignatureIndex` once in format v3
-and starts K single-process pools whose initializer
-:func:`init_shard_worker` maps *only* ``shard-NNNN/`` — each worker is
-resident for ~1/K of the signature payload.  Workers answer
-:func:`run_shard_rows` (exact local spanning-tree distance columns for
-nodes they own); the coordinator stitches those rows across shards and
-runs result selection itself.  Update replay is ownership-filtered
-(:func:`_catch_up_shard`): intra-shard edges apply locally, a cut-edge
-insertion promotes the local endpoint to a pseudo object (§5.4), and
-cut-edge reweights/removals — which only move the coordinator's
-boundary overlay — advance the epoch without touching the shard.
 """
 
 from __future__ import annotations
@@ -41,17 +27,12 @@ from __future__ import annotations
 import os
 from time import perf_counter
 
-import numpy as np
-
 from repro.core.queries import KnnType
 
 __all__ = [
     "init_worker",
     "warm",
     "run_batch",
-    "init_shard_worker",
-    "warm_shard",
-    "run_shard_rows",
 ]
 
 
@@ -162,117 +143,3 @@ def run_batch(epoch: int, log, kind: str, nodes, params) -> tuple:
     )
     return results, telemetry
 
-
-# ----------------------------------------------------------------------
-# sharded serving: one worker process per shard (format v3 snapshots)
-# ----------------------------------------------------------------------
-
-#: Process-global shard-worker state: the single mapped shard
-#: (:class:`~repro.shard.persistence.ShardWorkerState`) and the epoch of
-#: the last replayed update.
-_SHARD_STATE: dict = {"worker": None, "epoch": 0}
-
-
-def init_shard_worker(index_dir: str, shard_id: int) -> None:
-    """Pool initializer: mmap shard ``shard_id`` of a v3 snapshot.
-
-    Only the shard's own ``shard-NNNN/`` directory (plus the small
-    node-to-shard assignment vector) is mapped — the worker's resident
-    footprint is the shard's ~1/K slice of the index.
-    """
-    from repro.shard.persistence import load_shard_worker
-
-    _SHARD_STATE["worker"] = load_shard_worker(index_dir, shard_id)
-    _SHARD_STATE["epoch"] = 0
-
-
-def warm_shard() -> int:
-    """Startup barrier for shard pools; returns the applied epoch."""
-    if _SHARD_STATE["worker"] is None:
-        raise RuntimeError(
-            "shard worker not initialized (init_shard_worker did not run)"
-        )
-    return _SHARD_STATE["epoch"]
-
-
-def _apply_shard_delta(worker, op: str, u, v, weight) -> None:
-    """Route one edge delta to this shard (see :func:`_catch_up_shard`)."""
-    index = worker.index
-    u_in, v_in = worker.in_shard(u), worker.in_shard(v)
-    if u_in and v_in:
-        lu, lv = worker.local_of[u], worker.local_of[v]
-        index.apply_updates([(op, lu, lv, weight)])
-    elif op == "add" and (u_in or v_in):
-        node = u if u_in else v
-        if node not in worker.pseudo_rank:
-            index.add_object(worker.local_of[node])
-            worker.pseudo_rank[node] = len(worker.pseudo_rank)
-
-
-def _catch_up_shard(worker, epoch: int, log) -> None:
-    """Ownership-filtered replay of the coordinator's update log.
-
-    Same epoch window as :func:`_catch_up`, but each entry is routed:
-
-    * both endpoints in this shard → apply to the shard index with local
-      node ids (the §5.4 incremental machinery);
-    * cut-edge ``add`` with one local endpoint → promote that endpoint
-      to a pseudo object unless it already is one (appended last, the
-      same deterministic order the coordinator used);
-    * everything else (cut-edge reweight/removal, foreign edges) only
-      moves the coordinator's boundary overlay — nothing to do here.
-
-    Every entry advances the applied epoch regardless of ownership, so
-    the worker stays in lockstep with the coordinator's log.
-    """
-    applied = _SHARD_STATE["epoch"]
-    if applied >= epoch:
-        return
-    for entry_epoch, deltas in log:
-        if entry_epoch <= applied or entry_epoch > epoch:
-            continue
-        # Deltas are canonically ordered, so every replica promotes
-        # pseudo objects in the same order.
-        for op, u, v, weight in deltas:
-            _apply_shard_delta(worker, op, u, v, weight)
-        applied = entry_epoch
-    if applied < epoch:
-        raise RuntimeError(
-            f"worker cannot reach epoch {epoch} from {applied}: "
-            f"update log was truncated"
-        )
-    _SHARD_STATE["epoch"] = applied
-
-
-def run_shard_rows(epoch: int, log, local_nodes) -> tuple:
-    """Exact local distance columns for ``local_nodes`` at ``epoch``.
-
-    Each returned row is the shard spanning-tree distance vector
-    ``trees.distances[:, local]`` (pseudo-object order) — the input
-    :func:`repro.shard.sharded.stitch_row` turns into the global answer
-    on the coordinator.  Returns ``(rows, telemetry)`` so the
-    coordinator can fold this shard's metric delta under its own label.
-    """
-    worker = _SHARD_STATE["worker"]
-    if worker is None:
-        raise RuntimeError(
-            "shard worker not initialized (init_shard_worker did not run)"
-        )
-    _catch_up_shard(worker, epoch, log)
-    index = worker.index
-    page_snap = index.counter.snapshot()
-    start = perf_counter()
-    with index.trace() as tracer:
-        rows = []
-        for local in local_nodes:
-            index.touch_signature(int(local))
-            rows.append(
-                np.array(
-                    index.trees.distances[:, int(local)], dtype=np.float64
-                )
-            )
-    busy = perf_counter() - start
-    telemetry = _collect_telemetry(
-        index, _SHARD_STATE["epoch"], page_snap, busy, tracer
-    )
-    return rows, telemetry

@@ -32,15 +32,14 @@ from repro.network import (
     uniform_dataset,
 )
 from repro.network.dijkstra import shortest_path_tree
-from repro.shard import ShardedSignatureIndex
 
 BACKEND_NAMES = sorted(BACKENDS)
 
 #: Every ``apply_updates`` implementation: the signature index under
-#: both query engines, the sharded router, and the two hierarchy
-#: backends.  The update-validation battery below runs against all of
-#: them so rejection behavior cannot drift apart.
-UPDATE_IMPLEMENTATIONS = ("signature", "columnar", "sharded", "ch", "hub")
+#: both query engines and the two hierarchy backends.  The
+#: update-validation battery below runs against all of them so
+#: rejection behavior cannot drift apart.
+UPDATE_IMPLEMENTATIONS = ("signature", "columnar", "ch", "hub")
 
 SAMPLE_NODES = list(range(0, 250, 13))
 RADII = (0.0, 12.0, 35.0, 80.0)
@@ -83,7 +82,6 @@ def test_every_backend_is_a_distance_index(backend):
     assert backend_of(backend) == backend.backend_name
     stats = backend.stats()
     assert stats["backend"] == backend.backend_name
-    assert stats["shards"] == 1
     assert stats["index_bytes"] > 0
 
 
@@ -295,10 +293,6 @@ def updatable(request, planar):
         return SignatureIndex.build(
             network.copy(), dataset, keep_trees=True,
             query_engine="columnar",
-        )
-    if name == "sharded":
-        return ShardedSignatureIndex.build(
-            network.copy(), dataset, num_shards=2
         )
     return build_backend(name, network.copy(), dataset, record_repair=True)
 

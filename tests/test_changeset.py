@@ -198,13 +198,10 @@ class TestHelpers:
         assert not network.has_edge(1, 2)
         assert network.edge_weight(0, 24) == 7.0
 
-    def test_apply_result_bump_and_merge(self):
-        first = ApplyResult(applied=2)
-        first.bump("repaired")
-        second = ApplyResult(applied=1, touched_shards=(1,))
-        second.bump("repaired")
-        second.bump("rebuilt", 3)
-        first.merge(second)
-        assert first.applied == 3
-        assert first.counters == {"repaired": 2, "rebuilt": 3}
-        assert first.touched_shards == (1,)
+    def test_apply_result_bump(self):
+        result = ApplyResult(applied=2)
+        result.bump("repaired")
+        result.bump("repaired")
+        result.bump("rebuilt", 3)
+        assert result.applied == 2
+        assert result.counters == {"repaired": 2, "rebuilt": 3}

@@ -1,7 +1,7 @@
 """Bound-pruned kNN refinement (repro.core.knn_refine).
 
 The load-bearing property: with ``knn_refine="pruned"`` every engine —
-scalar, columnar, and the sharded stitcher — returns answers
+scalar and columnar — returns answers
 **bit-identical** to the legacy path (same members, same ties, same
 order per ``KnnType``) while reading strictly fewer pages on boundary-
 heavy workloads.  Plus the validation sweep: ``k < 1`` and empty object
@@ -35,7 +35,6 @@ from repro.network import (
 )
 from repro.network.dijkstra import shortest_path_tree
 from repro.obs.metrics import MetricsRegistry
-from repro.shard.sharded import ShardedSignatureIndex
 
 
 @contextlib.contextmanager
@@ -253,43 +252,6 @@ class TestHypothesisOracle:
                     )
 
 
-class TestSharded:
-    @pytest.mark.parametrize("num_shards", [2, 4])
-    def test_pruned_matches_legacy_and_skips_shards(
-        self, refine_net, refine_objs, num_shards
-    ):
-        registry = MetricsRegistry()
-        index = ShardedSignatureIndex.build(
-            refine_net,
-            refine_objs,
-            num_shards=num_shards,
-            metrics=registry,
-        )
-        assert index.knn_refine == "pruned"
-        num_objects = len(refine_objs)
-        for node in sample_nodes(refine_net, 25, seed=4):
-            for k in (1, 3, 8, num_objects + 2):
-                for knn_type in KnnType:
-                    with refine_mode(index, "pruned"):
-                        got = index.knn(node, k, knn_type=knn_type)
-                    with refine_mode(index, "legacy"):
-                        want = index.knn(node, k, knn_type=knn_type)
-                    assert got == want, (node, k, knn_type)
-                with refine_mode(index, "pruned"):
-                    approx = index.knn_approximate(node, k)
-                with refine_mode(index, "legacy"):
-                    assert index.knn_approximate(node, k) == approx
-        assert registry.counter("knn_refine.shards_skipped").value > 0
-
-    def test_batch_matches_singles(self, refine_net, refine_objs):
-        index = ShardedSignatureIndex.build(
-            refine_net, refine_objs, num_shards=4
-        )
-        nodes = sample_nodes(refine_net, 12, seed=5)
-        batched = index.knn_batch(nodes, 4)
-        assert batched == [index.knn(node, 4) for node in nodes]
-
-
 class TestBatchAndJoin:
     def test_batch_equals_scalar_singles(self, engine_index):
         index = engine_index
@@ -395,9 +357,6 @@ class TestValidation:
         index = SignatureIndex.build(
             refine_net, refine_objs, backend="scipy"
         )
-        sharded = ShardedSignatureIndex.build(
-            refine_net, refine_objs, num_shards=2
-        )
         calls = [
             lambda: queries.knn_query(index, 0, 0),
             lambda: queries.approximate_knn_query(index, 0, 0),
@@ -407,9 +366,6 @@ class TestValidation:
             lambda: index.knn(0, 0),
             lambda: index.knn_batch([0, 1], 0),
             lambda: index.knn_approximate(0, 0),
-            lambda: sharded.knn(0, 0),
-            lambda: sharded.knn_batch([0, 1], 0),
-            lambda: sharded.knn_approximate(0, 0),
         ]
         for call in calls:
             with pytest.raises(QueryError, match="k must be >= 1"):

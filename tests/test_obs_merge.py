@@ -17,7 +17,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import Histogram, LabelledRegistry, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 # Integer-valued observations make histogram totals exact under any
 # summation order; the float case is covered separately with isclose.
@@ -123,20 +123,23 @@ class TestRegistryMerge:
         target.merge_state(state)
         assert target.snapshot()["gauges"]["epoch"] == 7
 
-    def test_merge_under_label_matches_labelled_registry(self):
-        """A worker delta merged under ``shard2`` must land on the same
-        names a LabelledRegistry('shard2') writes natively."""
-        native = MetricsRegistry()
-        LabelledRegistry(native, "shard2").counter("pages.logical").inc(5)
+    def test_merge_under_label_writes_dotted_names(self):
+        """A worker delta merged under ``worker`` lands every instrument
+        family under ``{name}.worker``, next to unlabelled names."""
         worker = MetricsRegistry()
         worker.counter("pages.logical").inc(5)
+        worker.gauge("epoch").set(2)
+        worker.histogram("lat").observe(1.0)
         target = MetricsRegistry()
-        target.merge_state(worker.drain(), label="shard2")
-        assert (
-            target.snapshot()["counters"]
-            == native.snapshot()["counters"]
-            == {"pages.logical.shard2": 5}
-        )
+        target.counter("pages.logical").inc(1)
+        target.merge_state(worker.drain(), label="worker")
+        snapshot = target.snapshot()
+        assert snapshot["counters"] == {
+            "pages.logical": 1,
+            "pages.logical.worker": 5,
+        }
+        assert snapshot["gauges"] == {"epoch.worker": 2}
+        assert list(snapshot["histograms"]) == ["lat.worker"]
 
     def test_partial_and_empty_worker_deltas(self):
         target = MetricsRegistry()
@@ -168,13 +171,18 @@ class TestRegistryMerge:
         with pytest.raises(ValueError, match="version"):
             MetricsRegistry().merge_state({"version": 99})
 
-    def test_labelled_registry_delegates_state_to_parent(self):
-        parent = MetricsRegistry()
-        labelled = LabelledRegistry(parent, "shard0")
-        labelled.counter("pages").inc(3)
-        assert labelled.state()["counters"] == {"pages.shard0": 3}
+    def test_labelled_names_survive_drain_and_remerge(self):
+        """Labelled names are ordinary names once merged: draining the
+        coordinator and re-merging keeps ``{name}.{label}`` verbatim."""
+        worker = MetricsRegistry()
+        worker.counter("pages").inc(3)
+        coordinator = MetricsRegistry()
+        coordinator.merge_state(worker.drain(), label="worker")
+        assert coordinator.state()["counters"] == {"pages.worker": 3}
         target = MetricsRegistry()
-        target.merge_state(labelled.drain())
-        assert target.snapshot()["counters"] == {"pages.shard0": 3}
-        # Drained through the delegation: parent counters are reset.
-        assert all(v == 0 for v in parent.snapshot()["counters"].values())
+        target.merge_state(coordinator.drain())
+        assert target.snapshot()["counters"] == {"pages.worker": 3}
+        # Drained: the coordinator's counters are reset.
+        assert all(
+            v == 0 for v in coordinator.snapshot()["counters"].values()
+        )

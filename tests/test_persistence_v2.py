@@ -15,7 +15,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core import KnnType, SignatureIndex, load_index, save_index
-from repro.errors import IndexError_
+from repro.errors import IndexError_, PersistenceError
 
 
 @pytest.fixture(scope="module")
@@ -206,5 +206,50 @@ class TestCorruption:
             load_index(directory)
 
     def test_save_rejects_unknown_format(self, sig_index, tmp_path):
-        with pytest.raises(IndexError_):
+        """Format 3 (the retired sharded layout) is just unknown now."""
+        with pytest.raises(
+            IndexError_, match=r"unknown index format 3; use 1 or 2$"
+        ):
             save_index(sig_index, tmp_path / "idx", format=3)
+        assert not (tmp_path / "idx").exists()
+
+
+def _v3_snapshot(directory):
+    """A directory shaped like an old sharded (format-3) snapshot."""
+    directory.mkdir()
+    (directory / "meta.txt").write_text(
+        "repro-signature-index 3\nshards 2\n"
+    )
+    return directory
+
+
+class TestMagicDispatch:
+    def test_v3_snapshot_raises_rebuild_hint(self, tmp_path):
+        directory = _v3_snapshot(tmp_path / "old")
+        with pytest.raises(PersistenceError) as excinfo:
+            load_index(directory)
+        assert excinfo.value.magic == "repro-signature-index 3"
+        message = str(excinfo.value)
+        assert "sharded indexes were removed" in message
+        assert "repro build" in message
+
+    def test_v3_snapshot_fails_repro_info(self, tmp_path, capsys):
+        directory = _v3_snapshot(tmp_path / "old")
+        assert cli_main(["info", str(directory)]) != 0
+        err = capsys.readouterr().err
+        assert "sharded indexes were removed" in err
+        assert "repro build" in err
+
+    def test_garbage_magic_raises_typed_error(self, tmp_path):
+        (tmp_path / "meta.txt").write_text("hello world\n")
+        with pytest.raises(PersistenceError) as excinfo:
+            load_index(tmp_path)
+        assert excinfo.value.magic == "hello world"
+
+    def test_missing_meta_raises(self, tmp_path):
+        with pytest.raises(PersistenceError, match="no meta.txt"):
+            load_index(tmp_path / "nothing-here")
+
+    def test_persistence_error_is_an_index_error(self):
+        # Callers catching the historical IndexError_ keep working.
+        assert issubclass(PersistenceError, IndexError_)

@@ -17,7 +17,6 @@ import json
 import pytest
 
 from repro.core import SignatureIndex, load_index
-from repro.network import random_planar_network, uniform_dataset
 from repro.obs.export import metrics_to_prometheus, parse_prometheus_text
 from repro.serve import (
     LoadStats,
@@ -31,7 +30,6 @@ from repro.serve import (
     render_dashboard,
 )
 from repro.serve.top import TopSnapshot, discover_worker_labels
-from repro.shard import ShardedSignatureIndex
 
 QUERY_NODES = [0, 17, 42, 128, 250, 299]
 
@@ -169,16 +167,16 @@ class TestTelemetryCollector:
 
         registry = MetricsRegistry()
         collector = TelemetryCollector(registry)
-        collector.fold("shard1", self._payload(), coordinator_epoch=5)
+        collector.fold("worker", self._payload(), coordinator_epoch=5)
         counters = registry.snapshot()["counters"]
-        assert counters["pages.logical.shard1"] == 10
-        assert counters["pages.physical.shard1"] == 4
-        assert counters["knn.pruned.shard1"] == 2
+        assert counters["pages.logical.worker"] == 10
+        assert counters["pages.physical.worker"] == 4
+        assert counters["knn.pruned.worker"] == 2
         gauges = registry.snapshot()["gauges"]
-        assert gauges["serve.worker_epoch.shard1"] == 3
-        assert gauges["serve.epoch_lag.shard1"] == 2
-        assert collector.epochs == {"shard1": 3}
-        assert collector.epoch_lag(5) == {"shard1": 2}
+        assert gauges["serve.worker_epoch.worker"] == 3
+        assert gauges["serve.epoch_lag.worker"] == 2
+        assert collector.epochs == {"worker": 3}
+        assert collector.epoch_lag(5) == {"worker": 2}
 
     def test_fold_accumulates_and_health(self):
         from repro.obs.metrics import MetricsRegistry
@@ -320,15 +318,6 @@ class TestDebugSurfaces:
         asyncio.run(main())
 
 
-def _build_sharded():
-    network = random_planar_network(300, seed=42)
-    dataset = uniform_dataset(network, density=0.04, seed=7)
-    sharded = ShardedSignatureIndex.build(
-        network, dataset, num_shards=4, backend="scipy"
-    )
-    return sharded
-
-
 class TestCrossProcessExactness:
     """The acceptance bar: worker counters folded across process
     boundaries must sum to exactly the single-process ground truth."""
@@ -360,55 +349,6 @@ class TestCrossProcessExactness:
             ground.range_query_batch([node], radius)
         expected = ground.counter.delta(before).logical
         assert served_pages == expected
-
-    def test_shard_pools_pages_sum_to_single_process(self):
-        """Range queries through 4 shard pools: per-shard logical page
-        counters sum to the pages one process charges answering the same
-        per-node batches on an identical sharded index."""
-        sharded = _build_sharded()
-        radius = 60.0
-
-        async def main():
-            async with serving(sharded, workers=4) as (server, client):
-                for node in QUERY_NODES:
-                    response = await client.range(node, radius)
-                    assert response.status == 200
-                health = await client.healthz()
-                counters = server._registry.snapshot()["counters"]
-                return counters, health.payload
-
-        counters, health = asyncio.run(main())
-        shard_pages = {
-            name: value
-            for name, value in counters.items()
-            if name.startswith("pages.logical.shard")
-        }
-        assert shard_pages, "no shard-labelled page counters were folded"
-        # Worker epochs surfaced on /healthz for every shard that saw
-        # traffic, all caught up to the coordinator.
-        assert health["epochs"]
-        assert all(epoch == 0 for epoch in health["epochs"].values())
-
-        # Ground truth: the same queries on an identical in-process
-        # index charge each shard's own page counter (the same counter
-        # the worker snapshot/delta protocol reads).
-        ground = _build_sharded()
-        before = {
-            shard.shard_id: shard.index.counter.snapshot()
-            for shard in ground.shards
-            if shard.index is not None
-        }
-        for node in QUERY_NODES:
-            ground.range_query_batch([node], radius)
-        expected = {
-            f"pages.logical.shard{shard.shard_id}": (
-                shard.index.counter.delta(before[shard.shard_id]).logical
-            )
-            for shard in ground.shards
-            if shard.index is not None
-            and shard.index.counter.delta(before[shard.shard_id]).logical
-        }
-        assert shard_pages == expected
 
 
 class TestClientAndLoadStats:
@@ -451,22 +391,22 @@ class TestTopDashboard:
 
     def test_parse_round_trips_labelled_counters(self):
         text = self._exposition(
-            serve__requests=12, pages__logical__shard0=34
+            serve__requests=12, pages__logical__pool0=34
         )
         samples = parse_prometheus_text(text)
         assert samples["repro_serve_requests_total"] == 12
-        assert samples["repro_pages_logical_shard0_total"] == 34
+        assert samples["repro_pages_logical_pool0_total"] == 34
 
     def test_discover_worker_labels(self):
         samples = {
-            "repro_pages_logical_shard0_total": 1.0,
+            "repro_pages_logical_pool0_total": 1.0,
             "repro_pages_logical_worker_total": 2.0,
-            "repro_serve_worker_epoch_shard2": 3.0,
+            "repro_serve_worker_epoch_pool2": 3.0,
             "repro_pages_logical_total": 9.0,  # unlabelled: not a worker
         }
         assert discover_worker_labels(samples) == [
-            "shard0",
-            "shard2",
+            "pool0",
+            "pool2",
             "worker",
         ]
 
@@ -474,26 +414,26 @@ class TestTopDashboard:
         first = TopSnapshot(
             {
                 "repro_serve_requests_total": 100.0,
-                "repro_pages_logical_shard0_total": 50.0,
-                "repro_serve_worker_epoch_shard0": 2.0,
-                "repro_serve_epoch_lag_shard0": 1.0,
+                "repro_pages_logical_pool0_total": 50.0,
+                "repro_serve_worker_epoch_pool0": 2.0,
+                "repro_serve_epoch_lag_pool0": 1.0,
             },
             taken_at=10.0,
         )
         second = TopSnapshot(
             {
                 "repro_serve_requests_total": 150.0,
-                "repro_pages_logical_shard0_total": 90.0,
-                "repro_serve_worker_epoch_shard0": 2.0,
-                "repro_serve_epoch_lag_shard0": 1.0,
+                "repro_pages_logical_pool0_total": 90.0,
+                "repro_serve_worker_epoch_pool0": 2.0,
+                "repro_serve_epoch_lag_pool0": 1.0,
             },
             taken_at=12.0,
         )
         frame = render_dashboard(second, first, target="unit:0")
         assert "unit:0" in frame
         assert "requests/s      25.0" in frame
-        assert "shard0" in frame
-        assert "20.0" in frame  # pages/s for shard0
+        assert "pool0" in frame
+        assert "20.0" in frame  # pages/s for pool0
 
     def test_first_frame_has_zero_rates(self):
         frame = render_dashboard(

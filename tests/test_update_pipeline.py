@@ -3,7 +3,7 @@
 Three layers of guarantees:
 
 * **Interleaving equivalence (hypothesis)** — random alternations of
-  coalesced changesets and queries, applied to all five
+  coalesced changesets and queries, applied to all four
   ``DistanceIndex`` implementations at once, must keep every
   implementation bit-identical to a Dijkstra oracle on the mutated
   network after *every* step.
@@ -34,7 +34,6 @@ from repro.network import random_planar_network, uniform_dataset
 from repro.network.dijkstra import shortest_path_tree
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.coordinator import UpdateCoordinator
-from repro.shard import ShardedSignatureIndex
 
 NUM_NODES = 90
 SEED = 23
@@ -47,7 +46,7 @@ def _world(seed: int = SEED):
 
 
 def _all_implementations(network, dataset):
-    """All five DistanceIndex implementations, repair paths forced on."""
+    """All four DistanceIndex implementations, repair paths forced on."""
     indexes = {
         "signature": SignatureIndex.build(
             network.copy(), dataset, keep_trees=True
@@ -55,9 +54,6 @@ def _all_implementations(network, dataset):
         "columnar": SignatureIndex.build(
             network.copy(), dataset, keep_trees=True,
             query_engine="columnar",
-        ),
-        "sharded": ShardedSignatureIndex.build(
-            network.copy(), dataset, num_shards=3
         ),
         "ch": build_backend(
             "ch", network.copy(), dataset, record_repair=True
@@ -148,7 +144,7 @@ class TestInterleavings:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(seed=st.integers(0, 1000), steps=st.integers(1, 3))
-    def test_all_five_implementations_track_the_oracle(self, seed, steps):
+    def test_all_four_implementations_track_the_oracle(self, seed, steps):
         network, dataset = _world()
         indexes = _all_implementations(network, dataset)
         oracle_net = network.copy()
