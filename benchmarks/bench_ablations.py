@@ -53,6 +53,7 @@ def test_ablation_ccam_vs_identity(world, benchmark):
             backend="scipy",
             storage_strategy=strategy,
             buffer_pool=LRUBufferPool(100_000),
+            query_engine="scalar",
         )
         m = measure_queries(
             strategy, index, lambda n, i=index: i.knn(n, 5), nodes
@@ -88,6 +89,7 @@ def test_ablation_storage_schema(world, benchmark):
             backend="scipy",
             storage_schema=schema,
             buffer_pool=LRUBufferPool(100_000),
+            query_engine="scalar",
         )
         m = measure_queries(
             schema, index, lambda n, i=index: i.knn(n, 5), nodes
@@ -119,10 +121,12 @@ def test_ablation_compression_tradeoff(world, benchmark):
     network, dataset = world
     nodes = make_query_nodes(network, NUM_QUERIES, seed=2)
     compressed = SignatureIndex.build(
-        network, dataset, "paper", backend="scipy", compress=True
+        network, dataset, "paper", backend="scipy", compress=True,
+        query_engine="scalar",
     )
     plain = SignatureIndex.build(
-        network, dataset, "paper", backend="scipy", compress=False
+        network, dataset, "paper", backend="scipy", compress=False,
+        query_engine="scalar",
     )
 
     def run(index):
@@ -172,6 +176,7 @@ def test_ablation_buffer_pool(world, benchmark):
             dataset,
             backend="scipy",
             buffer_pool=LRUBufferPool(capacity),
+            query_engine="scalar",
         )
         m = measure_queries(
             f"pool={capacity}",
@@ -196,7 +201,9 @@ def test_ablation_buffer_pool(world, benchmark):
 def test_ablation_cross_node_compression(world, benchmark):
     """§7 future work: chain budget vs storage ratio vs read cost."""
     network, dataset = world
-    index = SignatureIndex.build(network, dataset, "paper", backend="scipy")
+    index = SignatureIndex.build(
+        network, dataset, "paper", backend="scipy", query_engine="scalar"
+    )
     rows = []
     ratios = {}
     for max_chain in (0, 1, 2, 4):

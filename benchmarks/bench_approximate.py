@@ -35,7 +35,11 @@ def world():
     network = suite.network
     dataset = suite.datasets["0.01"]
     index = SignatureIndex.build(
-        network, dataset, backend="scipy", buffer_pool=LRUBufferPool(100_000)
+        network,
+        dataset,
+        backend="scipy",
+        buffer_pool=LRUBufferPool(100_000),
+        query_engine="scalar",
     )
     import numpy as np
 

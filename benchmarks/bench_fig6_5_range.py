@@ -70,6 +70,7 @@ def worlds(query_suite):
                 partition,
                 backend="scipy",
                 buffer_pool=LRUBufferPool(100_000),
+                query_engine="scalar",
             ),
             "full": full_indexes[label],
             "nvd": VN3Index.build(

@@ -12,6 +12,10 @@ Expected shape:
   (the paper measures ×50 pages / ×170 time from k=1 to 50);
 * signature in between, growing gently (the paper measures ≈ ×8 over the
   same span).
+
+The signature index runs on the scalar engine: Algorithm 6 with the
+Algorithm 2/4 boundary sort, the algorithm whose pages the paper plots.
+The columnar engine's pruned kNN is measured by ``bench_throughput.py``.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ def world(query_suite):
     return {
         "signature": SignatureIndex.build(
             network, dataset, partition, backend="scipy",
-            buffer_pool=LRUBufferPool(100_000),
+            buffer_pool=LRUBufferPool(100_000), query_engine="scalar",
         ),
         "full": full,
         "nvd": VN3Index.build(

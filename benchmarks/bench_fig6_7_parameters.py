@@ -66,7 +66,8 @@ def parameter_grid():
             object_table = ObjectDistanceTable(data.object_distances, partition)
             compress_table(table, object_table)
             index = SignatureIndex(
-                network, dataset, partition, table, object_table
+                network, dataset, partition, table, object_table,
+                query_engine="scalar",
             )
             start = time.perf_counter()
             for node in nodes:

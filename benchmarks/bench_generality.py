@@ -32,7 +32,9 @@ def world():
     suite = build_experiment_suite(NUM_NODES, seed=99, labels=("0.01",))
     network = suite.network
     dataset = suite.datasets["0.01"]
-    index = SignatureIndex.build(network, dataset, backend="scipy")
+    index = SignatureIndex.build(
+        network, dataset, backend="scipy", query_engine="scalar"
+    )
     specs = make_mixed_workload(
         network,
         NUM_QUERIES,

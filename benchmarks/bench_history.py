@@ -38,7 +38,10 @@ Three metric kinds, because they regress differently:
     quietly got more expensive moves the ratio *up*.
 
 Baselines are keyed ``quick`` / ``full`` because ``--quick`` shrinks
-every benchmark's problem size (different page counts by design).
+every benchmark's problem size (different page counts by design).  Each
+BENCH file says which it is in its own ``config.quick``; every command
+reads that key per file (a file without it is refused), so one run can
+mix quick and full-size files without stamping or gating them wrongly.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ METRIC_SPECS: dict[str, dict[str, dict[str, tuple[str, ...]]]] = {
         "pages": {
             "range_vectorized_pages": ("queries", "range", "vectorized_pages"),
             "knn_vectorized_pages": ("queries", "knn", "vectorized_pages"),
-            "knn_scalar_pages": ("queries", "knn", "scalar_pages"),
+            "knn_paper_pages": ("queries", "knn", "scalar_pages"),
         },
         "ratio": {
             "range_speedup": ("queries", "range", "speedup"),
@@ -78,18 +81,6 @@ METRIC_SPECS: dict[str, dict[str, dict[str, tuple[str, ...]]]] = {
         "qps": {
             "range_vectorized_qps": ("queries", "range", "vectorized_qps"),
             "knn_vectorized_qps": ("queries", "knn", "vectorized_qps"),
-        },
-    },
-    "knn": {
-        "pages": {
-            "scalar_pruned_pages": ("configs", "scalar", "pruned_pages"),
-            "vectorized_pruned_pages": ("configs", "vectorized", "pruned_pages"),
-        },
-        "ratio": {
-            "vectorized_speedup": ("configs", "vectorized", "speedup"),
-        },
-        "qps": {
-            "vectorized_pruned_qps": ("configs", "vectorized", "pruned_qps"),
         },
     },
     "serve": {
@@ -215,8 +206,19 @@ def load_bench_files(root: Path = REPO_ROOT) -> dict[str, dict]:
     return found
 
 
+def is_quick(bench: str, payload: dict) -> bool:
+    """The file's own ``config.quick``: whether a ``--quick`` run wrote it."""
+    quick = payload.get("config", {}).get("quick")
+    if not isinstance(quick, bool):
+        raise ValueError(
+            f"BENCH_{bench}.json has no boolean config.quick; rerun the "
+            f"benchmark to regenerate it"
+        )
+    return quick
+
+
 def history_entry(
-    bench: str, payload: dict, *, quick: bool, host: str | None = None
+    bench: str, payload: dict, *, host: str | None = None
 ) -> dict:
     """One history line: schema'd, host-stamped, metric-extracted."""
     return {
@@ -224,7 +226,7 @@ def history_entry(
         "unix_ts": round(time.time(), 3),
         "host": host or socket.gethostname(),
         "bench": bench,
-        "quick": bool(quick),
+        "quick": is_quick(bench, payload),
         "config": payload.get("config", {}),
         "metrics": extract_metrics(bench, payload),
     }
@@ -274,7 +276,6 @@ def _is_regression(current: float, reference: float, kind: str, tol: float):
 
 def check(
     *,
-    quick: bool,
     tolerance: float = 0.15,
     ratio_tolerance: float = 0.50,
     root: Path = REPO_ROOT,
@@ -282,23 +283,33 @@ def check(
     history_path: Path = HISTORY_PATH,
     host: str | None = None,
 ) -> list[str]:
-    """Compare current BENCH files to baseline + history; returns failures."""
-    mode = "quick" if quick else "full"
+    """Compare current BENCH files to baseline + history; returns failures.
+
+    Each file is compared with the baseline section and the history
+    entries of its own size (``config.quick``).
+    """
     host = host or socket.gethostname()
     baseline = {}
     if baseline_path.exists():
-        baseline = json.loads(baseline_path.read_text()).get(mode, {})
+        baseline = json.loads(baseline_path.read_text())
     history = [
         entry
         for entry in read_history(history_path)
-        if entry.get("host") == host and bool(entry.get("quick")) == quick
+        if entry.get("host") == host
     ]
     failures: list[str] = []
     checked = skipped = 0
     for bench, payload in load_bench_files(root).items():
+        quick = is_quick(bench, payload)
         current = extract_metrics(bench, payload)
-        bench_base = baseline.get(bench, {})
-        same_host = [e for e in history if e.get("bench") == bench]
+        bench_base = baseline.get("quick" if quick else "full", {}).get(
+            bench, {}
+        )
+        same_host = [
+            e
+            for e in history
+            if e.get("bench") == bench and bool(e.get("quick")) == quick
+        ]
         for kind, metrics in current.items():
             for name, value in metrics.items():
                 if kind == "qps":
@@ -340,25 +351,26 @@ def check(
 
 
 def update_baseline(
-    *, quick: bool, root: Path = REPO_ROOT, baseline_path: Path = BASELINE_PATH
+    *, root: Path = REPO_ROOT, baseline_path: Path = BASELINE_PATH
 ) -> dict:
-    """Rewrite the ``quick``/``full`` section of the committed baseline."""
-    mode = "quick" if quick else "full"
+    """Rewrite each current bench's entry in the committed baseline, in
+    the ``quick``/``full`` section its own ``config.quick`` names."""
     existing = {}
     if baseline_path.exists():
         existing = json.loads(baseline_path.read_text())
-    section = {}
+    written = []
     for bench, payload in load_bench_files(root).items():
+        mode = "quick" if is_quick(bench, payload) else "full"
         metrics = extract_metrics(bench, payload)
         # qps never goes in the baseline: absolute throughput is a
         # property of the machine, not the code.
         metrics.pop("qps", None)
         if metrics:
-            section[bench] = metrics
+            existing.setdefault(mode, {})[bench] = metrics
+            written.append(f"{mode}/{bench}")
     existing["schema"] = SCHEMA_VERSION
-    existing[mode] = section
     baseline_path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
-    print(f"bench_history: wrote {mode} baseline for {sorted(section)}")
+    print(f"bench_history: wrote baseline for {sorted(written)}")
     return existing
 
 
@@ -367,11 +379,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "command",
         choices=("record", "check", "gate", "update-baseline"),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="the BENCH files were produced by --quick runs",
     )
     parser.add_argument(
         "--tolerance",
@@ -390,28 +397,30 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.command == "update-baseline":
-        update_baseline(quick=args.quick)
-        return 0
-
-    failures: list[str] = []
-    if args.command in ("check", "gate"):
-        failures = check(
-            quick=args.quick,
-            tolerance=args.tolerance,
-            ratio_tolerance=args.ratio_tolerance,
-            host=args.host,
-        )
-    if args.command in ("record", "gate"):
-        entries = [
-            history_entry(bench, payload, quick=args.quick, host=args.host)
-            for bench, payload in load_bench_files().items()
-        ]
-        append_history(entries)
-        print(
-            f"bench_history: recorded {len(entries)} entries "
-            f"to {HISTORY_PATH.relative_to(REPO_ROOT)}"
-        )
+    try:
+        if args.command == "update-baseline":
+            update_baseline()
+            return 0
+        failures: list[str] = []
+        if args.command in ("check", "gate"):
+            failures = check(
+                tolerance=args.tolerance,
+                ratio_tolerance=args.ratio_tolerance,
+                host=args.host,
+            )
+        if args.command in ("record", "gate"):
+            entries = [
+                history_entry(bench, payload, host=args.host)
+                for bench, payload in load_bench_files().items()
+            ]
+            append_history(entries)
+            print(
+                f"bench_history: recorded {len(entries)} entries "
+                f"to {HISTORY_PATH.relative_to(REPO_ROOT)}"
+            )
+    except ValueError as exc:
+        print(f"bench_history: {exc}", file=sys.stderr)
+        return 2
     if failures:
         for failure in failures:
             print(f"bench_history: REGRESSION {failure}", file=sys.stderr)

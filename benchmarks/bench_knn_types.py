@@ -55,11 +55,16 @@ def worlds():
         suite.datasets["0.01"],
         backend="scipy",
         buffer_pool=LRUBufferPool(100_000),
+        query_engine="scalar",
     )
     city = manhattan_network(50, 50, arterial_every=5, street_weight=4.0)
     city_objects = uniform_dataset(city, density=0.01, seed=42)
     city_index = SignatureIndex.build(
-        city, city_objects, backend="scipy", buffer_pool=LRUBufferPool(100_000)
+        city,
+        city_objects,
+        backend="scipy",
+        buffer_pool=LRUBufferPool(100_000),
+        query_engine="scalar",
     )
     return (suite.network, random_index), (city, city_index)
 

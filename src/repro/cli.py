@@ -468,7 +468,6 @@ def _cmd_info(args) -> int:
     print(f"objects:             {len(index.dataset)}")
     print(f"categories:          {index.partition.num_categories}")
     print(f"stored encoding:     {index.stored_kind}")
-    print(f"knn refinement:      {index.knn_refine}")
     print(f"signature pages:     {report.signature_pages}")
     print(f"adjacency pages:     {report.adjacency_pages}")
     print(f"raw bits:            {report.raw_bits}")

@@ -114,7 +114,6 @@ class _MetricsScope:
 
 _SIZE_KINDS = ("raw", "encoded", "compressed")
 _QUERY_ENGINES = ("scalar", "columnar")
-_KNN_REFINE_MODES = ("pruned", "legacy")
 
 
 def _coerce_batch_nodes(nodes) -> list[int]:
@@ -263,7 +262,6 @@ class SignatureIndex:
         stored_kind: str = "compressed",
         buffer_pool: LRUBufferPool | None = None,
         query_engine: str = "columnar",
-        knn_refine: str = "pruned",
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if stored_kind not in _SIZE_KINDS:
@@ -274,11 +272,6 @@ class SignatureIndex:
             raise IndexError_(
                 f"query_engine must be one of {_QUERY_ENGINES}, got "
                 f"{query_engine!r}"
-            )
-        if knn_refine not in _KNN_REFINE_MODES:
-            raise IndexError_(
-                f"knn_refine must be one of {_KNN_REFINE_MODES}, got "
-                f"{knn_refine!r}"
             )
         self.network = network
         self.dataset = dataset
@@ -296,11 +289,6 @@ class SignatureIndex:
         #: §5.3 compression outcome; set by :meth:`build`.
         self.compression_stats: CompressionStats | None = None
         self.query_engine = query_engine
-        #: kNN boundary resolution: "pruned" routes through the
-        #: bound-pruned shared-frontier core (repro.core.knn_refine),
-        #: "legacy" keeps the pairwise Algorithm 2/4 resolution.  Results
-        #: are bit-identical either way; only the I/O profile differs.
-        self.knn_refine = knn_refine
         # Observability: an own registry (cheap, on by default — swap in
         # repro.obs.NULL_REGISTRY to disable), no tracer until trace().
         self.tracer: Tracer | None = None
@@ -332,7 +320,6 @@ class SignatureIndex:
         storage_schema: str = "separate",
         buffer_pool: LRUBufferPool | None = None,
         query_engine: str = "columnar",
-        knn_refine: str = "pruned",
         metrics: MetricsRegistry | None = None,
     ) -> "SignatureIndex":
         """Construct the index per §5.2 (+ §5.3 compression by default).
@@ -403,7 +390,6 @@ class SignatureIndex:
             stored_kind="compressed" if compress else "encoded",
             buffer_pool=buffer_pool,
             query_engine=query_engine,
-            knn_refine=knn_refine,
             metrics=registry,
         )
         index.compression_stats = stats
@@ -671,8 +657,10 @@ class SignatureIndex:
         """The active query implementation module (engine dispatch).
 
         ``"columnar"`` runs the batch algorithms of
-        :mod:`repro.core.vectorized` over the store's block reads;
-        ``"scalar"`` is the paper-faithful per-component reference.
+        :mod:`repro.core.vectorized` over the store's block reads, with
+        kNN resolved by the bound-pruned :mod:`repro.core.knn_refine`;
+        ``"scalar"`` is the paper-faithful per-component reference,
+        Algorithm 6 with the Algorithm 2/4 boundary sort included.
         """
         return queries if self.query_engine == "scalar" else vectorized
 
@@ -789,6 +777,25 @@ class SignatureIndex:
             result = queries.approximate_knn_query(self, node, k)
             span.set("results", len(result))
         return [self.dataset[rank] for rank in result]
+
+    def approximate_range(self, node: int, radius: float) -> list[int]:
+        """Category-only range answer: one signature record, no backtracking.
+
+        Returns the object nodes whose category *could* lie within
+        ``radius`` (lower bound <= radius) — the §3.2 approximate
+        semantics: the answer errs only inside the boundary category,
+        every returned object is at most one category band beyond the
+        radius, and no closer object is missed.
+        """
+        with self._scope(
+            "query.approximate_range", node=node, radius=radius
+        ) as span:
+            self.touch_signature(node)
+            row = vectorized.decode_signature_row(self, node)
+            lbs, _ = vectorized.category_bound_arrays(self.partition)
+            hits = np.flatnonzero(lbs[row] <= radius)
+            span.set("results", len(hits))
+        return [self.dataset[int(rank)] for rank in hits]
 
     def aggregate_range(
         self, node: int, radius: float, aggregate: str = "count"
@@ -990,7 +997,6 @@ class SignatureIndex:
             "categories": self.partition.num_categories,
             "stored": self.stored_kind,
             "query_engine": self.query_engine,
-            "knn_refine": self.knn_refine,
             "signature_pages": report.signature_pages,
             "adjacency_pages": report.adjacency_pages,
             "object_table_bytes": report.object_table_bytes,

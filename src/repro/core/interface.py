@@ -87,6 +87,11 @@ class DistanceIndex(Protocol):
         """Category-only kNN (observer voting, §3.2.2)."""
         ...
 
+    def approximate_range(self, node: int, radius: float) -> list[int]:
+        """Category-only range: every object whose category could lie
+        within ``radius`` (§3.2); no closer object is missed."""
+        ...
+
     def aggregate_range(
         self, node: int, radius: float, aggregate: str = "count"
     ) -> float:

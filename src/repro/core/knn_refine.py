@@ -21,14 +21,17 @@ per comparison.  This module replaces that resolution with three pieces:
   amortized across candidates — and, when the context is shared by
   ``knn_query_batch`` / ``knn_join``, across queries.
 
-Results are bit-identical to the legacy path (:func:`repro.core.queries
-.knn_query` and the vectorized twin): the same approximate pre-sort
-(Algorithm 3) seeds the order, and the exact fix-up — legacy's
-adjacent-swap pass with a *strictly-greater* comparator — is equivalent
-to a stable sort by exact distance over the pre-sort order, which is
-what the survivors get here.  Bounds carry a relative ``1e-9`` slack so
-accumulated floating-point error in the bound arithmetic can never
-prune a candidate the left-to-right exact accumulation would keep.
+This is the columnar engine's kNN (:mod:`repro.core.vectorized`).  The
+scalar engine keeps the paper's pairwise resolution
+(:func:`repro.core.queries.knn_query`), whose page counts Fig 6.6
+reports.  Results are bit-identical between the two: the same
+approximate pre-sort (Algorithm 3) seeds the order, and the exact
+fix-up — the paper's adjacent-swap pass with a *strictly-greater*
+comparator — is equivalent to a stable sort by exact distance over the
+pre-sort order, which is what the survivors get here.  Bounds carry a
+relative ``1e-9`` slack so accumulated floating-point error in the bound
+arithmetic can never prune a candidate the left-to-right exact
+accumulation would keep.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ __all__ = [
     "RefinementContext",
     "candidate_bounds",
     "knn_select",
-    "knn_query_scalar",
 ]
 
 #: Relative slack applied to every computed bound: admissibility must
@@ -76,8 +78,9 @@ class RefinementContext:
     memory for the duration of the context) and memoizes decompressed
     components per ``(node, rank)``.  Exact distances are **never**
     memoized: every walk accumulates edge weights left-to-right from its
-    own start node, reproducing the legacy accumulator bit for bit
-    (float addition is not associative, so sharing suffixes would not).
+    own start node, reproducing the scalar engine's accumulator bit for
+    bit (float addition is not associative, so sharing suffixes would
+    not).
     """
 
     __slots__ = (
@@ -232,7 +235,7 @@ def _kth_smallest(values: np.ndarray, k: int) -> float:
 
 def _approx_comparator(index, node: int, cats_row: np.ndarray):
     """The Algorithm 3 comparator seeded from the decoded row —
-    decision-identical to the legacy scalar and vectorized pre-sorts."""
+    decision-identical to the scalar engine's pre-sort."""
     from repro.core.vectorized import _make_approx_comparator
 
     return _make_approx_comparator(index, node, cats_row)
@@ -248,7 +251,8 @@ def _refine_boundary(
     ctx: RefinementContext,
 ) -> tuple[list[int], dict[int, float]]:
     """Resolve the boundary bucket: the first ``needed`` members in exact
-    ascending order (legacy tie-breaks preserved), pruning by bounds.
+    ascending order (the scalar engine's tie-breaks preserved), pruning
+    by bounds.
 
     Returns ``(take, exact)`` where ``exact`` also holds every distance
     the refinement computed (reused by the EXACT_DISTANCES result type).
@@ -301,7 +305,7 @@ def _refine_boundary(
         span.set("refined", len(exact))
     _inc(index, "_metric_refine_pruned", pruned)
     _inc(index, "_metric_refine_refined", len(exact))
-    # Stable sort by exact distance over the pre-sort order == the legacy
+    # Stable sort by exact distance over the pre-sort order == the paper's
     # adjacent-swap fix-up's final order; pruned candidates are strictly
     # farther than at least `needed` survivors, so the head is identical.
     take = sorted(exact, key=lambda rank: (exact[rank], position[rank]))
@@ -342,7 +346,7 @@ def knn_select(
 ) -> list[int] | list[tuple[int, float]]:
     """Algorithm 6 on a decoded row, boundary resolved by pruned
     refinement — bit-identical results (ties, order, per ``KnnType``) to
-    the legacy paths in :mod:`repro.core.queries` / ``vectorized``."""
+    the scalar engine's :func:`repro.core.queries.knn_query`."""
     ctx.touch_signature(node)
     partition = index.partition
     unreachable = partition.unreachable
@@ -410,36 +414,3 @@ def knn_select(
         with_distances.append((rank, distance))
     with_distances.sort(key=lambda pair: (pair[1], pair[0]))
     return with_distances
-
-
-def signature_categories(index: SignatureIndexProtocol, node: int) -> np.ndarray:
-    """The decoded ``(D,)`` category row via scalar ``component`` calls.
-
-    The scalar engine's entry into :func:`knn_select`: decompression is
-    charged through ``index.component`` exactly as the scalar bucketing
-    loop used to charge it.
-    """
-    num_objects = index.object_table.num_objects
-    return np.fromiter(
-        (index.component(node, rank).category for rank in range(num_objects)),
-        dtype=np.int64,
-        count=num_objects,
-    )
-
-
-def knn_query_scalar(
-    index: SignatureIndexProtocol,
-    node: int,
-    k: int,
-    *,
-    knn_type: KnnType = KnnType.SET,
-    ctx: RefinementContext | None = None,
-) -> list[int] | list[tuple[int, float]]:
-    """The scalar engine's pruned kNN: one fresh (or caller-shared)
-    refinement context per query."""
-    if ctx is None:
-        ctx = RefinementContext(index)
-    cats_row = signature_categories(index, node)
-    return knn_select(
-        index, node, k, knn_type=knn_type, cats_row=cats_row, ctx=ctx
-    )

@@ -263,7 +263,6 @@ def save_index(index, directory: str | Path, *, format: int | None = None) -> No
         f"encoding {encoding}",
         f"drop_last {int(index.object_table._drop_last_category)}",
         f"query_engine {index.query_engine}",
-        f"knn_refine {index.knn_refine}",
     ]
     if format == 1:
         payload = serialize_table(index.table, encoding=encoding)
@@ -406,7 +405,6 @@ def _load_index_v1(directory: Path, meta: dict[str, str]):
         object_table,
         stored_kind=encoding,
         query_engine=saved_query_engine(directory, meta),
-        knn_refine=meta.get("knn_refine", "pruned"),
     )
 
 
@@ -465,7 +463,6 @@ def _load_index_v2(directory: Path, meta: dict[str, str]):
         trees=trees,
         stored_kind=encoding,
         query_engine=saved_query_engine(directory, meta),
-        knn_refine=meta.get("knn_refine", "pruned"),
     )
 
 

@@ -65,15 +65,6 @@ def _require_objects(index: SignatureIndexProtocol) -> None:
         raise QueryError("kNN query requires a non-empty object dataset")
 
 
-def _pruned(index: SignatureIndexProtocol) -> bool:
-    """Whether the bound-pruned refinement core answers kNN queries.
-
-    Full indexes carry a ``knn_refine`` knob (default ``"pruned"``); bare
-    protocol stubs without one keep the legacy path.
-    """
-    return getattr(index, "knn_refine", "legacy") == "pruned"
-
-
 def _qualifies(index: SignatureIndexProtocol, node: int, rank: int,
                radius: float) -> bool:
     """Decide ``d(node, object) <= radius`` per Algorithm 5's three cases."""
@@ -142,10 +133,6 @@ def knn_query(
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
     _require_objects(index)
-    if _pruned(index):
-        from repro.core.knn_refine import knn_query_scalar
-
-        return knn_query_scalar(index, node, k, knn_type=knn_type)
     index.touch_signature(node)
     partition = index.partition
     unreachable = partition.unreachable
@@ -340,24 +327,11 @@ def knn_join(
     if index_a.network is not index_b.network:
         raise QueryError("kNN join requires both datasets on one network")
     self_join = index_a is index_b
-    ctx = None
-    if _pruned(index_b):
-        # One refinement context for the whole probe side: page reads and
-        # decompressions amortize across every per-object kNN scan.
-        from repro.core import knn_refine
-
-        _require_objects(index_b)
-        ctx = knn_refine.RefinementContext(index_b)
     results: list[tuple[int, list[int]]] = []
     for rank_a in range(len(index_a.dataset)):
         node_a = index_a.dataset[rank_a]
         want = k + 1 if self_join else k
-        if ctx is not None:
-            neighbors = knn_refine.knn_query_scalar(
-                index_b, node_a, want, ctx=ctx
-            )
-        else:
-            neighbors = knn_query(index_b, node_a, want)
+        neighbors = knn_query(index_b, node_a, want)
         if self_join:
             neighbors = [rank for rank in neighbors if rank != rank_a][:k]
         results.append((rank_a, neighbors))

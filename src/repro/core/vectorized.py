@@ -10,15 +10,17 @@ to the scalar :class:`~repro.core.operations.Backtracker` refinement only
 for the *ambiguous boundary set* whose category straddles the decision
 radius.
 
-The paper's page-access semantics are preserved exactly:
+Range, aggregate and ε-join keep the paper's page-access semantics
+exactly: ``touch_signature`` is charged once per visited query node, and
+every refinement runs through the same scalar code path as the reference
+implementation and is charged identically.  kNN differs by design: its
+boundary bucket resolves through the bound-pruned refinement of
+:mod:`repro.core.knn_refine` instead of the paper's pairwise sort, so it
+returns the same answers from far fewer pages.
 
-* ``touch_signature`` is charged once per visited query node, as before;
-* every refinement (guided backtracking, exact comparison, exact
-  retrieval) runs through the same scalar code path as the reference
-  implementation and is charged identically.
-
-The property suite (``tests/test_vectorized.py``) asserts both result
-*and* page-access equality with the scalar path on random configurations.
+The property suite (``tests/test_vectorized.py``) asserts result
+equality with the scalar path on random configurations, page equality
+for range, aggregate and ε-join, and ``columnar <= scalar`` pages for kNN.
 
 Decoding
 --------
@@ -40,17 +42,17 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core import knn_refine
 from repro.core.categories import CategoryPartition
 from repro.core.operations import (
     Backtracker,
     SignatureIndexProtocol,
     _observer_vote,
-    compare_exact,
     retrieve_distance,
 )
-from repro.core.queries import _AGGREGATES, KnnType, _pruned, _require_objects
+from repro.core.queries import _AGGREGATES, KnnType, _require_objects
 from repro.core.signature import DistanceRange
-from repro.errors import IndexError_, QueryError
+from repro.errors import QueryError
 from repro.obs.tracing import span_of
 
 __all__ = [
@@ -206,32 +208,6 @@ def _make_approx_comparator(index, node: int, cats_row: np.ndarray):
     return compare
 
 
-def _sort_ranks(index, node: int, ranks: list[int], comparator) -> list[int]:
-    """Algorithm 4 with the cached approximate comparator.
-
-    The exact bubble fix-up is the reference implementation verbatim
-    (:func:`repro.core.operations.sort_by_distance`), so its I/O charges
-    are identical.
-    """
-    ordered = sorted(ranks, key=functools.cmp_to_key(comparator))
-    i = 0
-    swaps = 0
-    max_swaps = len(ordered) * (len(ordered) - 1) // 2 + 1
-    while i < len(ordered) - 1:
-        if compare_exact(index, node, ordered[i], ordered[i + 1]) > 0:
-            swaps += 1
-            if swaps > max_swaps:
-                raise IndexError_(
-                    "distance sorting did not converge: the exact "
-                    "comparator is inconsistent (corrupted index)"
-                )
-            ordered[i], ordered[i + 1] = ordered[i + 1], ordered[i]
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return ordered
-
-
 # ----------------------------------------------------------------------
 # range queries
 # ----------------------------------------------------------------------
@@ -320,98 +296,27 @@ def knn_query(
     *,
     knn_type: KnnType = KnnType.SET,
     cats_row: np.ndarray | None = None,
-    ctx=None,
+    ctx: knn_refine.RefinementContext | None = None,
 ) -> list[int] | list[tuple[int, float]]:
-    """Vectorized Algorithm 6; result- and page-identical to the scalar
-    :func:`repro.core.queries.knn_query`.
+    """Algorithm 6 with the boundary bucket resolved by the bound-pruned
+    refinement of :mod:`repro.core.knn_refine`.
 
-    With ``knn_refine="pruned"`` (the index default) the boundary bucket
-    resolves through :mod:`repro.core.knn_refine` — ``ctx`` lets batch
-    entry points share one refinement frontier across queries.  On the
-    legacy path the category bucketing (line 1) happens as one stable
-    argsort of the decoded row; only the boundary bucket pays the
-    Algorithm 4 sort, via the cached approximate comparator.
+    Results are bit-identical to the scalar
+    :func:`repro.core.queries.knn_query`; pages differ, since the paper's
+    pairwise boundary sort re-reads what the shared frontier charges
+    once.  Batch entry points pass the decoded ``cats_row`` and one
+    ``ctx`` shared across their queries.
     """
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
     _require_objects(index)
-    if _pruned(index):
-        from repro.core import knn_refine
-
-        if cats_row is None:
-            cats_row = decode_signature_row(index, node)
-        if ctx is None:
-            ctx = knn_refine.RefinementContext(index)
-        return knn_refine.knn_select(
-            index, node, k, knn_type=knn_type, cats_row=cats_row, ctx=ctx
-        )
-    index.touch_signature(node)
     if cats_row is None:
         cats_row = decode_signature_row(index, node)
-    unreachable = index.partition.unreachable
-
-    reachable = np.flatnonzero(cats_row != unreachable)
-    order = np.argsort(cats_row[reachable], kind="stable")
-    sorted_ranks = reachable[order]
-    sorted_cats = cats_row[sorted_ranks]
-    total = int(sorted_ranks.size)
-
-    # Group boundaries: cumulative object count at the end of each
-    # category bucket, ascending by category.
-    if total:
-        starts = np.flatnonzero(np.r_[True, np.diff(sorted_cats) != 0])
-        ends = np.r_[starts[1:], total]
-    else:
-        starts = ends = np.empty(0, dtype=np.int64)
-
-    if k >= total:
-        confirmed_cut = total
-        boundary: list[int] = []
-        needed = 0
-    else:
-        g = int(np.searchsorted(ends, k, side="left"))
-        if int(ends[g]) == k:
-            confirmed_cut = k
-            boundary = []
-            needed = 0
-        else:
-            confirmed_cut = int(ends[g - 1]) if g > 0 else 0
-            boundary = sorted_ranks[confirmed_cut : int(ends[g])].tolist()
-            needed = k - confirmed_cut
-
-    comparator = None
-    if needed:
-        comparator = _make_approx_comparator(index, node, cats_row)
-        with span_of(
-            index, "boundary_sort", bucket=len(boundary), needed=needed
-        ):
-            boundary_take = _sort_ranks(index, node, boundary, comparator)[
-                :needed
-            ]
-    else:
-        boundary_take = []
-
-    if knn_type is KnnType.SET:
-        return sorted_ranks[:confirmed_cut].tolist() + boundary_take
-
-    if knn_type is KnnType.ORDERED:
-        if comparator is None:
-            comparator = _make_approx_comparator(index, node, cats_row)
-        ordered: list[int] = []
-        for start, end in zip(starts, ends):
-            if end > confirmed_cut:
-                break
-            bucket = sorted_ranks[start:end].tolist()
-            ordered.extend(_sort_ranks(index, node, bucket, comparator))
-        ordered.extend(boundary_take)
-        return ordered
-
-    results = sorted_ranks[:confirmed_cut].tolist() + boundary_take
-    with_distances = [
-        (rank, retrieve_distance(index, node, rank)) for rank in results
-    ]
-    with_distances.sort(key=lambda pair: (pair[1], pair[0]))
-    return with_distances
+    if ctx is None:
+        ctx = knn_refine.RefinementContext(index)
+    return knn_refine.knn_select(
+        index, node, k, knn_type=knn_type, cats_row=cats_row, ctx=ctx
+    )
 
 
 def knn_query_batch(
@@ -423,9 +328,9 @@ def knn_query_batch(
 ) -> list:
     """A kNN query per node of ``nodes``, rows decoded in one pass.
 
-    On the pruned path the whole batch shares one refinement context:
-    backtracking walks that revisit a signature or adjacency record any
-    query of the batch already read charge no further pages.
+    The whole batch shares one refinement context: backtracking walks
+    that revisit a signature or adjacency record any query of the batch
+    already read charge no further pages.
     """
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
@@ -434,11 +339,7 @@ def knn_query_batch(
     if not nodes:
         return []
     rows = decode_signature_rows(index, nodes)
-    ctx = None
-    if _pruned(index):
-        from repro.core import knn_refine
-
-        ctx = knn_refine.RefinementContext(index)
+    ctx = knn_refine.RefinementContext(index)
     return [
         knn_query(index, node, k, knn_type=knn_type, cats_row=rows[i], ctx=ctx)
         for i, node in enumerate(nodes)
@@ -512,9 +413,10 @@ def knn_join(
     k: int,
 ) -> list[tuple[int, list[int]]]:
     """Vectorized kNN-join (§4.3): all per-object type-3 kNN scans share
-    one decoded pass over index B's signature rows.
+    one decoded pass over index B's signature rows and one refinement
+    context.
 
-    Result- and page-identical to :func:`repro.core.queries.knn_join`.
+    Result-identical to :func:`repro.core.queries.knn_join`.
     """
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
@@ -525,12 +427,9 @@ def knn_join(
     if not nodes:
         return []
     rows = decode_signature_rows(index_b, nodes)
-    ctx = None
-    if _pruned(index_b):
-        # One refinement context per probe side (mirrors the scalar join).
-        from repro.core import knn_refine
-
-        ctx = knn_refine.RefinementContext(index_b)
+    # One refinement context for the whole probe side: page reads and
+    # decompressions amortize across every per-object kNN scan.
+    ctx = knn_refine.RefinementContext(index_b)
     results: list[tuple[int, list[int]]] = []
     for rank_a, node_a in enumerate(nodes):
         want = k + 1 if self_join else k

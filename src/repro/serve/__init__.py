@@ -41,7 +41,7 @@ from repro.serve.client import ServeClient, ServeResponse, sync_client
 from repro.serve.config import ServeConfig
 from repro.serve.coordinator import ReadWriteLock, UpdateCoordinator
 from repro.serve.loadgen import LoadStats, closed_loop, mixed_workload, open_loop
-from repro.serve.server import QueryServer, approximate_range, run_server
+from repro.serve.server import QueryServer, run_server
 from repro.serve.telemetry import (
     RequestContext,
     SlowQueryLog,
@@ -65,7 +65,6 @@ __all__ = [
     "SlowQueryLog",
     "TelemetryCollector",
     "UpdateCoordinator",
-    "approximate_range",
     "closed_loop",
     "mixed_workload",
     "new_request_id",

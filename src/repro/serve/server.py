@@ -47,7 +47,6 @@ from urllib.parse import parse_qsl, urlsplit
 import numpy as np
 
 from repro.core.queries import KnnType
-from repro.core.vectorized import category_bound_arrays, decode_signature_row
 from repro.errors import ReproError
 from repro.obs.export import metrics_to_prometheus
 from repro.serve import workers as worker_mod
@@ -63,29 +62,10 @@ from repro.serve.telemetry import (
 
 logger = logging.getLogger("repro.serve")
 
-__all__ = ["QueryServer", "approximate_range", "run_server"]
+__all__ = ["QueryServer", "run_server"]
 
 #: Largest accepted request body; a query is a handful of scalars.
 _MAX_BODY = 1 << 20
-
-
-# ----------------------------------------------------------------------
-# degraded-mode answers (§3.2 category-only)
-# ----------------------------------------------------------------------
-def approximate_range(index, node: int, radius: float) -> list[int]:
-    """Category-only range answer: one signature record, no backtracking.
-
-    Returns the object nodes whose category *could* lie within
-    ``radius`` (lower bound <= radius) — exactly the §3.2 approximate
-    semantics: the answer errs only inside the boundary category, every
-    returned object is at most one category band beyond the radius, and
-    no closer object is missed.
-    """
-    index.touch_signature(node)
-    row = decode_signature_row(index, node)
-    lbs, _ = category_bound_arrays(index.partition)
-    hits = np.flatnonzero(lbs[row] <= radius)
-    return [index.dataset[int(rank)] for rank in hits]
 
 
 # ----------------------------------------------------------------------
@@ -305,12 +285,6 @@ class QueryServer:
             )
         return results
 
-    def _approx_range(self, node: int, radius: float) -> list[int]:
-        """Degraded range answer for whichever index type is served."""
-        if hasattr(self.index, "approximate_range"):
-            return self.index.approximate_range(node, radius)
-        return approximate_range(self.index, node, radius)
-
     def _check_node(self, node: int) -> int:
         """Per-request node validation, *before* batching.
 
@@ -367,7 +341,7 @@ class QueryServer:
         status, payload = await self._serve_coalesced(
             key,
             node,
-            lambda: {"objects": self._approx_range(node, radius)},
+            lambda: {"objects": self.index.approximate_range(node, radius)},
             ctx,
         )
         if "result" in payload:

@@ -172,6 +172,37 @@ def test_degraded_answers_are_exact(backend):
         )
 
 
+@pytest.fixture(scope="module", params=UPDATE_IMPLEMENTATIONS)
+def implementation(request, planar):
+    """Every ``DistanceIndex`` implementation, queried read-only."""
+    network, dataset = planar
+    name = request.param
+    if name in ("signature", "columnar"):
+        engine = "scalar" if name == "signature" else "columnar"
+        return SignatureIndex.build(network, dataset, query_engine=engine)
+    return build_backend(name, network.copy(), dataset)
+
+
+def test_approximate_range_never_misses_an_object(implementation):
+    """The degraded range answer (§3.2) is a superset of the exact one,
+    in dataset order; a signature index reads one signature record."""
+    index = implementation
+    assert isinstance(index, DistanceIndex)
+    for node in SAMPLE_NODES:
+        for radius in RADII:
+            approx = index.approximate_range(node, radius)
+            assert approx == sorted(approx, key=index.dataset.rank)
+            assert set(index.range_query(node, radius)) <= set(approx)
+    if isinstance(index, SignatureIndex):
+        node = SAMPLE_NODES[3]
+        index.reset_counters()
+        index.touch_signature(node)
+        one_record = index.counter.logical_reads
+        index.reset_counters()
+        index.approximate_range(node, RADII[-1])
+        assert index.counter.logical_reads == one_record
+
+
 def test_aggregate_range_matches_oracle(backend, planar, oracle):
     _, dataset = planar
     node, radius = 9, 50.0

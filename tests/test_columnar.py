@@ -19,7 +19,6 @@ from repro.core.vectorized import category_bound_arrays
 from repro.errors import IndexError_, StorageError
 from repro.network import uniform_dataset
 from repro.network.dijkstra import shortest_path_tree
-from repro.serve.server import approximate_range
 
 ENGINES = ("scalar", "columnar")
 
@@ -317,14 +316,14 @@ def test_approximate_range_on_scalar_engine(
     partition = scalar.partition
     for node in range(0, small_net.num_nodes, 13):
         for radius in (5.0, 20.0, 45.0):
-            got = approximate_range(scalar, node, radius)
+            got = scalar.approximate_range(node, radius)
             reference = [
                 scalar.dataset[rank]
                 for rank in range(len(scalar.dataset))
                 if lbs[scalar.component(node, rank).category] <= radius
             ]
             assert got == reference
-            assert got == approximate_range(columnar, node, radius)
+            assert got == columnar.approximate_range(node, radius)
             # Oracle: no object within the radius is missed, and every
             # answer's true category could lie within it.
             rank_of = {n: r for r, n in enumerate(scalar.dataset)}

@@ -1,18 +1,17 @@
 """Bound-pruned kNN refinement (repro.core.knn_refine).
 
-The load-bearing property: with ``knn_refine="pruned"`` every engine —
-scalar and columnar — returns answers
-**bit-identical** to the legacy path (same members, same ties, same
-order per ``KnnType``) while reading strictly fewer pages on boundary-
-heavy workloads.  Plus the validation sweep: ``k < 1`` and empty object
-sets raise :class:`~repro.errors.QueryError` everywhere, and serve as
-HTTP 400.
+The load-bearing property: the columnar engine, which resolves kNN
+through the pruned refinement, returns answers **bit-identical** to the
+scalar engine's paper algorithm (same members, same ties, same order per
+``KnnType``) over the same tables, while reading far fewer pages on
+boundary-heavy workloads.  Plus the validation sweep: ``k < 1`` and
+empty object sets raise :class:`~repro.errors.QueryError` everywhere,
+and serve as HTTP 400.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import math
 import random
 
@@ -26,7 +25,7 @@ from repro.core import knn_refine, queries, vectorized
 from repro.core.persistence import load_index, save_index
 from repro.core.queries import KnnType
 from repro.core.signature import ObjectDistanceTable, SignatureTable
-from repro.errors import IndexError_, QueryError
+from repro.errors import QueryError
 from repro.network import (
     ObjectDataset,
     grid_network,
@@ -35,17 +34,6 @@ from repro.network import (
 )
 from repro.network.dijkstra import shortest_path_tree
 from repro.obs.metrics import MetricsRegistry
-
-
-@contextlib.contextmanager
-def refine_mode(index, mode: str):
-    """Temporarily flip the ``knn_refine`` knob on a shared index."""
-    previous = index.knn_refine
-    index.knn_refine = mode
-    try:
-        yield index
-    finally:
-        index.knn_refine = previous
 
 
 def measured(index, fn, *args, **kwargs):
@@ -86,12 +74,34 @@ def reload_as_vectorized_snapshot(index, path):
     return load_index(path)
 
 
+def twin(index: SignatureIndex, engine: str) -> SignatureIndex:
+    """An ``engine`` index over the *same* tables as ``index``."""
+    return SignatureIndex(
+        index.network,
+        index.dataset,
+        index.partition,
+        index.table,
+        index.object_table,
+        stored_kind=index.stored_kind,
+        query_engine=engine,
+    )
+
+
+def engine_pair(index: SignatureIndex):
+    """``(columnar, scalar)``: ``index`` plus its other-engine twin."""
+    if index.query_engine == "scalar":
+        return twin(index, "columnar"), index
+    return index, twin(index, "scalar")
+
+
 @pytest.fixture(
     scope="module", params=["scalar", "vectorized", "columnar"]
 )
 def engine_index(request, refine_net, refine_objs, tmp_path_factory):
-    """``vectorized`` is a snapshot saved under the older engine name:
-    it must load onto the columnar engine and answer identically."""
+    """The side built (or loaded) under each engine name; every test
+    compares it with its other-engine twin.  ``vectorized`` is a
+    snapshot saved under the older engine name: it must load onto the
+    columnar engine and answer identically."""
     engine = "columnar" if request.param == "vectorized" else request.param
     index = SignatureIndex.build(
         refine_net,
@@ -113,26 +123,25 @@ def sample_nodes(network, count, seed=0):
 
 class TestBitIdentity:
     def test_matches_legacy_for_all_result_types(self, engine_index):
-        index = engine_index
-        num_objects = len(index.dataset)
-        pruned_pages = legacy_pages = 0
-        for node in sample_nodes(index.network, 20):
+        """The paper's Algorithm 6 (the scalar engine) is the reference."""
+        columnar, scalar = engine_pair(engine_index)
+        num_objects = len(columnar.dataset)
+        columnar_pages = scalar_pages = 0
+        for node in sample_nodes(columnar.network, 20):
             for k in (1, 2, 5, num_objects, num_objects + 3):
                 for knn_type in KnnType:
-                    with refine_mode(index, "pruned"):
-                        got, pages = measured(
-                            index, index.knn, node, k, knn_type=knn_type
-                        )
-                    with refine_mode(index, "legacy"):
-                        want, pages_l = measured(
-                            index, index.knn, node, k, knn_type=knn_type
-                        )
+                    got, pages = measured(
+                        columnar, columnar.knn, node, k, knn_type=knn_type
+                    )
+                    want, pages_s = measured(
+                        scalar, scalar.knn, node, k, knn_type=knn_type
+                    )
                     assert got == want, (node, k, knn_type)
-                    pruned_pages += pages
-                    legacy_pages += pages_l
+                    columnar_pages += pages
+                    scalar_pages += pages_s
         # Individual ORDERED queries may trade a few pages (full walks vs
         # pairwise partial refinement); the workload total must win big.
-        assert pruned_pages < legacy_pages
+        assert columnar_pages < scalar_pages
 
     def test_exact_distances_match_dijkstra_oracle(
         self, engine_index, refine_oracle
@@ -152,38 +161,16 @@ class TestBitIdentity:
                 )
 
     def test_pruned_reads_many_fewer_pages(self, engine_index):
-        index = engine_index
-        nodes = sample_nodes(index.network, 40, seed=2)
-        with refine_mode(index, "pruned"):
+        columnar, scalar = engine_pair(engine_index)
+        nodes = sample_nodes(columnar.network, 40, seed=2)
+        totals = []
+        for index in (columnar, scalar):
             index.reset_counters()
             for node in nodes:
                 index.knn(node, 5)
-            pruned_pages = index.counter.logical_reads
-        with refine_mode(index, "legacy"):
-            index.reset_counters()
-            for node in nodes:
-                index.knn(node, 5)
-            legacy_pages = index.counter.logical_reads
-        assert pruned_pages * 2 < legacy_pages
-
-    def test_scalar_and_vectorized_charge_identical_pages(
-        self, refine_net, refine_objs
-    ):
-        index = SignatureIndex.build(
-            refine_net, refine_objs, backend="scipy"
-        )
-        for node in sample_nodes(index.network, 10, seed=3):
-            for knn_type in KnnType:
-                scalar, scalar_pages = measured(
-                    index, queries.knn_query, index, node, 4,
-                    knn_type=knn_type,
-                )
-                vec, vec_pages = measured(
-                    index, vectorized.knn_query, index, node, 4,
-                    knn_type=knn_type,
-                )
-                assert scalar == vec
-                assert scalar_pages == vec_pages
+            totals.append(index.counter.logical_reads)
+        columnar_pages, scalar_pages = totals
+        assert columnar_pages * 2 < scalar_pages
 
 
 class TestHypothesisOracle:
@@ -218,6 +205,7 @@ class TestHypothesisOracle:
         )
         dataset = ObjectDataset(sorted(members))
         index = SignatureIndex.build(network, dataset, backend="scipy")
+        scalar = twin(index, "scalar")
         oracle = np.array(
             [shortest_path_tree(network, o).distance for o in dataset]
         )
@@ -225,10 +213,8 @@ class TestHypothesisOracle:
         for node in range(num_nodes):
             for k in ks:
                 for knn_type in KnnType:
-                    with refine_mode(index, "pruned"):
-                        got = index.knn(node, k, knn_type=knn_type)
-                    with refine_mode(index, "legacy"):
-                        want = index.knn(node, k, knn_type=knn_type)
+                    got = index.knn(node, k, knn_type=knn_type)
+                    want = scalar.knn(node, k, knn_type=knn_type)
                     assert got == want, (node, k, knn_type)
                 result = index.knn(
                     node, k, knn_type=KnnType.EXACT_DISTANCES
@@ -275,13 +261,9 @@ class TestBatchAndJoin:
         index = SignatureIndex.build(
             refine_net, refine_objs, backend="scipy"
         )
-        with refine_mode(index, "pruned"):
-            scalar_pruned = queries.knn_join(index, index, 3)
-            vec_pruned = vectorized.knn_join(index, index, 3)
-        with refine_mode(index, "legacy"):
-            legacy = queries.knn_join(index, index, 3)
-        assert scalar_pruned == legacy
-        assert vec_pruned == legacy
+        assert vectorized.knn_join(index, index, 3) == queries.knn_join(
+            index, index, 3
+        )
 
 
 class TestObservability:
@@ -298,9 +280,6 @@ class TestObservability:
         assert registry.counter("knn_refine.pruned").value > 0
         assert registry.histogram("knn_refine.bound_tightness").count > 0
 
-    def test_stats_reports_the_knob(self, engine_index):
-        assert engine_index.stats()["knn_refine"] == "pruned"
-
     def test_trace_spans_cover_bound_and_exact(
         self, refine_net, refine_objs
     ):
@@ -316,15 +295,6 @@ class TestObservability:
                 break
         else:  # pragma: no cover - sampling failure
             pytest.fail("no query hit a boundary bucket")
-
-    def test_invalid_knob_rejected(self, refine_net, refine_objs):
-        with pytest.raises(IndexError_, match="knn_refine"):
-            SignatureIndex.build(
-                refine_net,
-                refine_objs,
-                backend="scipy",
-                knn_refine="sometimes",
-            )
 
 
 def empty_object_index(network) -> SignatureIndex:
@@ -418,7 +388,7 @@ class TestBoundMachinery:
         )
         candidates = list(range(len(refine_objs)))
         for node in sample_nodes(refine_net, 15, seed=9):
-            cats_row = knn_refine.signature_categories(index, node)
+            cats_row = vectorized.decode_signature_row(index, node)
             lower, upper = knn_refine.candidate_bounds(
                 index, cats_row, candidates
             )
@@ -436,9 +406,17 @@ class TestBoundMachinery:
         )
         node = refine_net.num_nodes // 3
         ctx = knn_refine.RefinementContext(index)
-        first = knn_refine.knn_query_scalar(index, node, 5, ctx=ctx)
+        cats_row = vectorized.decode_signature_row(index, node)
+
+        def select():
+            return knn_refine.knn_select(
+                index, node, 5, knn_type=KnnType.SET, cats_row=cats_row,
+                ctx=ctx,
+            )
+
+        first = select()
         index.reset_counters()
-        again = knn_refine.knn_query_scalar(index, node, 5, ctx=ctx)
+        again = select()
         assert again == first
         # Every page the repeat needed was already in the frontier.
         assert index.counter.logical_reads == 0

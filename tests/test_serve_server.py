@@ -16,7 +16,6 @@ import pytest
 
 from repro.core import KnnType
 from repro.serve import QueryServer, ServeClient, ServeConfig
-from repro.serve.server import approximate_range
 
 QUERY_NODES = [0, 17, 42, 128, 250, 299]
 
@@ -370,8 +369,8 @@ class TestDegradedMode:
                 ranged = await client.range(7, 120.0)
                 assert ranged.status == 200
                 assert ranged.payload["approximate"] is True
-                assert ranged.payload["objects"] == approximate_range(
-                    index, 7, 120.0
+                assert ranged.payload["objects"] == index.approximate_range(
+                    7, 120.0
                 )
                 knned = await client.knn(7, 3)
                 assert knned.status == 200
@@ -387,7 +386,7 @@ class TestDegradedMode:
         so they contain every exactly-qualifying object."""
         for node in QUERY_NODES:
             exact = set(sig_index.range_query(node, 130.0))
-            approx = set(approximate_range(sig_index, node, 130.0))
+            approx = set(sig_index.approximate_range(node, 130.0))
             assert exact <= approx
 
 
