@@ -8,11 +8,8 @@
 * **batch throughput** — the default columnar engine reads query blocks
   with one fancy index, no row decode and no cache; recorded (and gated
   by ``bench_history`` against same-host history), not asserted.
-* **served throughput** — ``repro serve --workers 2`` executes coalesced
-  batches in worker processes that mmap one snapshot.  On a multi-core
-  box the claim is workers-2 > workers-1; on a single core the fork can
-  only add overhead, so the assertion is gated on ``os.cpu_count()`` and
-  the numbers are recorded either way.
+
+Served throughput is measured by ``bench_serve.py``.
 
 Writes ``BENCH_columnar.json`` at the repo root and appends a one-line
 summary to ``benchmarks/results/throughput.txt``.
@@ -20,7 +17,6 @@ summary to ``benchmarks/results/throughput.txt``.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import sys
@@ -33,9 +29,6 @@ from pathlib import Path
 QUICK = "--quick" in sys.argv
 if QUICK:
     os.environ.setdefault("REPRO_BENCH_COLUMNAR_NODES", "1200")
-    os.environ.setdefault("REPRO_BENCH_SERVE_NODES", "1200")
-    os.environ.setdefault("REPRO_BENCH_COLUMNAR_CLIENTS", "16")
-    os.environ.setdefault("REPRO_BENCH_COLUMNAR_DURATION", "1.5")
     os.environ.setdefault("REPRO_BENCH_COLUMNAR_SWEEP_S", "0.5")
 
 _REPO_ROOT_PATH = Path(__file__).resolve().parent.parent
@@ -45,12 +38,6 @@ if _REPO_ROOT not in sys.path:
 
 import pytest  # noqa: E402
 
-from benchmarks.bench_serve import (  # noqa: E402
-    _OPEN_ADMISSION,
-    ServerProcess,
-    _capacity_run,
-    _range_workload,
-)
 from benchmarks.conftest import RESULTS_DIR  # noqa: E402
 from repro.core import SignatureIndex, load_index, save_index  # noqa: E402
 from repro.network.datasets import uniform_dataset  # noqa: E402
@@ -59,8 +46,6 @@ from repro.network.generators import random_planar_network  # noqa: E402
 JSON_PATH = _REPO_ROOT_PATH / "BENCH_columnar.json"
 
 NODES = int(os.environ.get("REPRO_BENCH_COLUMNAR_NODES", "6000"))
-CLIENTS = int(os.environ.get("REPRO_BENCH_COLUMNAR_CLIENTS", "64"))
-DURATION_S = float(os.environ.get("REPRO_BENCH_COLUMNAR_DURATION", "3.0"))
 SWEEP_S = float(os.environ.get("REPRO_BENCH_COLUMNAR_SWEEP_S", "1.5"))
 DENSITY = 0.01
 SEED = 1959
@@ -134,48 +119,13 @@ def _bench_batch_throughput(index) -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# served throughput: workers 1 vs 2
-# ----------------------------------------------------------------------
-async def _bench_served() -> dict:
-    results: dict = {"cpu_count": os.cpu_count()}
-    for workers in (1, 2):
-        with ServerProcess(
-            "--max-batch", str(max(CLIENTS, 2)),
-            "--max-wait-ms", "2.0",
-            "--workers", str(workers),
-            *_OPEN_ADMISSION,
-        ) as server:
-            health = await server.wait_ready()
-            workload, radius = _range_workload(health)
-            stats = await _capacity_run(server, workload, clients=CLIENTS)
-        summary = stats.summary()
-        assert summary["errors"] == 0, (workers, summary)
-        results[f"workers{workers}_rps"] = summary["throughput_rps"]
-        results["range_radius"] = round(radius, 3)
-    results["speedup"] = round(
-        results["workers2_rps"] / max(results["workers1_rps"], 1e-9), 2
-    )
-    baseline_path = _REPO_ROOT_PATH / "BENCH_serve.json"
-    if baseline_path.exists():
-        baseline = json.loads(baseline_path.read_text())
-        results["pr3_coalesced_rps"] = baseline["runs"]["coalesced"][
-            "throughput_rps"
-        ]
-    return results
-
-
 def _summary_line(payload: dict) -> str:
     cold = payload["cold_start"]
     batch = payload["batch_throughput"]
-    served = payload["served"]
     return (
         f"columnar: mmap load {cold['speedup']:.0f}x faster than v1 "
         f"({cold['v1_load_s']:.2f}s -> {cold['v2_load_s']*1000:.1f}ms); "
-        f"batch {batch['columnar_qps']:.0f} q/s; "
-        f"served workers2 {served['workers2_rps']:.0f} rps vs "
-        f"workers1 {served['workers1_rps']:.0f} rps "
-        f"({served['cpu_count']} cpus)"
+        f"batch {batch['columnar_qps']:.0f} q/s"
     )
 
 
@@ -184,21 +134,17 @@ def test_columnar_store():
     with tempfile.TemporaryDirectory(prefix="bench-columnar-") as workdir:
         cold = _bench_cold_start(index, Path(workdir))
     batch = _bench_batch_throughput(index)
-    served = asyncio.run(_bench_served())
 
     payload = {
         "config": {
             "num_nodes": NODES,
             "density": DENSITY,
             "seed": SEED,
-            "clients": CLIENTS,
-            "duration_s": DURATION_S,
             "sweep_s": SWEEP_S,
             "quick": QUICK,
         },
         "cold_start": cold,
         "batch_throughput": batch,
-        "served": served,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -209,12 +155,7 @@ def test_columnar_store():
     print(f"\n{line}\n[appended to {RESULTS_DIR / 'throughput.txt'}]")
     print(f"[written to {JSON_PATH}]")
 
-    # The tentpole claims.
     assert cold["speedup"] >= MIN_COLD_START_SPEEDUP, cold
-    # Multi-process parallelism needs multiple cores to show up; on one
-    # core the fork is pure overhead, so only record the numbers there.
-    if (os.cpu_count() or 1) >= 2 and not QUICK:
-        assert served["speedup"] > 1.0, served
 
 
 if __name__ == "__main__":

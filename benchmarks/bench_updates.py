@@ -18,14 +18,16 @@ what that buys, on traffic-shaped single-edge reweights from
   ``incremental_vs_rebuild`` speedup (gated ≥5x at full size,
   direction-only in ``--quick``), with the
   ``backend.<name>.update.{repaired,rebuilt}`` counters recorded to
-  prove the incremental path actually ran.
+  prove the incremental path actually ran.  The two sides' applies are
+  interleaved, spread evenly over one timed phase, so host-speed drift
+  during the run lands on both sides of the ratio alike.
 * **Signature-family throughput** — the signature index under both
   query engines (scalar + columnar) driven through the same
   ``apply_updates`` entry point.
-* **Live traffic** — an in-process server (worker pool, so the
-  epoch-replay and log-compaction machinery engages) under a mixed
-  90/10 read/write closed loop: served write throughput, post-run
-  staleness lag, and how much of the update log compaction reclaimed.
+* **Live traffic** — an in-process server on default settings under a
+  mixed 90/10 read/write closed loop: served write throughput, the
+  final update epoch, and how many write batches the coordinator
+  coalesced.
 
 Writes machine-readable ``BENCH_updates.json`` at the repo root and a
 summary table to ``benchmarks/results/updates.txt``.
@@ -131,15 +133,39 @@ def bench_hierarchy(name: str, network, dataset) -> dict:
         f"to fresh rebuilds over {len(pairs)} pairs"
     )
 
-    # -- timed incremental applies --------------------------------------
+    # -- timed incremental vs rebuild-on-update, interleaved -------------
+    # The baseline is the same entry point on an index built without
+    # repair recording: its only maintenance strategy is
+    # rebuild-from-network.
+    rebuild_registry = MetricsRegistry()
+    baseline = build(network.copy(), dataset, metrics=rebuild_registry)
+    baseline_sim = TrafficSimulator(baseline.network, seed=SEED + 1)
     repaired_before = registry.counter(
         f"backend.{name}.update.repaired"
     ).value
     rebuilt_before = registry.counter(f"backend.{name}.update.rebuilt").value
-    start = time.perf_counter()
-    for changeset in sim.stream(NUM_UPDATES, 1):
-        index.apply_updates(changeset)
-    incremental_s = (time.perf_counter() - start) / NUM_UPDATES
+    sides = {
+        "incremental": (index, sim.stream(NUM_UPDATES, 1)),
+        "rebuild": (baseline, baseline_sim.stream(NUM_REBUILD_UPDATES, 1)),
+    }
+    # Each apply sits at the midpoint of its own slot in [0, 1), so both
+    # sides are spread evenly over the same timed phase.
+    schedule = sorted(
+        [((i + 0.5) / NUM_UPDATES, "incremental") for i in range(NUM_UPDATES)]
+        + [
+            ((i + 0.5) / NUM_REBUILD_UPDATES, "rebuild")
+            for i in range(NUM_REBUILD_UPDATES)
+        ]
+    )
+    elapsed = {"incremental": 0.0, "rebuild": 0.0}
+    for _, side in schedule:
+        target, stream = sides[side]
+        changeset = next(stream)
+        start = time.perf_counter()
+        target.apply_updates(changeset)
+        elapsed[side] += time.perf_counter() - start
+    incremental_s = elapsed["incremental"] / NUM_UPDATES
+    rebuild_s = elapsed["rebuild"] / NUM_REBUILD_UPDATES
     repaired = (
         registry.counter(f"backend.{name}.update.repaired").value
         - repaired_before
@@ -148,17 +174,6 @@ def bench_hierarchy(name: str, network, dataset) -> dict:
         registry.counter(f"backend.{name}.update.rebuilt").value
         - rebuilt_before
     )
-
-    # -- timed rebuild-on-update baseline --------------------------------
-    # The same entry point on an index built without repair recording:
-    # its only maintenance strategy is rebuild-from-network.
-    rebuild_registry = MetricsRegistry()
-    baseline = build(network.copy(), dataset, metrics=rebuild_registry)
-    baseline_sim = TrafficSimulator(baseline.network, seed=SEED + 1)
-    start = time.perf_counter()
-    for changeset in baseline_sim.stream(NUM_REBUILD_UPDATES, 1):
-        baseline.apply_updates(changeset)
-    rebuild_s = (time.perf_counter() - start) / NUM_REBUILD_UPDATES
     baseline_rebuilt = rebuild_registry.counter(
         f"backend.{name}.update.rebuilt"
     ).value
@@ -227,7 +242,7 @@ def bench_signature_family(network, dataset) -> dict[str, dict]:
 
 async def _live_traffic(network, dataset) -> dict:
     index = SignatureIndex.build(network.copy(), dataset, keep_trees=True)
-    server = QueryServer(index, ServeConfig(port=0, workers=2))
+    server = QueryServer(index, ServeConfig(port=0))
     await server.start()
     try:
         edges = await fetch_edge_sample(
@@ -247,10 +262,6 @@ async def _live_traffic(network, dataset) -> dict:
             workload=workload,
         )
         coordinator = server.coordinator
-        worker_epochs = list(server.telemetry.epochs.values())
-        staleness = (
-            coordinator.epoch - min(worker_epochs) if worker_epochs else 0
-        )
         registry = server._registry
         summary = stats.summary()
         return {
@@ -267,12 +278,7 @@ async def _live_traffic(network, dataset) -> dict:
             "errors": stats.errors,
             "latency_ms": summary["latency_ms"],
             "final_epoch": coordinator.epoch,
-            "staleness_lag": int(staleness),
             "update_batches": registry.counter("serve.update_batches").value,
-            "log_compacted": registry.counter(
-                "serve.update_log.compacted"
-            ).value,
-            "log_length": len(coordinator.update_log),
         }
     finally:
         await server.shutdown()
@@ -294,9 +300,8 @@ def main() -> int:
     serve = asyncio.run(_live_traffic(network, dataset))
     print(
         f"serve: {serve['throughput_rps']:g} rps mixed "
-        f"({serve['writes']} writes, staleness lag "
-        f"{serve['staleness_lag']}, {serve['log_compacted']} log entries "
-        f"compacted)"
+        f"({serve['writes']} writes, final epoch {serve['final_epoch']}, "
+        f"{serve['update_batches']} coalesced write batches)"
     )
 
     speedups = {
@@ -344,9 +349,9 @@ def main() -> int:
     lines.append(
         f"serve mixed {int((1 - WRITE_RATIO) * 100)}/"
         f"{int(WRITE_RATIO * 100)}: {serve['throughput_rps']:g} rps, "
-        f"{serve['write_throughput_rps']:g} writes/s, staleness lag "
-        f"{serve['staleness_lag']}, log {serve['log_length']} entries "
-        f"({serve['log_compacted']} compacted)"
+        f"{serve['write_throughput_rps']:g} writes/s, final epoch "
+        f"{serve['final_epoch']}, {serve['update_batches']} coalesced "
+        f"write batches"
     )
     write_result("updates", "\n".join(lines))
 

@@ -14,7 +14,6 @@ repro query index_dir distance --node 42 --object 137
 repro stats index_dir --queries 50 --format table
 repro trace index_dir range --node 42 --radius 50
 repro serve index_dir --port 8080
-repro serve index_dir --port 8080 --workers 4
 repro loadgen --port 8080 --clients 64 --duration 5
 repro top --port 8080
 repro compact index_dir
@@ -220,15 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-coalesce",
         action="store_true",
         help="dispatch every request alone (sets max_batch to 1)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "processes executing coalesced batches; above 1 the index is "
-            "snapshotted once (format v2) and mmapped by every worker"
-        ),
     )
     serve.add_argument(
         "--slow-query-ms",
@@ -577,7 +567,6 @@ def _cmd_serve(args) -> int:
         deadline_ms=args.deadline_ms,
         shed_latency_ms=args.shed_latency_ms,
         degrade_latency_ms=args.degrade_latency_ms,
-        workers=args.workers,
         slow_query_ms=args.slow_query_ms,
         slow_query_log=args.slow_query_log,
     )

@@ -14,8 +14,7 @@ canonical ``u < v`` endpoint order, structurally validated, and
 effect (``add`` then ``set_weight`` is an ``add`` at the final weight;
 ``remove`` then ``add`` is a ``set_weight``; ``add`` then ``remove``
 cancels).  The surviving deltas are sorted by endpoint pair, so every
-implementation — and every replica replaying the serving update log —
-applies the same operations in the same order.
+implementation applies the same operations in the same order.
 
 Validation is two-phase and *precedes any mutation*:
 
@@ -231,7 +230,7 @@ class ChangeSet:
         return [delta.edge for delta in self.deltas]
 
     def as_tuples(self) -> tuple[tuple[str, int, int, float | None], ...]:
-        """Plain-data form (update-log entries, telemetry)."""
+        """Plain-data ``(op, u, v, weight)`` tuples, in apply order."""
         return tuple(delta.as_tuple() for delta in self.deltas)
 
     def __len__(self) -> int:

@@ -38,11 +38,6 @@ __all__ = [
     "use_registry",
 ]
 
-#: Version tag carried by every serialized registry state, so a consumer
-#: can reject payloads from an incompatible producer instead of folding
-#: garbage into live instruments.
-STATE_VERSION = 1
-
 
 class Counter:
     """A monotonically increasing integer tally."""
@@ -65,7 +60,7 @@ class Counter:
 
 
 class Gauge:
-    """A last-value-wins measurement (worker count, utilization, ...)."""
+    """A last-value-wins measurement (queue depth, latency EWMA, ...)."""
 
     __slots__ = ("name", "value")
 
@@ -160,9 +155,8 @@ class Histogram:
 
         Unlike :meth:`summary`, which collapses the buckets into
         quantiles, this carries the raw bucket counts — two histograms
-        can be combined exactly from their states, which is what the
-        cross-process collection path needs (worker deltas folded into
-        the coordinator's registry must equal a single-registry run).
+        can be combined exactly from their states (the load generator
+        merges per-client latency distributions this way).
         """
         return {
             "count": self.count,
@@ -300,73 +294,6 @@ class MetricsRegistry:
                 for name, h in sorted(self._histograms.items())
             },
         }
-
-    # -- cross-process collection --------------------------------------
-    def state(self) -> dict:
-        """The registry as full-fidelity serializable data.
-
-        Counters and gauges carry their values; histograms carry raw
-        bucket states (:meth:`Histogram.state`), so a consumer can
-        :meth:`merge_state` exactly.  The payload is plain dict/list/
-        scalar data — pickleable across a process pool and JSON-safe
-        apart from integer bucket keys (which :meth:`Histogram.
-        merge_state` re-parses).
-        """
-        return {
-            "version": STATE_VERSION,
-            "counters": {
-                name: c.value for name, c in self._counters.items() if c.value
-            },
-            "gauges": {name: g.value for name, g in self._gauges.items()},
-            "histograms": {
-                name: h.state()
-                for name, h in self._histograms.items()
-                if h.count
-            },
-        }
-
-    def drain(self) -> dict:
-        """:meth:`state`, then reset counters and histograms (not gauges).
-
-        This is the worker side of the delta protocol: each call returns
-        exactly what was recorded since the previous one, so successive
-        drains merged anywhere sum to the ground truth.  Gauges are
-        last-value-wins measurements — their current value *is* the
-        delta — so they are reported but never zeroed.
-        """
-        state = self.state()
-        for counter in self._counters.values():
-            counter.reset()
-        for histogram in self._histograms.values():
-            histogram.reset()
-        return state
-
-    def merge_state(self, state: dict, *, label: str | None = None) -> None:
-        """Fold a :meth:`state`/:meth:`drain` payload into this registry.
-
-        With ``label``, every instrument lands under ``{name}.{label}``,
-        so a coordinator can keep worker deltas apart from its own:
-        ``registry.merge_state(delta, label="worker")`` records the
-        worker's ``pages.logical`` as ``pages.logical.worker``.
-
-        Counters and histogram states add; gauges overwrite (last value
-        wins, matching their semantics).  Merging is exact, so the sum
-        of worker deltas equals what one shared registry would have
-        recorded.
-        """
-        version = state.get("version", STATE_VERSION)
-        if version != STATE_VERSION:
-            raise ValueError(
-                f"cannot merge registry state version {version!r} "
-                f"(this process speaks {STATE_VERSION})"
-            )
-        suffix = f".{label}" if label else ""
-        for name, value in state.get("counters", {}).items():
-            self.counter(name + suffix).inc(value)
-        for name, value in state.get("gauges", {}).items():
-            self.gauge(name + suffix).set(value)
-        for name, hist_state in state.get("histograms", {}).items():
-            self.histogram(name + suffix).merge_state(hist_state)
 
     def reset(self) -> None:
         """Zero every instrument (start of an experiment)."""

@@ -42,12 +42,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.coordinator import ReadWriteLock, UpdateCoordinator
 from repro.serve.loadgen import LoadStats, closed_loop, mixed_workload, open_loop
 from repro.serve.server import QueryServer, run_server
-from repro.serve.telemetry import (
-    RequestContext,
-    SlowQueryLog,
-    TelemetryCollector,
-    new_request_id,
-)
+from repro.serve.telemetry import RequestContext, SlowQueryLog, new_request_id
 from repro.serve.top import render_dashboard, run_top
 
 __all__ = [
@@ -63,7 +58,6 @@ __all__ = [
     "ServeConfig",
     "ServeResponse",
     "SlowQueryLog",
-    "TelemetryCollector",
     "UpdateCoordinator",
     "closed_loop",
     "mixed_workload",

@@ -96,7 +96,7 @@ class _Bucket:
     callers that do not trace) aligned with ``nodes`` — a dispatched
     batch knows exactly which request identities it carries, and the
     dispatch callable can attach execution telemetry (pages, spans,
-    worker identity) back onto them.
+    epoch) back onto them.
     """
 
     __slots__ = ("key", "nodes", "futures", "contexts", "timer")
@@ -127,12 +127,9 @@ class Coalescer:
 
     ``dispatch(key, nodes)`` must return a list aligned with ``nodes``
     (exactly the contract of
-    :meth:`~repro.core.index.SignatureIndex.range_query_batch`), or an
-    awaitable resolving to one — the multi-process server returns an
-    executor future for the worker pool.  It is invoked synchronously on
-    the event loop, under ``gate()`` when one is provided (an awaitable
-    result is awaited while the gate is still held, so §5.4 updates
-    cannot land between dispatch and completion); if it raises, every
+    :meth:`~repro.core.index.SignatureIndex.range_query_batch`).  It is
+    invoked synchronously on the event loop, under ``gate()`` when one is
+    provided, so §5.4 updates cannot land mid-batch; if it raises, every
     waiter of that batch receives the exception.
 
     With ``max_batch=1`` every request dispatches immediately — the
@@ -225,8 +222,6 @@ class Coalescer:
                     )
                 else:
                     results = self._dispatch(bucket.key, bucket.nodes)
-                if inspect.isawaitable(results):
-                    results = await results
             for ctx in bucket.contexts:
                 if ctx is not None:
                     ctx.mark_execute()

@@ -47,22 +47,13 @@ class ServeConfig:
     * ``host`` / ``port`` — listen address (port 0 picks an ephemeral
       port, reported by :meth:`QueryServer.start`);
     * ``drain_timeout_s`` — how long graceful shutdown waits for
-      in-flight requests before closing connections anyway;
-    * ``workers`` — processes executing coalesced batches.  1 (the
-      default) runs batches on the event-loop process.  Above 1, the
-      server snapshots the index in the version-2 columnar format and
-      starts a :class:`~concurrent.futures.ProcessPoolExecutor` whose
-      workers each ``mmap`` that one snapshot — shared page cache, no
-      per-worker pickling — and replay the coordinator's update log
-      before answering (see :mod:`repro.serve.workers`);
-    * ``snapshot_dir`` — where the worker snapshot is written; ``None``
-      uses a temporary directory removed at shutdown.
+      in-flight requests before closing connections anyway.
 
     Observability (:mod:`repro.serve.telemetry`):
 
     * ``slow_query_ms`` — requests whose wall time crosses this are
       captured (identity, stage breakdown, batch membership, page
-      counts, worker span trees) into the ``/v1/debug`` ring; ``0``
+      counts, span trees) into the ``/v1/debug`` ring; ``0``
       disables capture entirely;
     * ``slow_query_log`` — optional path; captured records are appended
       there as JSON lines (the format in ``docs/OBSERVABILITY.md``);
@@ -80,8 +71,6 @@ class ServeConfig:
     degrade_latency_ms: float = 250.0
     ewma_alpha: float = 0.2
     drain_timeout_s: float = 5.0
-    workers: int = 1
-    snapshot_dir: str | None = None
     slow_query_ms: float = 250.0
     slow_query_log: str | None = None
     debug_ring: int = 64
@@ -105,8 +94,6 @@ class ServeConfig:
             raise QueryError(
                 f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
             )
-        if self.workers < 1:
-            raise QueryError(f"workers must be >= 1, got {self.workers}")
         if self.slow_query_ms < 0:
             raise QueryError(
                 f"slow_query_ms must be >= 0, got {self.slow_query_ms}"

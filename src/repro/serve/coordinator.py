@@ -120,17 +120,11 @@ class UpdateCoordinator:
     ) -> None:
         self.index = index
         self.lock = ReadWriteLock()
-        #: Monotonic update counter.  Each applied changeset bumps it
-        #: once and appends one ``(epoch, deltas)`` entry to
-        #: :attr:`update_log` (``deltas`` being the changeset's
-        #: ``(op, u, v, weight)`` tuples), which worker processes replay
-        #: to bring their mmapped snapshot up to the dispatching epoch
-        #: (see :mod:`repro.serve.workers`).  Failed updates never enter the
-        #: log, so workers only ever replay operations the primary
-        #: actually applied.  :meth:`compact` truncates entries every
-        #: worker has acknowledged.
+        #: Monotonic update counter: each applied non-empty changeset
+        #: bumps it once; failed and empty batches leave it unchanged.
+        #: ``ApplyResult.epoch`` and ``/healthz`` report it, so a client
+        #: can order its reads after its own acknowledged writes.
         self.epoch = 0
-        self.update_log: list[tuple[int, tuple]] = []
         self._pending: list[tuple[tuple, asyncio.Future]] = []
         self._flusher: asyncio.Task | None = None
         registry = registry if registry is not None else NULL_REGISTRY
@@ -143,10 +137,6 @@ class UpdateCoordinator:
         self._metric_batch_size = registry.histogram(
             "serve.update_batch_size"
         )
-        self._metric_compacted = registry.counter(
-            "serve.update_log.compacted"
-        )
-        self._metric_log_length = registry.gauge("serve.update_log.length")
 
     def read(self):
         """Shared-side context manager for query batches."""
@@ -245,34 +235,10 @@ class UpdateCoordinator:
         self._metric_update_seconds.observe(loop.time() - start)
         if changeset:
             self.epoch += 1
-            self.update_log.append((self.epoch, changeset.as_tuples()))
-            self._metric_log_length.set(len(self.update_log))
         result.epoch = self.epoch
         for future in futures:
             if not future.done():
                 future.set_result(result)
-
-    def compact(self, acknowledged_epoch: int) -> int:
-        """Drop log entries with ``epoch <= acknowledged_epoch``.
-
-        Call with the minimum epoch every worker process has replayed
-        (or the current epoch when no worker replays the log at all) —
-        entries at or below it can never be needed again, because
-        workers only replay forward from their last applied epoch.
-        Returns the number of entries dropped.
-        """
-        dropped = 0
-        if acknowledged_epoch > 0 and self.update_log:
-            before = len(self.update_log)
-            self.update_log = [
-                entry for entry in self.update_log
-                if entry[0] > acknowledged_epoch
-            ]
-            dropped = before - len(self.update_log)
-            if dropped:
-                self._metric_compacted.inc(dropped)
-        self._metric_log_length.set(len(self.update_log))
-        return dropped
 
     async def refresh_storage(self) -> None:
         """Re-pack the paged files under the write lock.

@@ -70,11 +70,10 @@ class LoadStats:
     def merge(self, other: "LoadStats") -> None:
         """Fold another run's tallies in (the per-user → total reduce).
 
-        The latency histogram merges through the same serializable-state
-        path the serving tier uses for worker deltas
+        The latency histogram merges exactly
         (:meth:`~repro.obs.metrics.Histogram.merge_state`), so the
-        merged p50/p95/p99 are exactly what one shared histogram would
-        have reported.
+        merged p50/p95/p99 are what one shared histogram would have
+        reported.
         """
         self.sent += other.sent
         self.ok += other.ok

@@ -16,9 +16,9 @@ the body wins where both supply a key):
 ``GET/POST /v1/distance``   ``node, object`` → exact network distance
 ``GET/POST /v1/aggregate``  ``node, radius, aggregate?`` → scalar
 ``POST /v1/edges``          ``op(add|remove|set_weight), u, v, weight?``
-``GET /healthz``            liveness + admission state + worker epochs
+``GET /healthz``            liveness + admission state + update epoch
 ``GET /metrics``            Prometheus text exposition (PR-2 exporter)
-``GET /v1/debug``           recent slow queries + per-worker health
+``GET /v1/debug``           recent slow queries + queue depths
 ======================  ====================================================
 
 Every query answer carries ``"approximate"``: ``false`` on the exact
@@ -37,11 +37,7 @@ import asyncio
 import json
 import logging
 import math
-import multiprocessing
 import signal
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
 import numpy as np
@@ -49,16 +45,11 @@ import numpy as np
 from repro.core.queries import KnnType
 from repro.errors import ReproError
 from repro.obs.export import metrics_to_prometheus
-from repro.serve import workers as worker_mod
 from repro.serve.admission import AdmissionController, Rejected, deadline_scope
 from repro.serve.batching import BatchKey, Coalescer
 from repro.serve.config import ServeConfig
 from repro.serve.coordinator import UpdateCoordinator
-from repro.serve.telemetry import (
-    RequestContext,
-    SlowQueryLog,
-    TelemetryCollector,
-)
+from repro.serve.telemetry import RequestContext, SlowQueryLog
 
 logger = logging.getLogger("repro.serve")
 
@@ -151,7 +142,6 @@ class QueryServer:
             gate=self.coordinator.read,
             registry=registry,
         )
-        self.telemetry = TelemetryCollector(registry)
         self.slow_log = SlowQueryLog(
             self.config.slow_query_ms,
             path=self.config.slow_query_log,
@@ -167,8 +157,6 @@ class QueryServer:
         self.backend = backend_of(index)
         registry.gauge(f"serve.build_info.backend.{self.backend}").set(1)
         self._server: asyncio.AbstractServer | None = None
-        self._pool: ProcessPoolExecutor | None = None
-        self._snapshot_tmp: tempfile.TemporaryDirectory | None = None
         self._connections: set[asyncio.StreamWriter] = set()
         self._active_requests = 0
         self._draining = False
@@ -177,32 +165,13 @@ class QueryServer:
         self.port = self.config.port
 
     # -- batched dispatch ----------------------------------------------
-    def _dispatch_batch(self, key: BatchKey, nodes, batch=None):
-        """Fan one coalesced batch out to the engine.
+    def _dispatch_batch(self, key: BatchKey, nodes, batch=None) -> list:
+        """Run one coalesced batch through the index's batch entry points.
 
-        Single-process (the default): calls the vectorized batch entry
-        points inline and returns the list.  With a worker pool: returns
-        a coroutine the coalescer awaits while still holding the
-        coordinator's read gate, so the ``(epoch, log)`` pair captured
-        at dispatch stays consistent until the answer lands.  ``batch``
-        (the coalescer's bucket, when provided) gets execution telemetry
-        attached — page counts, span trees, worker identity — for the
-        member requests' slow-query records.
-        """
-        if key.kind == "distance":
-            # Distance batches always execute on the coordinator index
-            # (the scalar path never used the pools either): the hub
-            # backend answers the whole batch in one vectorized
-            # label-join kernel pass, and every other index loops its
-            # scalar primitive.
-            return self._execute_local_batch(key, nodes, batch)
-        if self._pool is not None:
-            return self._dispatch_pool_batch(key, list(nodes), batch)
-        return self._execute_local_batch(key, nodes, batch)
-
-    def _execute_local_batch(self, key: BatchKey, nodes, batch=None) -> list:
-        """Single-process execution with inline telemetry capture.
-
+        Called by the coalescer on the event loop, under the
+        coordinator's read gate.  ``batch`` (the coalescer's bucket,
+        when provided) gets execution telemetry attached — page counts
+        and span trees — for the member requests' slow-query records.
         Tracing is scoped to the batch only when slow-query capture is
         on; the page-counter snapshot pair is two integer reads, cheap
         enough to take unconditionally.
@@ -245,43 +214,7 @@ class QueryServer:
                 pages_logical=delta.logical,
                 pages_physical=delta.physical,
                 spans=tracer.to_dicts() if tracer is not None else None,
-                worker_label="local",
                 epoch=self.coordinator.epoch,
-            )
-        return results
-
-    async def _dispatch_pool_batch(
-        self, key: BatchKey, nodes: list, batch=None
-    ) -> list:
-        """Flat-pool execution: one worker process answers the batch.
-
-        The worker returns ``(results, telemetry)``; the telemetry delta
-        folds into the server registry under the ``worker`` label —
-        additive across the pool, so summed worker counters equal the
-        single-process ground truth (per-process identity inside a
-        ``ProcessPoolExecutor`` is deliberately not exposed).
-        """
-        epoch = self.coordinator.epoch
-        loop = asyncio.get_running_loop()
-        results, telemetry = await loop.run_in_executor(
-            self._pool,
-            worker_mod.run_batch,
-            epoch,
-            tuple(self.coordinator.update_log),
-            key.kind,
-            nodes,
-            key.params,
-        )
-        self.telemetry.fold("worker", telemetry, coordinator_epoch=epoch)
-        self._maybe_compact()
-        if batch is not None:
-            pages = telemetry.get("pages", {})
-            batch.attach_execution(
-                pages_logical=pages.get("logical", 0),
-                pages_physical=pages.get("physical", 0),
-                spans=telemetry.get("spans"),
-                worker_label="worker",
-                epoch=telemetry.get("epoch"),
             )
         return results
 
@@ -450,7 +383,6 @@ class QueryServer:
         if weight is not None:
             weight = _as_float(weight, "weight")
         result = await self.coordinator.apply(op, u, v, weight)
-        self._maybe_compact()
         report = result.report
         return 200, {
             "op": op,
@@ -493,28 +425,6 @@ class QueryServer:
             "epoch": self.coordinator.epoch,
         }
 
-    def _maybe_compact(self) -> None:
-        """Drop update-log entries every worker has acknowledged.
-
-        Single-process serving keeps no replaying workers, so the log
-        compacts to the current epoch outright.  With pools, the bound
-        is the minimum epoch over every expected worker *process*
-        (:meth:`TelemetryCollector.min_acknowledged_epoch`) — ``None``
-        (a worker that has not reported yet) defers compaction, and
-        :func:`repro.serve.workers._catch_up` raising on a truncated
-        log is the backstop if this invariant is ever broken.
-        """
-        if not self.coordinator.update_log:
-            return
-        if self._pool is None:
-            self.coordinator.compact(self.coordinator.epoch)
-            return
-        acknowledged = self.telemetry.min_acknowledged_epoch(
-            {"worker": self.config.workers}
-        )
-        if acknowledged is not None:
-            self.coordinator.compact(acknowledged)
-
     def _handle_healthz(self) -> tuple[int, dict]:
         status = "draining" if self._draining else "ok"
         payload = {
@@ -527,12 +437,9 @@ class QueryServer:
             "nodes": self.index.network.num_nodes,
             "objects": len(self.index.dataset),
             "backend": self.backend,
-            "workers": self.config.workers,
-            # §5.4 staleness at a glance: the coordinator's update epoch
-            # and, per worker label, the epoch each worker last replayed
-            # (populated lazily — a worker appears after its first batch).
+            # The coordinator's update epoch: one step per applied
+            # changeset, the same number /v1/edges acknowledges.
             "epoch": self.coordinator.epoch,
-            "epochs": dict(sorted(self.telemetry.epochs.items())),
             # Distance scale of the served index: remote clients (the
             # load generator in particular) need it to form radii that
             # land in a chosen category band.
@@ -543,14 +450,12 @@ class QueryServer:
         return (503 if self._draining else 200), payload
 
     def _handle_debug(self) -> tuple[int, dict]:
-        """Recent slow queries + per-worker health (``GET /v1/debug``)."""
-        epoch = self.coordinator.epoch
+        """Recent slow queries + queue depths (``GET /v1/debug``)."""
         payload = {
-            "epoch": epoch,
+            "epoch": self.coordinator.epoch,
             "slow_query_threshold_ms": self.slow_log.threshold_ms,
             "slow_queries_recorded": self.slow_log.recorded,
             "slow_queries": self.slow_log.recent(),
-            "workers": self.telemetry.health(epoch),
             "pending": self.admission.pending,
             "coalescer_buffered": self.coalescer.pending,
         }
@@ -784,59 +689,8 @@ class QueryServer:
         await writer.drain()
 
     # -- lifecycle -----------------------------------------------------
-    def _start_pool(self) -> None:
-        """Snapshot the index (its natural format) and fork the worker pool.
-
-        Every worker memory-maps the one snapshot (copy-on-write), so
-        N workers cost one page-cache copy of the index and zero pickle
-        traffic.  The primary keeps its in-memory index for the
-        non-batched endpoints (``/v1/distance``, ``/v1/aggregate``,
-        degraded answers) and for applying §5.4 updates.
-        """
-        snapshot = self._snapshot_path()
-        from repro.core.persistence import save_index
-
-        # Natural-format dispatch: v2 for a monolithic signature index,
-        # the backend's own registered format for repro.backends indexes
-        # — workers load whatever magic the snapshot declares.
-        save_index(self.index, snapshot)
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX
-            ctx = multiprocessing.get_context()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.config.workers,
-            mp_context=ctx,
-            initializer=worker_mod.init_worker,
-            initargs=(str(snapshot),),
-        )
-        # Startup barrier: fail fast (and not on the first query) if the
-        # snapshot cannot be mapped.
-        for future in [
-            self._pool.submit(worker_mod.warm)
-            for _ in range(self.config.workers)
-        ]:
-            future.result()
-        logger.info(
-            "worker pool up: %d processes mapping %s",
-            self.config.workers,
-            snapshot,
-        )
-
-    def _snapshot_path(self) -> Path:
-        if self.config.snapshot_dir is not None:
-            snapshot = Path(self.config.snapshot_dir)
-            snapshot.mkdir(parents=True, exist_ok=True)
-            return snapshot
-        self._snapshot_tmp = tempfile.TemporaryDirectory(
-            prefix="repro-serve-"
-        )
-        return Path(self._snapshot_tmp.name)
-
     async def start(self) -> None:
         """Bind and start accepting; resolves :attr:`port` when 0."""
-        if self.config.workers > 1 and self._pool is None:
-            self._start_pool()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -872,12 +726,6 @@ class QueryServer:
             await self.coalescer.drain()
         for writer in list(self._connections):
             writer.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        if self._snapshot_tmp is not None:
-            self._snapshot_tmp.cleanup()
-            self._snapshot_tmp = None
         self.slow_log.close()
         self._stopped.set()
         logger.info(

@@ -1,35 +1,23 @@
-"""Per-request identity, stage timing, slow queries, worker telemetry.
+"""Per-request identity, stage timing, and slow-query capture.
 
-Multi-process serving runs batches in worker processes (a
-``ProcessPoolExecutor``, each worker with its own registry), which makes
-two things invisible from the coordinator: *what a request cost*
-(worker-side page counters never reach ``/metrics``) and *who a request
-was* (coalescing dissolves requests into anonymous batches).  This
-module restores both:
+Coalescing dissolves requests into anonymous batches, and ``/metrics``
+only reports totals, so neither says *who a request was* or *what it
+cost*.  This module keeps both:
 
 * :func:`new_request_id` / :class:`RequestContext` — every request gets
   an identity at HTTP ingress (client-supplied ``X-Request-Id`` wins)
   and a timestamp at each stage of its life.  The stage durations
   telescope — ``queue`` (ingress → admitted/submitted), ``coalesce``
-  (buffered in a bucket), ``execute`` (engine/worker time), ``stitch``
+  (buffered in a bucket), ``execute`` (engine time), ``stitch``
   (result assembly + response serialization) — so their sum equals the
   request's wall time by construction, and is rendered as a standard
   ``Server-Timing`` header clients and tests can read back.
 
 * :class:`SlowQueryLog` — requests whose wall time exceeds a threshold
   are captured as JSON records (identity, stages, batch membership, page
-  counts, worker span trees) into a bounded in-memory ring served by
+  counts, span trees) into a bounded in-memory ring served by
   ``GET /v1/debug`` and, when configured, appended as JSON lines to a
   file for offline digestion.
-
-* :class:`TelemetryCollector` — the coordinator side of the
-  cross-process delta protocol.  Workers return
-  :meth:`~repro.obs.metrics.MetricsRegistry.drain` payloads (plus their
-  applied epoch, busy time, and compact span trees) alongside batch
-  results; the collector folds each payload into the server's registry
-  under the worker's label (``pages.logical.worker``), and maintains the
-  serving-tier gauges: per-label applied epoch, epoch lag (coordinator
-  epoch minus last replayed), cumulative busy seconds, and utilization.
 """
 
 from __future__ import annotations
@@ -42,15 +30,12 @@ import threading
 from collections import deque
 from time import perf_counter, time
 
-from repro.obs.metrics import MetricsRegistry
-
 logger = logging.getLogger("repro.serve.telemetry")
 
 __all__ = [
     "new_request_id",
     "RequestContext",
     "SlowQueryLog",
-    "TelemetryCollector",
 ]
 
 #: The stages of a served request, in lifecycle order.  Their durations
@@ -103,7 +88,6 @@ class RequestContext:
         "pages_logical",
         "pages_physical",
         "spans",
-        "worker_label",
         "epoch",
     )
 
@@ -120,7 +104,6 @@ class RequestContext:
         self.pages_logical = 0
         self.pages_physical = 0
         self.spans: list[dict] = []
-        self.worker_label: str | None = None
         self.epoch: int | None = None
 
     # -- stage marks ---------------------------------------------------
@@ -200,10 +183,9 @@ class RequestContext:
         pages_logical: int = 0,
         pages_physical: int = 0,
         spans: list[dict] | None = None,
-        worker_label: str | None = None,
         epoch: int | None = None,
     ) -> None:
-        """Record what the request's batch cost and where it ran.
+        """Record what the request's batch cost and the epoch it saw.
 
         Page counts and spans are *batch-level* (the batch is the unit
         of execution; per-member attribution would be fiction) — the
@@ -213,8 +195,6 @@ class RequestContext:
         self.pages_physical = int(pages_physical)
         if spans:
             self.spans = spans
-        if worker_label is not None:
-            self.worker_label = worker_label
         if epoch is not None:
             self.epoch = epoch
 
@@ -239,8 +219,6 @@ class RequestContext:
         }
         if params:
             record["params"] = params
-        if self.worker_label is not None:
-            record["worker"] = self.worker_label
         if self.epoch is not None:
             record["epoch"] = self.epoch
         if self.spans:
@@ -317,144 +295,3 @@ class SlowQueryLog:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
-
-
-class TelemetryCollector:
-    """Folds worker-side telemetry into the coordinator's registry.
-
-    One instance per :class:`~repro.serve.QueryServer`.  Every batch a
-    worker executes comes back with a telemetry payload::
-
-        {"epoch": int,          # last replayed update epoch
-         "busy_s": float,       # worker-side execution wall time
-         "metrics": {...},      # MetricsRegistry.drain() state
-         "pages": {"logical": int, "physical": int},
-         "spans": [...]}        # compact span-tree dicts
-
-    :meth:`fold` merges the metric delta under the worker's label (so
-    ``/metrics`` reports ``pages.logical.worker`` next to the
-    coordinator's own counters), folds the page delta in as counters,
-    and refreshes the serving-tier gauges:
-
-    * ``serve.worker_epoch.{label}`` — last replayed epoch;
-    * ``serve.epoch_lag.{label}`` — coordinator epoch minus that (the
-      staleness signal rotation/chaos tooling polls);
-    * ``serve.worker_busy_seconds.{label}`` — cumulative execution time;
-    * ``serve.worker_utilization.{label}`` — busy time over wall time
-      since the collector started (0..1 per worker).
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self.started = perf_counter()
-        #: Last replayed epoch per worker label (healthz's ``epochs``).
-        self.epochs: dict[str, int] = {}
-        #: Last replayed epoch per (label, worker pid).  Pool labels
-        #: alias many processes under one name; update-log compaction
-        #: needs the minimum over *processes* (a process that has not
-        #: replayed past epoch E still needs entries above its own
-        #: applied epoch), so the per-label last-wins view above is not
-        #: enough.  See :meth:`min_acknowledged_epoch`.
-        self.pid_epochs: dict[str, dict[int, int]] = {}
-        #: Cumulative worker-side busy seconds per label.
-        self.busy_s: dict[str, float] = {}
-        #: Batches folded per label.
-        self.batches: dict[str, int] = {}
-
-    def fold(
-        self,
-        label: str,
-        telemetry: dict | None,
-        *,
-        coordinator_epoch: int = 0,
-    ) -> None:
-        """Merge one worker telemetry payload under ``label``."""
-        if not telemetry:
-            return
-        metrics_state = telemetry.get("metrics")
-        if metrics_state:
-            self.registry.merge_state(metrics_state, label=label)
-        pages = telemetry.get("pages") or {}
-        if pages.get("logical"):
-            self.registry.counter(f"pages.logical.{label}").inc(
-                int(pages["logical"])
-            )
-        if pages.get("physical"):
-            self.registry.counter(f"pages.physical.{label}").inc(
-                int(pages["physical"])
-            )
-        epoch = telemetry.get("epoch")
-        if epoch is not None:
-            epoch = int(epoch)
-            self.epochs[label] = epoch
-            pid = telemetry.get("pid")
-            if pid is not None:
-                self.pid_epochs.setdefault(label, {})[int(pid)] = epoch
-            self.registry.gauge(f"serve.worker_epoch.{label}").set(epoch)
-            self.registry.gauge(f"serve.epoch_lag.{label}").set(
-                max(coordinator_epoch - epoch, 0)
-            )
-        busy = float(telemetry.get("busy_s", 0.0))
-        if busy:
-            total = self.busy_s.get(label, 0.0) + busy
-            self.busy_s[label] = total
-            self.registry.histogram(
-                f"serve.worker_batch_seconds.{label}"
-            ).observe(busy)
-            elapsed = max(perf_counter() - self.started, 1e-9)
-            self.registry.gauge(f"serve.worker_utilization.{label}").set(
-                min(total / elapsed, 1.0)
-            )
-        self.batches[label] = self.batches.get(label, 0) + 1
-
-    def min_acknowledged_epoch(
-        self, expected: dict[str, int]
-    ) -> int | None:
-        """The epoch every expected worker process has replayed past.
-
-        ``expected`` maps each pool label to how many worker processes
-        serve under it (``{"worker": config.workers}`` for the pool).
-        Returns the minimum epoch over every reporting process — the
-        compaction bound: log entries at or below it can never be
-        replayed again — or ``None``
-        when it cannot be established safely: a label has not reported
-        at all, or has reported from fewer distinct pids than expected
-        (``ProcessPoolExecutor`` spawns workers lazily, so an unseen pid
-        may sit at epoch 0 and still need the whole log).
-        """
-        floor: int | None = None
-        for label, count in expected.items():
-            pids = self.pid_epochs.get(label)
-            if not pids or len(pids) < count:
-                return None
-            label_min = min(pids.values())
-            floor = label_min if floor is None else min(floor, label_min)
-        return floor
-
-    def epoch_lag(self, coordinator_epoch: int) -> dict[str, int]:
-        """Per-label staleness: coordinator epoch minus last replayed."""
-        return {
-            label: max(coordinator_epoch - epoch, 0)
-            for label, epoch in sorted(self.epochs.items())
-        }
-
-    def health(self, coordinator_epoch: int) -> dict[str, dict]:
-        """Per-worker health summary for ``/v1/debug``."""
-        elapsed = max(perf_counter() - self.started, 1e-9)
-        out: dict[str, dict] = {}
-        for label in sorted(
-            set(self.epochs) | set(self.busy_s) | set(self.batches)
-        ):
-            busy = self.busy_s.get(label, 0.0)
-            entry = {
-                "batches": self.batches.get(label, 0),
-                "busy_seconds": round(busy, 6),
-                "utilization": round(min(busy / elapsed, 1.0), 6),
-            }
-            if label in self.epochs:
-                entry["epoch"] = self.epochs[label]
-                entry["epoch_lag"] = max(
-                    coordinator_epoch - self.epochs[label], 0
-                )
-            out[label] = entry
-        return out

@@ -4,9 +4,7 @@ Scrapes a serving process's Prometheus exposition on an interval and
 renders the serving tier's vital signs the way ``top(1)`` renders a
 host's: request/batch rates (derived from counter deltas between
 scrapes), queue depth and latency EWMA (gauges, read directly), the
-coalesce batch-size distribution, and one row per worker label with the
-counters the cross-process telemetry protocol folds in — pages/s, epoch
-lag, utilization.
+coalesce batch-size distribution, and served latency quantiles.
 
 The scrape side is :func:`repro.obs.export.parse_prometheus_text`; no
 server-side support beyond ``/metrics`` is needed, so the dashboard
@@ -18,17 +16,12 @@ asyncio shell around it.
 from __future__ import annotations
 
 import asyncio
-import re
 import time
 
 from repro.obs.export import parse_prometheus_text
 from repro.serve.client import ServeClient
 
-__all__ = ["TopSnapshot", "discover_worker_labels", "render_dashboard", "run_top"]
-
-_WORKER_METRIC = re.compile(
-    r"^repro_(?:serve_worker_epoch|pages_logical)_([A-Za-z0-9]+)(?:_total)?$"
-)
+__all__ = ["TopSnapshot", "render_dashboard", "run_top"]
 
 
 class TopSnapshot:
@@ -44,23 +37,6 @@ class TopSnapshot:
 
     def value(self, name: str, default: float = 0.0) -> float:
         return self.samples.get(name, default)
-
-
-def discover_worker_labels(samples: dict[str, float]) -> list[str]:
-    """Worker labels present in a scrape (``worker`` for the pool).
-
-    Labels are discovered, not configured: a worker appears in
-    ``/metrics`` after its first folded batch, so the dashboard's rows
-    grow as traffic reaches the pool.
-    """
-    labels = set()
-    for name in samples:
-        match = _WORKER_METRIC.match(name)
-        # "total"/"logical"/"physical" are suffix fragments of the
-        # unlabelled counters (repro_pages_logical_total), not workers.
-        if match and match.group(1) not in ("logical", "physical", "total"):
-            labels.add(match.group(1))
-    return sorted(labels)
 
 
 def _rate(
@@ -120,31 +96,6 @@ def render_dashboard(
         f"  latency p50 {lat_p50 * 1e3:8.2f} ms    "
         f"latency p99 {lat_p99 * 1e3:8.2f} ms"
     )
-
-    labels = discover_worker_labels(current.samples)
-    if labels:
-        lines.append("")
-        lines.append(
-            f"  {'worker':<10} {'pages/s':>10} {'phys/s':>10} "
-            f"{'batches':>9} {'epoch':>7} {'lag':>5} {'util':>6}"
-        )
-        for label in labels:
-            pages_s = _rate(
-                current, previous, f"repro_pages_logical_{label}_total"
-            )
-            physical_s = _rate(
-                current, previous, f"repro_pages_physical_{label}_total"
-            )
-            batches = current.value(
-                f"repro_serve_worker_batch_seconds_{label}_count"
-            )
-            epoch = current.value(f"repro_serve_worker_epoch_{label}")
-            lag = current.value(f"repro_serve_epoch_lag_{label}")
-            util = current.value(f"repro_serve_worker_utilization_{label}")
-            lines.append(
-                f"  {label:<10} {pages_s:>10.1f} {physical_s:>10.1f} "
-                f"{batches:>9.0f} {epoch:>7.0f} {lag:>5.0f} {util:>6.1%}"
-            )
     return "\n".join(lines)
 
 

@@ -353,6 +353,46 @@ class TestOperations:
 
         assert asyncio.run(main()) == (200, 200)
 
+    def test_update_then_query_never_stale(self, small_net, small_objs):
+        """Dijkstra-oracle stress: interleave edge updates and range
+        queries over HTTP; every acknowledged update must be visible to
+        every later query."""
+        from repro.core import SignatureIndex
+        from repro.network.dijkstra import shortest_path_tree
+
+        network = small_net.copy()
+        index = SignatureIndex.build(
+            network, small_objs, backend="scipy", keep_trees=True
+        )
+        objects = list(small_objs)
+
+        def oracle_range(node, radius):
+            tree = shortest_path_tree(network, node)
+            return sorted(
+                obj for obj in objects if tree.distance[obj] <= radius
+            )
+
+        async def main():
+            async with serving(index, max_wait_ms=0.5) as (server, client):
+                edges = []
+                for u in range(0, 30, 3):
+                    for v, w in network.neighbors(u):
+                        edges.append((u, v, w))
+                        break
+                for step, (u, v, w) in enumerate(edges):
+                    response = await client.update_edge(
+                        "set_weight", u, v, weight=w * (2.0 + step % 3)
+                    )
+                    assert response.status == 200
+                    for node in (u, 42, 250):
+                        served = await client.range(node, 45.0)
+                        assert served.status == 200
+                        assert sorted(served.payload["objects"]) == (
+                            oracle_range(node, 45.0)
+                        ), f"stale answer after update {step} at node {node}"
+
+        asyncio.run(main())
+
 
 class TestDegradedMode:
     def test_overloaded_server_answers_approximately(self, updatable_index):

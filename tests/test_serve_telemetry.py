@@ -1,11 +1,9 @@
-"""Request identity, stage timing, slow queries, and worker telemetry.
+"""Request identity, stage timing, slow queries, and the top dashboard.
 
 End-to-end checks of the observability layer: request ids round-trip
 through headers and payloads, the ``Server-Timing`` stage breakdown
-telescopes to the measured wall time, slow queries land in the debug
-ring (and the JSON-lines file), and worker-side page counters folded
-across process boundaries sum to exactly what a single process charges
-for the same queries.
+telescopes to the measured wall time, and slow queries land in the
+debug ring (and the JSON-lines file).
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import json
 
 import pytest
 
-from repro.core import SignatureIndex, load_index
 from repro.obs.export import metrics_to_prometheus, parse_prometheus_text
 from repro.serve import (
     LoadStats,
@@ -25,11 +22,10 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
     SlowQueryLog,
-    TelemetryCollector,
     new_request_id,
     render_dashboard,
 )
-from repro.serve.top import TopSnapshot, discover_worker_labels
+from repro.serve.top import TopSnapshot
 
 QUERY_NODES = [0, 17, 42, 128, 250, 299]
 
@@ -152,58 +148,6 @@ class TestSlowQueryLog:
         assert log.path is None  # the sink turned itself off
 
 
-class TestTelemetryCollector:
-    def _payload(self, *, epoch=3, logical=10, physical=4, busy=0.5):
-        return {
-            "epoch": epoch,
-            "busy_s": busy,
-            "metrics": {"version": 1, "counters": {"knn.pruned": 2}},
-            "pages": {"logical": logical, "physical": physical},
-            "spans": [],
-        }
-
-    def test_fold_labels_and_gauges(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        collector = TelemetryCollector(registry)
-        collector.fold("worker", self._payload(), coordinator_epoch=5)
-        counters = registry.snapshot()["counters"]
-        assert counters["pages.logical.worker"] == 10
-        assert counters["pages.physical.worker"] == 4
-        assert counters["knn.pruned.worker"] == 2
-        gauges = registry.snapshot()["gauges"]
-        assert gauges["serve.worker_epoch.worker"] == 3
-        assert gauges["serve.epoch_lag.worker"] == 2
-        assert collector.epochs == {"worker": 3}
-        assert collector.epoch_lag(5) == {"worker": 2}
-
-    def test_fold_accumulates_and_health(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        collector = TelemetryCollector(registry)
-        collector.fold("worker", self._payload(logical=7))
-        collector.fold("worker", self._payload(logical=5, epoch=4))
-        counters = registry.snapshot()["counters"]
-        assert counters["pages.logical.worker"] == 12
-        health = collector.health(4)
-        assert health["worker"]["batches"] == 2
-        assert health["worker"]["epoch"] == 4
-        assert health["worker"]["epoch_lag"] == 0
-        assert 0.0 <= health["worker"]["utilization"] <= 1.0
-
-    def test_empty_and_none_payloads_ignored(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        collector = TelemetryCollector(registry)
-        collector.fold("worker", None)
-        collector.fold("worker", {})
-        assert registry.snapshot()["counters"] == {}
-        assert collector.epochs == {}
-
-
 class TestRequestIdEndToEnd:
     def test_server_mints_header_and_payload(self, sig_index):
         async def main():
@@ -298,7 +242,7 @@ class TestDebugSurfaces:
                 assert record["path"] == "/v1/range"
                 assert record["status"] == 200
                 assert record["batch"]["pages_logical"] >= 0
-                assert record["worker"] == "local"
+                assert record["epoch"] == 0
 
         asyncio.run(main())
         lines = [
@@ -308,47 +252,13 @@ class TestDebugSurfaces:
         ]
         assert lines and all("request_id" in r for r in lines)
 
-    def test_healthz_reports_epoch_and_worker_epochs(self, sig_index):
+    def test_healthz_reports_epoch(self, sig_index):
         async def main():
             async with serving(sig_index) as (server, client):
                 health = await client.healthz()
                 assert health.payload["epoch"] == 0
-                assert health.payload["epochs"] == {}
 
         asyncio.run(main())
-
-
-class TestCrossProcessExactness:
-    """The acceptance bar: worker counters folded across process
-    boundaries must sum to exactly the single-process ground truth."""
-
-    def test_flat_pool_pages_equal_single_process(self, sig_index, tmp_path):
-        """Sequential range queries through 2 workers: the summed
-        ``pages.logical.worker`` counter equals a single process running
-        the same batches over the same snapshot."""
-        snapshot = tmp_path / "snap"
-        radius = 70.0
-
-        async def main():
-            async with serving(
-                sig_index, workers=2, snapshot_dir=str(snapshot)
-            ) as (server, client):
-                for node in QUERY_NODES:
-                    response = await client.range(node, radius)
-                    assert response.status == 200
-                counters = server._registry.snapshot()["counters"]
-                return counters
-
-        counters = asyncio.run(main())
-        served_pages = counters.get("pages.logical.worker", 0)
-        assert served_pages > 0
-
-        ground = load_index(str(snapshot))
-        before = ground.counter.snapshot()
-        for node in QUERY_NODES:
-            ground.range_query_batch([node], radius)
-        expected = ground.counter.delta(before).logical
-        assert served_pages == expected
 
 
 class TestClientAndLoadStats:
@@ -397,43 +307,25 @@ class TestTopDashboard:
         assert samples["repro_serve_requests_total"] == 12
         assert samples["repro_pages_logical_pool0_total"] == 34
 
-    def test_discover_worker_labels(self):
-        samples = {
-            "repro_pages_logical_pool0_total": 1.0,
-            "repro_pages_logical_worker_total": 2.0,
-            "repro_serve_worker_epoch_pool2": 3.0,
-            "repro_pages_logical_total": 9.0,  # unlabelled: not a worker
-        }
-        assert discover_worker_labels(samples) == [
-            "pool0",
-            "pool2",
-            "worker",
-        ]
-
-    def test_render_dashboard_rates_and_worker_rows(self):
+    def test_render_dashboard_rates(self):
         first = TopSnapshot(
             {
                 "repro_serve_requests_total": 100.0,
-                "repro_pages_logical_pool0_total": 50.0,
-                "repro_serve_worker_epoch_pool0": 2.0,
-                "repro_serve_epoch_lag_pool0": 1.0,
+                "repro_serve_batches_total": 10.0,
             },
             taken_at=10.0,
         )
         second = TopSnapshot(
             {
                 "repro_serve_requests_total": 150.0,
-                "repro_pages_logical_pool0_total": 90.0,
-                "repro_serve_worker_epoch_pool0": 2.0,
-                "repro_serve_epoch_lag_pool0": 1.0,
+                "repro_serve_batches_total": 50.0,
             },
             taken_at=12.0,
         )
         frame = render_dashboard(second, first, target="unit:0")
         assert "unit:0" in frame
         assert "requests/s      25.0" in frame
-        assert "pool0" in frame
-        assert "20.0" in frame  # pages/s for pool0
+        assert "batches/s      20.0" in frame
 
     def test_first_frame_has_zero_rates(self):
         frame = render_dashboard(

@@ -258,15 +258,11 @@ class TestCoordinatorBatching:
 
         results = asyncio.run(main())
         # All six writes landed in one changeset: one epoch, one shared
-        # ApplyResult, one (epoch, deltas) log entry.
+        # ApplyResult.
         assert coordinator.epoch == 1
         assert all(r is results[0] for r in results)
         assert results[0].epoch == 1
         assert results[0].applied == len(edges)
-        assert len(coordinator.update_log) == 1
-        epoch, deltas = coordinator.update_log[0]
-        assert epoch == 1
-        assert len(deltas) == len(edges)
         assert registry.counter("serve.update_batches").value == 1
         for (u, v), weight in zip(edges, (2.0, 3.0, 4.0, 5.0, 6.0, 7.0)):
             assert coordinator.index.network.edge_weight(u, v) == weight
@@ -285,9 +281,8 @@ class TestCoordinatorBatching:
 
         result = asyncio.run(main())
         assert result.epoch == 1
-        assert coordinator.update_log == [
-            (1, (("set_weight", edge[0], edge[1], 3.25),))
-        ]
+        assert result.applied == 1
+        assert coordinator.index.network.edge_weight(*edge) == 3.25
 
     def test_bad_request_is_a_query_error(self, serving_world):
         network, dataset = serving_world
@@ -340,30 +335,8 @@ class TestCoordinatorBatching:
             )
 
         first, second = asyncio.run(main())
-        # add+remove coalesce to nothing: no epoch, no log entry, and
-        # the edge never existed.
+        # add+remove coalesce to nothing: no epoch, and the edge never
+        # existed.
         assert first.applied == 0 and second.applied == 0
         assert coordinator.epoch == 0
-        assert coordinator.update_log == []
         assert not coordinator.index.network.has_edge(u, v)
-
-    def test_compact_drops_acknowledged_entries(self, serving_world):
-        network, dataset = serving_world
-        coordinator, registry = _coordinator(network, dataset)
-        edges = sorted(
-            (min(e.u, e.v), max(e.u, e.v)) for e in network.edges()
-        )[:3]
-
-        async def main():
-            for u, v in edges:
-                await coordinator.apply("set_weight", u, v, 4.0)
-
-        asyncio.run(main())
-        assert coordinator.epoch == 3
-        assert len(coordinator.update_log) == 3
-        assert coordinator.compact(0) == 0
-        assert coordinator.compact(2) == 2
-        assert [entry[0] for entry in coordinator.update_log] == [3]
-        assert coordinator.compact(coordinator.epoch) == 1
-        assert coordinator.update_log == []
-        assert registry.counter("serve.update_log.compacted").value == 3
