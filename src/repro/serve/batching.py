@@ -1,14 +1,28 @@
-"""Micro-batching request coalescer.
+"""Group-commit request coalescer.
 
 Concurrent clients each ask one question about one node; the vectorized
-engine (PR 1) answers B questions in one ``(B, D)`` sweep for barely more
+engine answers B questions in one ``(B, D)`` sweep for barely more
 than the cost of one.  The coalescer is the adapter between the two
 shapes: single-node requests that share *compatible parameters* (same
 query kind, same radius / k / flags) land in one bucket, the bucket is
 dispatched through ``range_query_batch`` / ``knn_batch`` /
-``distance_batch`` when it fills
-(``max_batch``) or after a short linger (``max_wait_ms``), and each
-caller gets exactly the slice of the batched answer that is theirs.
+``distance_batch``, and each caller gets exactly the slice of the
+batched answer that is theirs.
+
+Buckets dispatch by *group commit*, never by a fixed linger:
+
+* a request that opens a bucket while no batch of its key is in flight
+  dispatches on the next event-loop turn, together with every
+  same-key request parsed in the current turn — a lone request does not
+  wait for company;
+* while a batch of that key is in flight (waiting for the gate,
+  executing, or handing its results back), new requests fill the next
+  bucket, which dispatches when the in-flight batch finishes, when it
+  holds ``max_batch`` requests, or after ``max_wait_ms``, whichever
+  comes first.
+
+``max_wait_ms`` is therefore the longest a request waits behind an
+in-flight batch of its kind; a lone request dispatches at once.
 
 The dispatch callable runs synchronously on the event loop — see the
 "Concurrency" section of :class:`~repro.core.index.SignatureIndex`: the
@@ -25,7 +39,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import inspect
 from collections.abc import Callable, Hashable, Sequence
 from typing import Any
 
@@ -33,29 +46,16 @@ from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 
 __all__ = ["BatchKey", "Coalescer"]
 
-
-def _wants_batch(dispatch: Callable) -> bool:
-    """Whether ``dispatch`` accepts the bucket as a third positional arg.
-
-    The richer ``dispatch(key, nodes, batch)`` contract carries request
-    identities and telemetry hooks; the classic two-argument form stays
-    supported so engine-only dispatchers (and existing tests) need not
-    care about serving telemetry.
-    """
-    try:
-        parameters = inspect.signature(dispatch).parameters.values()
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    positional = 0
-    for parameter in parameters:
-        if parameter.kind is inspect.Parameter.VAR_POSITIONAL:
-            return True
-        if parameter.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            positional += 1
-    return positional >= 3
+#: Event-loop turns a finished batch stays in flight after resolving its
+#: futures.  The sweep runs synchronously, so requests that arrive while
+#: it holds the loop wait in socket buffers: one turn hands their bytes
+#: to the stream readers, the next runs the handlers that parse and
+#: submit them.  Holding the batch in flight through both lets them fill
+#: the bucket behind it instead of opening small fresh buckets (64
+#: closed-loop clients, 6000-node demo index, 2-vCPU KVM guest: mean
+#: batch 21 with one turn, 30 with two, 32 with three).  An idle loop
+#: turns in microseconds.
+_SETTLE_TURNS = 2
 
 
 class BatchKey:
@@ -89,24 +89,26 @@ class BatchKey:
 
 
 class _Bucket:
-    """One in-formation batch: nodes, futures, contexts, a linger timer.
+    """One in-formation batch: nodes, futures, contexts, its flush handle.
 
     ``contexts`` holds each member's
     :class:`~repro.serve.telemetry.RequestContext` (or ``None`` for
     callers that do not trace) aligned with ``nodes`` — a dispatched
     batch knows exactly which request identities it carries, and the
     dispatch callable can attach execution telemetry (pages, spans,
-    epoch) back onto them.
+    epoch) back onto them.  ``flush_handle`` is the scheduled flush:
+    next turn when no batch of the key is in flight, the ``max_wait_ms``
+    cap when one is.
     """
 
-    __slots__ = ("key", "nodes", "futures", "contexts", "timer")
+    __slots__ = ("key", "nodes", "futures", "contexts", "flush_handle")
 
     def __init__(self, key: BatchKey) -> None:
         self.key = key
         self.nodes: list[int] = []
         self.futures: list[asyncio.Future] = []
         self.contexts: list = []
-        self.timer: asyncio.TimerHandle | None = None
+        self.flush_handle: asyncio.Handle | None = None
 
     @property
     def request_ids(self) -> list[str]:
@@ -123,22 +125,30 @@ class _Bucket:
 
 
 class Coalescer:
-    """Buffers single-node requests into parameter-compatible batches.
+    """Group-commits single-node requests into parameter-compatible batches.
 
-    ``dispatch(key, nodes)`` must return a list aligned with ``nodes``
-    (exactly the contract of
-    :meth:`~repro.core.index.SignatureIndex.range_query_batch`).  It is
-    invoked synchronously on the event loop, under ``gate()`` when one is
+    ``dispatch(key, nodes, batch)`` must return a list aligned with
+    ``nodes`` (exactly the contract of
+    :meth:`~repro.core.index.SignatureIndex.range_query_batch`); ``batch``
+    is the bucket being dispatched, onto which the callable may attach
+    execution telemetry for the member requests.  It is invoked
+    synchronously on the event loop, under ``gate()`` when one is
     provided, so §5.4 updates cannot land mid-batch; if it raises, every
     waiter of that batch receives the exception.
 
-    With ``max_batch=1`` every request dispatches immediately — the
-    uncoalesced baseline the serving benchmark compares against.
+    A bucket whose key has no batch in flight dispatches on the next
+    event-loop turn.  Behind an in-flight batch of the same key, a bucket
+    fills until that batch finishes, ``max_batch`` requests join, or
+    ``max_wait_ms`` passes — ``max_wait_ms`` is the longest a request
+    waits behind an in-flight batch of its kind; a lone request
+    dispatches at once.  With ``max_batch=1`` every request dispatches
+    immediately — the uncoalesced baseline the serving benchmark
+    compares against.
     """
 
     def __init__(
         self,
-        dispatch: Callable[[BatchKey, Sequence[int]], list],
+        dispatch: Callable[[BatchKey, Sequence[int], _Bucket], list],
         *,
         max_batch: int = 64,
         max_wait_ms: float = 2.0,
@@ -146,11 +156,12 @@ class Coalescer:
         registry: MetricsRegistry | None = None,
     ) -> None:
         self._dispatch = dispatch
-        self._dispatch_wants_batch = _wants_batch(dispatch)
         self._gate = gate
         self.max_batch = max(int(max_batch), 1)
         self.max_wait = max(float(max_wait_ms), 0.0) / 1_000.0
         self._buckets: dict[BatchKey, _Bucket] = {}
+        #: Dispatched, unfinished batches per key (gate wait included).
+        self._running: dict[BatchKey, int] = {}
         self._inflight: set[asyncio.Task] = set()
         registry = registry if registry is not None else NULL_REGISTRY
         self.bind_metrics(registry)
@@ -176,10 +187,6 @@ class Coalescer:
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = _Bucket(key)
-            if self.max_batch > 1 and self.max_wait > 0:
-                bucket.timer = loop.call_later(
-                    self.max_wait, self.flush, bucket.key
-                )
         bucket.nodes.append(node)
         bucket.futures.append(future)
         bucket.contexts.append(ctx)
@@ -187,6 +194,13 @@ class Coalescer:
             ctx.mark_submit()
         if len(bucket.nodes) >= self.max_batch:
             self.flush(key)
+        elif bucket.flush_handle is None:
+            if key in self._running:
+                bucket.flush_handle = loop.call_later(
+                    self.max_wait, self.flush, key
+                )
+            else:
+                bucket.flush_handle = loop.call_soon(self.flush, key)
         return await future
 
     def flush(self, key: BatchKey) -> None:
@@ -194,17 +208,34 @@ class Coalescer:
         bucket = self._buckets.pop(key, None)
         if bucket is None:
             return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
-            bucket.timer = None
+        if bucket.flush_handle is not None:
+            bucket.flush_handle.cancel()
+            bucket.flush_handle = None
         self._metric_batches.inc()
         self._metric_coalesced.inc(len(bucket.nodes))
         self._metric_batch_size.observe(len(bucket.nodes))
+        self._running[key] = self._running.get(key, 0) + 1
         task = asyncio.ensure_future(self._run(bucket))
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
     async def _run(self, bucket: _Bucket) -> None:
+        """Dispatch under the gate, resolve the futures, flush what queued."""
+        try:
+            await self._execute(bucket)
+            for _ in range(_SETTLE_TURNS):
+                await asyncio.sleep(0)
+        finally:
+            key = bucket.key
+            running = self._running[key] - 1
+            if running:
+                self._running[key] = running
+            else:
+                del self._running[key]
+            # Group commit: the bucket that filled behind this batch goes now.
+            self.flush(key)
+
+    async def _execute(self, bucket: _Bucket) -> None:
         """Acquire the gate, dispatch, and resolve the bucket's futures."""
         gate = self._gate() if self._gate is not None else contextlib.nullcontext()
         request_ids = bucket.request_ids
@@ -216,12 +247,7 @@ class Coalescer:
                 for ctx in bucket.contexts:
                     if ctx is not None:
                         ctx.mark_dispatch()
-                if self._dispatch_wants_batch:
-                    results = self._dispatch(
-                        bucket.key, bucket.nodes, bucket
-                    )
-                else:
-                    results = self._dispatch(bucket.key, bucket.nodes)
+                results = self._dispatch(bucket.key, bucket.nodes, bucket)
             for ctx in bucket.contexts:
                 if ctx is not None:
                     ctx.mark_execute()

@@ -2,10 +2,10 @@
 
 The defaults target the interactive regime the ROADMAP's north star
 describes — many concurrent clients issuing single-node queries — where
-micro-batching (a few milliseconds of linger, tens of requests per
-sweep) buys an order of magnitude of served throughput from the
-vectorized batch algorithms while staying far below human-perceptible
-latency.
+group-commit batching (requests fill the next batch while the previous
+sweep runs, tens of requests per sweep under load) buys an order of
+magnitude of served throughput from the vectorized batch algorithms,
+while a lone request dispatches at once.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ class ServeConfig:
 
     * ``max_batch`` — flush a bucket as soon as it holds this many
       requests (1 disables coalescing: every request dispatches alone);
-    * ``max_wait_ms`` — flush a non-full bucket after this linger; the
-      worst-case latency tax a lone request pays for batchability.
+    * ``max_wait_ms`` — the longest a request waits behind an in-flight
+      batch of its kind; a lone request dispatches at once (``0``: a
+      bucket behind an in-flight batch dispatches on the next turn).
 
     Admission control (:mod:`repro.serve.admission`):
 

@@ -49,7 +49,7 @@ from repro.serve.admission import AdmissionController, Rejected, deadline_scope
 from repro.serve.batching import BatchKey, Coalescer
 from repro.serve.config import ServeConfig
 from repro.serve.coordinator import UpdateCoordinator
-from repro.serve.telemetry import RequestContext, SlowQueryLog
+from repro.serve.telemetry import STAGES, RequestContext, SlowQueryLog
 
 logger = logging.getLogger("repro.serve")
 
@@ -149,6 +149,12 @@ class QueryServer:
         )
         self._metric_requests = registry.counter("serve.requests")
         self._metric_errors = registry.counter("serve.errors")
+        # Aggregate Server-Timing: one observation per stage per /v1/
+        # request, so /metrics splits the served latency into layers.
+        self._metric_stages = [
+            (name, registry.histogram(f"serve.stage.{name}_seconds"))
+            for name in STAGES
+        ]
         self._registry = registry
         from repro.backends import backend_of
 
@@ -165,24 +171,20 @@ class QueryServer:
         self.port = self.config.port
 
     # -- batched dispatch ----------------------------------------------
-    def _dispatch_batch(self, key: BatchKey, nodes, batch=None) -> list:
+    def _dispatch_batch(self, key: BatchKey, nodes, batch) -> list:
         """Run one coalesced batch through the index's batch entry points.
 
         Called by the coalescer on the event loop, under the
-        coordinator's read gate.  ``batch`` (the coalescer's bucket,
-        when provided) gets execution telemetry attached — page counts
-        and span trees — for the member requests' slow-query records.
-        Tracing is scoped to the batch only when slow-query capture is
-        on; the page-counter snapshot pair is two integer reads, cheap
-        enough to take unconditionally.
+        coordinator's read gate.  ``batch`` (the coalescer's bucket)
+        gets execution telemetry attached — page counts and span trees —
+        for the member requests' slow-query records.  Tracing is scoped
+        to the batch only when slow-query capture is on; the
+        page-counter snapshot pair is two integer reads, cheap enough to
+        take unconditionally.
         """
         index = self.index
         snap = index.counter.snapshot()
-        trace_cm = (
-            index.trace()
-            if (batch is not None and self.slow_log.enabled)
-            else None
-        )
+        trace_cm = index.trace() if self.slow_log.enabled else None
         tracer = trace_cm.__enter__() if trace_cm is not None else None
         try:
             if key.kind == "range":
@@ -208,14 +210,13 @@ class QueryServer:
         finally:
             if trace_cm is not None:
                 trace_cm.__exit__(None, None, None)
-        if batch is not None:
-            delta = index.counter.delta(snap)
-            batch.attach_execution(
-                pages_logical=delta.logical,
-                pages_physical=delta.physical,
-                spans=tracer.to_dicts() if tracer is not None else None,
-                epoch=self.coordinator.epoch,
-            )
+        delta = index.counter.delta(snap)
+        batch.attach_execution(
+            pages_logical=delta.logical,
+            pages_physical=delta.physical,
+            spans=tracer.to_dicts() if tracer is not None else None,
+            epoch=self.coordinator.epoch,
+        )
         return results
 
     def _check_node(self, node: int) -> int:
@@ -609,6 +610,11 @@ class QueryServer:
                     or self._draining
                 )
                 ctx.mark_done()
+                is_api = ctx.path.startswith("/v1/")
+                if is_api:
+                    stages = ctx.stages()
+                    for name, histogram in self._metric_stages:
+                        histogram.observe(stages[name])
                 await self._write_response(
                     writer,
                     status,
@@ -620,7 +626,7 @@ class QueryServer:
                         f"Server-Timing: {ctx.server_timing_header()}\r\n"
                     ),
                 )
-                if ctx.path.startswith("/v1/"):
+                if is_api:
                     self.slow_log.maybe_record(
                         ctx, status=status, params=params
                     )

@@ -66,7 +66,7 @@ class RequestContext:
 
     ========== =====================================================
     ``queue``    ingress → submitted to the coalescer / gate acquired
-    ``coalesce`` buffered in a bucket waiting for the batch to fill
+    ``coalesce`` buffered in a bucket until its batch dispatches
     ``execute``  batch dispatch → results available
     ``stitch``   results available → response bytes written
     ========== =====================================================

@@ -496,11 +496,13 @@ class TestShedding:
         index = updatable_index
 
         async def main():
-            # Deadline far shorter than the linger: the submit times out.
+            # A writer holds the index: the request's batch waits at the
+            # read gate far longer than the deadline allows.
             async with serving(
                 index, deadline_ms=10.0, max_wait_ms=500.0, max_batch=64
             ) as (server, client):
-                response = await client.range(0, 50.0)
+                async with server.coordinator.write():
+                    response = await client.range(0, 50.0)
                 return response.status
 
         assert asyncio.run(main()) == 503
@@ -518,18 +520,39 @@ class TestLifecycle:
             )
             server = QueryServer(index, config)
             await server.start()
+            # A writer holds the read gate, so a first request's batch
+            # stays in flight and the next four buffer behind it.
+            held, release = asyncio.Event(), asyncio.Event()
+
+            async def hold_write_gate():
+                async with server.coordinator.write():
+                    held.set()
+                    await release.wait()
+
+            writer = asyncio.ensure_future(hold_write_gate())
+            await held.wait()
             clients = [
-                ServeClient(server.host, server.port) for _ in range(4)
+                ServeClient(server.host, server.port) for _ in range(5)
             ]
             try:
+                first = asyncio.ensure_future(clients[0].range(99, 90.0))
+                await asyncio.sleep(0.05)  # its batch waits at the gate
                 tasks = [
                     asyncio.ensure_future(c.range(node, 90.0))
-                    for node, c in enumerate(clients)
+                    for node, c in enumerate(clients[1:])
                 ]
                 await asyncio.sleep(0.1)  # requests are buffered, not served
                 assert server.coalescer.pending == 4
-                await server.shutdown()  # must flush them, not drop them
+                shutdown = asyncio.ensure_future(server.shutdown())
+                # Shutdown must flush them, not drop them; only then
+                # does the writer let the batches run.
+                while server.coalescer.pending:
+                    await asyncio.sleep(0.001)
+                release.set()
+                await writer
+                await shutdown
                 responses = await asyncio.gather(*tasks)
+                assert (await first).status == 200
             finally:
                 for c in clients:
                     await c.close()

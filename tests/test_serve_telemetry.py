@@ -213,6 +213,52 @@ class TestRequestIdEndToEnd:
         asyncio.run(main())
 
 
+class TestStageHistograms:
+    def test_stage_means_reconcile_with_served_request_time(
+        self, updatable_index
+    ):
+        """``/metrics`` alone splits the served latency into its stages:
+        the four stage-histogram means sum to the mean request time the
+        server reported per request (``Server-Timing`` total)."""
+        index = updatable_index  # fresh metrics registry per test
+        target = int(index.dataset[0])
+
+        async def one_client(server, offset):
+            async with ServeClient(server.host, server.port) as client:
+                totals = []
+                for step in range(12):
+                    node = QUERY_NODES[(offset + step) % len(QUERY_NODES)]
+                    kind = step % 3
+                    if kind == 0:
+                        response = await client.range(node, 80.0)
+                    elif kind == 1:
+                        response = await client.knn(node, 3)
+                    else:
+                        response = await client.distance(node, target)
+                    assert response.status == 200
+                    totals.append(response.server_timing()["total"])
+                return totals
+
+        async def main():
+            async with serving(index) as (server, client):
+                per_client = await asyncio.gather(
+                    *(one_client(server, offset) for offset in range(4))
+                )
+                scrape = await client.request("GET", "/metrics")
+                return [t for totals in per_client for t in totals], scrape
+
+        totals, scrape = asyncio.run(main())
+        samples = parse_prometheus_text(scrape.text)
+        stage_mean_ms = 0.0
+        for stage in ("queue", "coalesce", "execute", "stitch"):
+            metric = f"repro_serve_stage_{stage}_seconds"
+            # One observation per /v1/ request; the scrape is not one.
+            assert samples[f"{metric}_count"] == len(totals)
+            stage_mean_ms += samples[f"{metric}_sum"] / len(totals) * 1e3
+        served_mean_ms = sum(totals) / len(totals)
+        assert stage_mean_ms == pytest.approx(served_mean_ms, rel=0.05)
+
+
 class TestDebugSurfaces:
     def test_slow_log_ring_and_debug_endpoint(self, sig_index, tmp_path):
         path = tmp_path / "slow.jsonl"
