@@ -1,10 +1,12 @@
-"""Hierarchy build time and batch-kernel throughput at DIMACS scale.
+"""Hierarchy build time, batch-kernel throughput and one repair at
+DIMACS scale.
 
-One large graph, two measurements:
+One large graph, three measurements:
 
-1. **Build time.**  The contraction hierarchy and the hub-label
-   distillation are built once; the contraction, label and total wall
-   times are reported (``os.cpu_count()`` is recorded alongside them).
+1. **Build time.**  A hub-label index (contraction hierarchy plus label
+   distillation, over a sparse object set) is built once; the
+   contraction, label and total wall times come from its build trace
+   (``os.cpu_count()`` is recorded alongside them).
 2. **The vectorized batch label-join beats the scalar loop.**  Random
    node pairs are answered by the scalar sorted-merge
    (:func:`~repro.backends.base.label_join`, one pair at a time) and by
@@ -12,6 +14,10 @@ One large graph, two measurements:
    (:func:`~repro.backends.base.batch_label_join_csr`, 256 pairs per
    call); answers must match exactly, and the kernel must clear
    ``MIN_KERNEL_SPEEDUP``.
+3. **One single-edge update.**  A traffic-shaped ``set_weight`` goes
+   through ``apply_updates``; it must be repaired incrementally (a
+   fresh build records its repair state), and its wall time shows the
+   repair's per-update O(n) terms at this size.
 
 The graph is a generated planar network by default
 (``REPRO_BENCH_SCALE_NODES``, 100k full / 2k ``--quick``); point
@@ -46,9 +52,9 @@ from repro.backends.base import (  # noqa: E402
     batch_label_join_csr,
     label_join,
 )
-from repro.backends.ch import ContractionHierarchy  # noqa: E402
-from repro.backends.hub_labels import build_labels  # noqa: E402
-from repro.network import random_planar_network  # noqa: E402
+from repro.backends.hub_labels import HubLabelIndex  # noqa: E402
+from repro.network import random_planar_network, uniform_dataset  # noqa: E402
+from repro.workloads import TrafficSimulator  # noqa: E402
 
 JSON_PATH = _REPO_ROOT_PATH / "BENCH_scale.json"
 
@@ -59,6 +65,10 @@ BATCH = 256
 #: (it is the slow side — capping it keeps the bench minutes, not hours).
 KERNEL_PAIRS = BATCH * (8 if QUICK else 80)
 SCALAR_PAIRS = BATCH * (4 if QUICK else 16)
+
+#: Objects per node: enough for the index's bucket lists to exist,
+#: sparse enough that the object table stays a side cost.
+OBJECT_DENSITY = 0.001
 
 MIN_KERNEL_SPEEDUP = 2.0 if QUICK else 5.0
 TIMING_PASSES = 3  # per side; best pass counts (ratio is the claim)
@@ -75,14 +85,13 @@ def _load_graph():
 
 
 def _build(network):
-    """One full hierarchy + label build; returns (artifacts, timings)."""
-    start = time.perf_counter()
-    hierarchy = ContractionHierarchy.build(network)
-    contract_s = time.perf_counter() - start
-    start = time.perf_counter()
-    labels = build_labels(hierarchy)
-    labels_s = time.perf_counter() - start
-    return hierarchy, labels, {
+    """One hub-label index build; returns (index, timings)."""
+    dataset = uniform_dataset(network, density=OBJECT_DENSITY, seed=SEED)
+    index = HubLabelIndex.build(network, dataset)
+    phases = {span.name: span.seconds for span in index.build_trace.walk()}
+    contract_s = phases["build.contract"]
+    labels_s = phases["build.labels"]
+    return index, {
         "contract_s": round(contract_s, 3),
         "labels_s": round(labels_s, 3),
         "build_s": round(contract_s + labels_s, 3),
@@ -97,7 +106,8 @@ def main() -> int:
         f"{network.num_edges} edges; cpus={cpus}"
     )
 
-    hierarchy, labels, build_times = _build(network)
+    index, build_times = _build(network)
+    hierarchy = index.hierarchy
     print(
         f"build: contract {build_times['contract_s']}s "
         f"({hierarchy.rounds} rounds, {hierarchy.num_shortcuts} shortcuts), "
@@ -106,7 +116,9 @@ def main() -> int:
     )
 
     # -- scalar vs batched label join -----------------------------------
-    indptr, hubs, dists = labels
+    indptr, hubs, dists = (
+        index.label_indptr, index.label_hubs, index.label_dists,
+    )
     rng = np.random.default_rng(SEED)
     left = rng.integers(0, network.num_nodes, size=KERNEL_PAIRS)
     right = rng.integers(0, network.num_nodes, size=KERNEL_PAIRS)
@@ -150,6 +162,24 @@ def main() -> int:
         f"batch({BATCH}) {batch_qps:,.0f} qps -> {kernel_speedup}x"
     )
 
+    # -- one single-edge repair ------------------------------------------
+    changeset = TrafficSimulator(index.network, seed=SEED).changeset(1)
+    start = time.perf_counter()
+    result = index.apply_updates(changeset)
+    update_s = time.perf_counter() - start
+    update = {
+        "single_edge_apply_s": round(update_s, 3),
+        "repaired": result.counters.get("repaired", 0),
+        "rebuilt": result.counters.get("rebuilt", 0),
+        "damaged_nodes": result.counters.get("damaged_nodes", 0),
+        "relabeled_nodes": result.counters.get("relabeled_nodes", 0),
+    }
+    print(
+        f"single-edge update: {update_s:.3f}s, repaired={update['repaired']} "
+        f"rebuilt={update['rebuilt']} damaged={update['damaged_nodes']} "
+        f"relabeled={update['relabeled_nodes']}"
+    )
+
     payload = {
         "config": {
             "source": source,
@@ -160,6 +190,7 @@ def main() -> int:
             "kernel_pairs": KERNEL_PAIRS,
             "scalar_pairs": SCALAR_PAIRS,
             "timing_passes": TIMING_PASSES,
+            "objects": len(index.dataset),
             "seed": SEED,
             "quick": QUICK,
         },
@@ -175,6 +206,7 @@ def main() -> int:
             "batch_qps": round(batch_qps, 1),
             "speedup": kernel_speedup,
         },
+        "update": update,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {JSON_PATH}")
@@ -190,10 +222,19 @@ def main() -> int:
                 f"  total {build_times['build_s']:>8.2f}s",
                 f"label join: scalar {scalar_qps:,.0f} qps, batch({BATCH}) "
                 f"{batch_qps:,.0f} qps ({kernel_speedup:g}x)",
+                f"single-edge update: {update['single_edge_apply_s']:.3f}s "
+                f"(repaired={update['repaired']}, "
+                f"relabeled={update['relabeled_nodes']})",
             ]
         ),
     )
 
+    if update["repaired"] != 1 or update["rebuilt"]:
+        print(
+            f"error: the single-edge update was not repaired ({update})",
+            file=sys.stderr,
+        )
+        return 1
     if kernel_speedup < MIN_KERNEL_SPEEDUP:
         print(
             f"error: batch kernel only {kernel_speedup:g}x scalar "

@@ -14,7 +14,9 @@ what that buys, on traffic-shaped single-edge reweights from
   anything timed.
 * **incremental_updates_per_s vs rebuild_updates_per_s** — the same
   stream applied through ``apply_updates`` on a repair-recording index
-  versus on a rebuild-only index; the ratio is the headline
+  versus on an index whose zero damage threshold makes every update
+  rebuild (``baseline_update_rebuilt`` must equal ``rebuilds_timed``);
+  the ratio is the headline
   ``incremental_vs_rebuild`` speedup (gated ≥5x at full size,
   direction-only in ``--quick``), with the
   ``backend.<name>.update.{repaired,rebuilt}`` counters recorded to
@@ -106,9 +108,7 @@ def bench_hierarchy(name: str, network, dataset) -> dict:
     build = BACKENDS[name]
     registry = MetricsRegistry()
     start = time.perf_counter()
-    index = build(
-        network.copy(), dataset, metrics=registry, record_repair=True
-    )
+    index = build(network.copy(), dataset, metrics=registry)
     build_s = time.perf_counter() - start
     rng = np.random.default_rng(SEED)
     pairs = _sample_pairs(network, dataset, rng)
@@ -134,11 +134,14 @@ def bench_hierarchy(name: str, network, dataset) -> dict:
     )
 
     # -- timed incremental vs rebuild-on-update, interleaved -------------
-    # The baseline is the same entry point on an index built without
-    # repair recording: its only maintenance strategy is
-    # rebuild-from-network.
+    # The baseline is the same entry point on an index whose repair
+    # damage limit is zero: a changed edge always damages at least its
+    # two endpoints' own contractions, so every update falls back to
+    # rebuild-from-network (and the rebuild's recording never lets a
+    # later update repair).
     rebuild_registry = MetricsRegistry()
     baseline = build(network.copy(), dataset, metrics=rebuild_registry)
+    baseline.repair_threshold = 0.0
     baseline_sim = TrafficSimulator(baseline.network, seed=SEED + 1)
     repaired_before = registry.counter(
         f"backend.{name}.update.repaired"
@@ -367,6 +370,12 @@ def main() -> int:
             failures.append(
                 f"{name}: update.repaired counter is 0 — the incremental "
                 f"path never ran"
+            )
+        if row["baseline_update_rebuilt"] != row["rebuilds_timed"]:
+            failures.append(
+                f"{name}: the rebuild baseline rebuilt "
+                f"{row['baseline_update_rebuilt']} of "
+                f"{row['rebuilds_timed']} timed updates"
             )
     if serve["errors"]:
         failures.append(f"serve: {serve['errors']} failed requests")

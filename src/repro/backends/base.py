@@ -860,17 +860,9 @@ class HierarchyIndexBase:
         apply_changeset_to_network(self.network, changeset)
         self._note_rebuilt(result)
 
-    def _rebuild_for_update(self) -> None:
-        """The rebuild flavor ``apply_updates`` fallbacks use.
-
-        Subclasses with an incremental path override this to rebuild
-        *with repair recording*, so the next changeset can repair.
-        """
-        self._rebuild()
-
     def _note_rebuilt(self, result) -> None:
         """Rebuild from ``self.network`` and account for it."""
-        self._rebuild_for_update()
+        self._rebuild()
         self.metrics.counter("backend.rebuilds").inc()
         self.metrics.counter(
             f"backend.{self.backend_name}.update.rebuilt"

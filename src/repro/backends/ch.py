@@ -123,27 +123,23 @@ def _shortcuts_for(
     contracted: np.ndarray,
     v: int,
     settle_cap: int,
-    record: bool = False,
 ):
     """``(shortcuts, live_degree, visited)`` for contracting ``v``.
 
     ``shortcuts`` are the pairs contraction of ``v`` needs (u < w, both
-    live); ``live_degree`` comes free with the witness work.  With
-    ``record``, ``visited`` is ``v``'s witness-dependency set (else
-    ``None``): ``v`` itself, its live neighbors, and every node any
-    witness search touched — the complete read set of this contraction
-    decision.  An edge none of those nodes is an endpoint of cannot
-    change the decision (witness paths lie entirely inside the touched
-    set, and weight *decreases* elsewhere only make kept shortcuts
-    redundant, never incorrect).
+    live); ``live_degree`` comes free with the witness work.
+    ``visited`` is ``v``'s witness-dependency set, sorted: ``v`` itself,
+    its live neighbors, and every node any witness search touched — the
+    complete read set of this contraction decision.  An edge none of
+    those nodes is an endpoint of cannot change the decision (witness
+    paths lie entirely inside the touched set, and weight *decreases*
+    elsewhere only make kept shortcuts redundant, never incorrect).
     """
     neighbors = [
         (u, weight) for u, weight in adj[v].items() if not contracted[u]
     ]
-    visited: set[int] | None = None
-    if record:
-        visited = {v}
-        visited.update(u for u, _ in neighbors)
+    visited = {v}
+    visited.update(u for u, _ in neighbors)
     needed: list[tuple[int, int, float]] = []
     for i, (u, wu) in enumerate(neighbors):
         targets = {w for w, _ in neighbors[i + 1:]}
@@ -158,23 +154,65 @@ def _shortcuts_for(
             through = wu + ww
             if witness.get(w, math.inf) > through:
                 needed.append((u, w, through))
-    if visited is not None:
-        visited = sorted(visited)
-    return needed, len(neighbors), visited
+    return needed, len(neighbors), sorted(visited)
+
+
+def changed_rows(old_csr, new_csr, rows=None) -> np.ndarray:
+    """Boolean mask of the CSR rows that differ between two versions.
+
+    ``old_csr`` / ``new_csr`` are ``(indptr, column, column, ...)``
+    tuples with the same number of rows and aligned columns.  A row
+    differs if its length or any element of any column does.  With
+    ``rows`` (row ids), only those rows are compared; the rest report
+    unchanged.  All rows go through one segmented compare, so the cost
+    is a few numpy passes over their entries, not a Python loop.
+    """
+    old_indptr, *old_columns = old_csr
+    new_indptr, *new_columns = new_csr
+    n = len(new_indptr) - 1
+    rows = np.arange(n) if rows is None else np.asarray(rows, np.int64)
+    changed = np.zeros(n, dtype=bool)
+    counts = new_indptr[rows + 1] - new_indptr[rows]
+    resized = counts != old_indptr[rows + 1] - old_indptr[rows]
+    changed[rows[resized]] = True
+    same, counts = rows[~resized], counts[~resized]
+    total = int(counts.sum())
+    if total:
+        offsets = np.arange(total) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        old_pos = np.repeat(old_indptr[same], counts) + offsets
+        new_pos = np.repeat(new_indptr[same], counts) + offsets
+        differs = np.zeros(total, dtype=bool)
+        for old_column, new_column in zip(old_columns, new_columns):
+            differs |= old_column[old_pos] != new_column[new_pos]
+        changed[np.repeat(same, counts)[differs]] = True
+    return changed
 
 
 class RepairState:
     """What incremental repair needs to replay a contraction.
 
-    Recorded during a ``record_repair=True`` build: for every node, the
-    shortcut pairs its contraction decided on (with weights) and its
-    witness-dependency set (see :func:`_shortcuts_for`).  The inverted
-    *dependency index* — for node ``x``, which contractions read ``x`` —
-    is derived lazily as a CSR and cached until a repair re-records
-    nodes.
+    Recorded by every :meth:`ContractionHierarchy.build`: for every
+    node, the shortcut pairs its contraction decided on (with weights)
+    and its witness-dependency set (see :func:`_shortcuts_for`).  The
+    inverted *dependency index* — for node ``x``, which contractions
+    read ``x`` — is derived lazily as a CSR and cached until a repair
+    re-records nodes.  :meth:`to_arrays` / :meth:`from_arrays` flatten
+    the recording into CSR arrays for the on-disk snapshots.
     """
 
     __slots__ = ("pairs", "visited", "_deps")
+
+    #: Array names of the flattened recording, in :meth:`to_arrays`
+    #: order (the snapshot layouts store them under these names).
+    ARRAYS = (
+        "repair_pair_indptr",
+        "repair_pair_ends",
+        "repair_pair_weights",
+        "repair_visited_indptr",
+        "repair_visited",
+    )
 
     def __init__(
         self,
@@ -213,6 +251,60 @@ class RepairState:
         indptr = np.searchsorted(read, np.arange(n + 1))
         self._deps = (indptr, contractor)
         return self._deps
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The recording as CSR arrays keyed by :attr:`ARRAYS`."""
+        pair_counts = [len(p) for p in self.pairs]
+        pair_indptr = np.zeros(len(self.pairs) + 1, dtype=np.int64)
+        np.cumsum(pair_counts, out=pair_indptr[1:])
+        flat = [pair for pairs in self.pairs for pair in pairs]
+        ends = np.array(
+            [(a, b) for a, b, _ in flat], dtype=np.int32
+        ).reshape(-1, 2)
+        weights = np.array([w for _, _, w in flat], dtype=np.float64)
+        visited_indptr = np.zeros(len(self.visited) + 1, dtype=np.int64)
+        np.cumsum([len(s) for s in self.visited], out=visited_indptr[1:])
+        visited = np.fromiter(
+            (x for seen in self.visited for x in seen),
+            dtype=np.int32,
+            count=int(visited_indptr[-1]),
+        )
+        return dict(
+            zip(
+                self.ARRAYS,
+                (pair_indptr, ends, weights, visited_indptr, visited),
+            )
+        )
+
+    @classmethod
+    def from_arrays(cls, arrays, n: int) -> "RepairState":
+        """Inverse of :meth:`to_arrays` for an ``n``-node hierarchy.
+
+        Raises ``ValueError`` when the arrays do not describe ``n``
+        nodes consistently.
+        """
+        pair_indptr, ends, weights, visited_indptr, visited = (
+            np.asarray(arrays[name]) for name in cls.ARRAYS
+        )
+        if (
+            len(pair_indptr) != n + 1
+            or len(visited_indptr) != n + 1
+            or ends.shape != (int(pair_indptr[-1]), 2)
+            or len(weights) != int(pair_indptr[-1])
+            or len(visited) != int(visited_indptr[-1])
+        ):
+            raise ValueError(
+                f"repair recording arrays do not describe {n} nodes"
+            )
+        flat = list(zip(ends[:, 0].tolist(), ends[:, 1].tolist(),
+                        weights.tolist()))
+        seen = visited.tolist()
+        bounds = pair_indptr.tolist()
+        vbounds = visited_indptr.tolist()
+        return cls(
+            [flat[bounds[v]:bounds[v + 1]] for v in range(n)],
+            [seen[vbounds[v]:vbounds[v + 1]] for v in range(n)],
+        )
 
 
 class RepairOutcome:
@@ -308,9 +400,10 @@ class ContractionHierarchy:
         # hierarchies restored from disk.
         self.settle_cap = WITNESS_SETTLE_CAP
         self.rounds: int | None = None
-        #: Witness-dependency recording (``build(record_repair=True)``);
-        #: ``None`` for plain builds and hierarchies restored from disk —
-        #: :meth:`repair` then declines and the caller must rebuild.
+        #: Witness-dependency recording, set by :meth:`build` and by
+        #: snapshots that stored it; ``None`` for hierarchies restored
+        #: from older snapshots — :meth:`repair` then declines and the
+        #: caller must rebuild.
         self.repair_state: RepairState | None = None
         self.bind_metrics(metrics)
 
@@ -329,7 +422,6 @@ class ContractionHierarchy:
         network: RoadNetwork,
         *,
         settle_cap: int = WITNESS_SETTLE_CAP,
-        record_repair: bool = False,
         metrics=None,
     ) -> "ContractionHierarchy":
         """Contract every node of ``network`` and assemble the upward CSR.
@@ -349,12 +441,11 @@ class ContractionHierarchy:
         (possible when a shortcut doubles an original edge) keep the
         minimum weight, so the upward graph stays simple.
 
-        With ``record_repair``, each node's final shortcut decision and
-        witness-dependency set are retained on ``hierarchy.repair_state``
-        so :meth:`repair` can later replay the contraction incrementally.
-        Recording is opt-in: it adds memory proportional to the total
-        witness work and a little bookkeeping time, which plain builds
-        (and the build-time benchmarks) should not pay.
+        Each node's final shortcut decision and witness-dependency set
+        are retained on ``hierarchy.repair_state``, so :meth:`repair` can
+        replay the contraction incrementally from the first write on.
+        Recording costs memory proportional to the total witness work;
+        its bookkeeping time is within the build's run-to-run noise.
         """
         registry = metrics if metrics is not None else NULL_REGISTRY
         round_sizes = registry.histogram("backend.ch.contract.round_size")
@@ -381,9 +472,7 @@ class ContractionHierarchy:
         num_shortcuts = 0
         priorities = np.zeros(n, dtype=np.int64)
         cached: list[list[tuple[int, int, float]] | None] = [None] * n
-        visited_sets: list[list[int] | None] = (
-            [None] * n if record_repair else []
-        )
+        visited_sets: list[list[int] | None] = [None] * n
         stamp = np.full(n, -1, dtype=np.int64)
         dirty = np.ones(n, dtype=bool)
         node_ids = np.arange(n, dtype=np.int64)
@@ -396,11 +485,10 @@ class ContractionHierarchy:
             # changed since their last evaluation.
             for v in np.flatnonzero(dirty & ~contracted).tolist():
                 shortcuts, live_degree, visited = _shortcuts_for(
-                    adj, contracted, v, settle_cap, record=record_repair
+                    adj, contracted, v, settle_cap
                 )
                 cached[v] = shortcuts
-                if record_repair:
-                    visited_sets[v] = visited
+                visited_sets[v] = visited
                 stamp[v] = rounds
                 priorities[v] = (
                     len(shortcuts) - live_degree + int(deleted_neighbors[v])
@@ -432,11 +520,10 @@ class ContractionHierarchy:
             # contracted since, whose replacement path uses v itself.
             for v in sel[stamp[sel] != rounds].tolist():
                 shortcuts, _, visited = _shortcuts_for(
-                    adj, contracted, v, settle_cap, record=record_repair
+                    adj, contracted, v, settle_cap
                 )
                 cached[v] = shortcuts
-                if record_repair:
-                    visited_sets[v] = visited
+                visited_sets[v] = visited
                 stamp[v] = rounds
             # Merge: contract in ascending key order.  Disjoint closed
             # neighborhoods mean nothing below reads state another
@@ -495,8 +582,7 @@ class ContractionHierarchy:
         )
         hierarchy.settle_cap = int(settle_cap)
         hierarchy.rounds = rounds
-        if record_repair:
-            hierarchy.repair_state = RepairState(cached, visited_sets)
+        hierarchy.repair_state = RepairState(cached, visited_sets)
         registry.gauge("backend.ch.contract.rounds").set(rounds)
         return hierarchy
 
@@ -575,7 +661,7 @@ class ContractionHierarchy:
             v = int(by_rank[r])
             if damaged[v]:
                 pairs, _, visited = _shortcuts_for(
-                    adj, contracted, v, settle_cap, record=True
+                    adj, contracted, v, settle_cap
                 )
                 old_map = {(a, b): w for a, b, w in state.pairs[v]}
                 cur_map = {(a, b): w for a, b, w in pairs}
@@ -628,21 +714,12 @@ class ContractionHierarchy:
                 weights[start + offset] = weight
         old_indptr = self.up_indptr
         old_targets = self.up_targets
-        old_weights = self.up_weights
-        changed_up: list[int] = []
-        for v in range(n):
-            lo, hi = int(indptr[v]), int(indptr[v + 1])
-            olo, ohi = int(old_indptr[v]), int(old_indptr[v + 1])
-            if (
-                hi - lo != ohi - olo
-                or not np.array_equal(
-                    targets[lo:hi], old_targets[olo:ohi]
-                )
-                or not np.array_equal(
-                    weights[lo:hi], old_weights[olo:ohi]
-                )
-            ):
-                changed_up.append(v)
+        changed_up = np.flatnonzero(
+            changed_rows(
+                (old_indptr, old_targets, self.up_weights),
+                (indptr, targets, weights),
+            )
+        )
         self.up_indptr = indptr
         self.up_targets = targets
         self.up_weights = weights
@@ -742,7 +819,11 @@ class ContractionHierarchy:
         full settled set is ``{v: 0}`` merged with each upward
         neighbor's set shifted by the edge weight — a dynamic program
         in descending rank order that matches the non-stalling upward
-        Dijkstra bit for bit without running ``n`` heap searches.
+        Dijkstra without running ``n`` heap searches.  The DP adds a
+        path's weights from the hub end, the Dijkstra from the source
+        end; the sums agree bit for bit whenever they are exact, as
+        they are for the integer and dyadic weights the generators and
+        the traffic simulator emit.
 
         Unstalled spaces are supersets of the stalled ones, but only by
         entries whose settled distance exceeds the true network
@@ -893,8 +974,9 @@ class CHIndex(HierarchyIndexBase):
         self.settle_cap = int(settle_cap)
         # Per-object search spaces, aligned with dataset rank — kept so
         # incremental repair recomputes only the affected objects'
-        # bucket entries.  ``None`` for indexes restored from disk (the
-        # first apply_updates then rebuilds, recording).
+        # bucket entries.  Snapshots rederive them from the buckets;
+        # ``None`` only when the hierarchy has no repair recording (the
+        # first apply_updates then rebuilds).
         self._object_entries = object_entries
         super().__init__(
             network, dataset, partition, object_table, buckets,
@@ -908,7 +990,6 @@ class CHIndex(HierarchyIndexBase):
         dataset,
         *,
         settle_cap: int = WITNESS_SETTLE_CAP,
-        record_repair: bool = False,
         metrics=None,
     ) -> "CHIndex":
         """Contract the network, then bucket the object search spaces.
@@ -926,10 +1007,7 @@ class CHIndex(HierarchyIndexBase):
         with trace.span("build.ch", nodes=network.num_nodes):
             with trace.span("build.contract") as span:
                 hierarchy = ContractionHierarchy.build(
-                    network,
-                    settle_cap=settle_cap,
-                    record_repair=record_repair,
-                    metrics=metrics,
+                    network, settle_cap=settle_cap, metrics=metrics
                 )
                 span.set("shortcuts", hierarchy.num_shortcuts)
             with trace.span("build.buckets") as span:
@@ -973,12 +1051,11 @@ class CHIndex(HierarchyIndexBase):
     def _point_distance(self, node: int, target: int) -> float:
         return self.hierarchy.distance(node, target)
 
-    def _rebuild(self, *, record_repair: bool = False) -> None:
+    def _rebuild(self) -> None:
         rebuilt = type(self).build(
             self.network,
             self.dataset,
             settle_cap=self.settle_cap,
-            record_repair=record_repair,
             metrics=self.metrics,
         )
         self.hierarchy = rebuilt.hierarchy
@@ -987,10 +1064,6 @@ class CHIndex(HierarchyIndexBase):
         self.object_table = rebuilt.object_table
         self.build_trace = rebuilt.build_trace
         self._object_entries = rebuilt._object_entries
-
-    def _rebuild_for_update(self) -> None:
-        # Record while rebuilding so the *next* changeset can repair.
-        self._rebuild(record_repair=True)
 
     def _refresh_object_structures(self) -> None:
         """Re-derive buckets / object table / partition from the (partly
@@ -1009,9 +1082,9 @@ class CHIndex(HierarchyIndexBase):
         recompute search spaces only for objects the repair may have
         moved.
 
-        Falls back to a full (recording) rebuild when no repair
-        recording exists, or the contraction damage exceeds
-        ``repair_threshold`` × nodes.  Either way the resulting
+        Falls back to a full rebuild when no repair recording exists
+        (indexes loaded from older snapshots), or the contraction damage
+        exceeds ``repair_threshold`` × nodes.  Either way the resulting
         structures are bit-identical to a fresh build on the mutated
         network's repaired hierarchy — queries stay exact.
         """

@@ -10,21 +10,26 @@ property, cf. "Hop Doubling Label Indexing" in PAPERS.md; the
 construction here is the CH-based one of Abraham et al. as engineered by
 Zhu et al.).
 
-Construction: labels are the *stalled upward search spaces* of
+Construction: labels are the upward search spaces of
 :class:`~repro.backends.ch.ContractionHierarchy`, pruned of
 overestimates.  Once ranks are fixed the distillation runs in two
-phases: (1) every node's search space — independent upward sweeps,
-concatenated into one CSR in node order; (2) per-entry pruning, where
+phases: (1) every node's *unstalled* search space, from one
+rank-descending dynamic program
+(:meth:`~repro.backends.ch.ContractionHierarchy.batch_search_spaces`)
+that yields one CSR in node order; (2) per-entry pruning, where
 ``(h, d)`` survives iff joining ``v``'s space against ``h``'s *space*
 cannot beat ``d``.  A search space is itself a valid hub label, so that
 join already equals the exact distance ``d(v, h)`` — the keep rule is
 "the entry is exact", the same set the classic
 prune-against-finished-labels recurrence keeps — which removes the
-rank-order data dependency between nodes: phase (2) is a few
+rank-order data dependency between nodes: phase (2) is a series of
 :func:`~repro.backends.base.batch_label_join_csr` kernel calls over
-node-aligned blocks of the shared phase-(1) CSR.  Pruning only removes
-entries that were never shortest-path witnesses, so the cover property
-is inherited from the search spaces.
+blocks of the shared phase-(1) CSR.  Pruning only removes entries that
+were never shortest-path witnesses, so the cover property is inherited
+from the search spaces; and since the unstalled space adds only inexact
+entries to the stalled one, the labels equal those distilled from
+stalled per-node sweeps.  The index keeps the phase-(1) CSR: it is the
+base incremental maintenance diffs against.
 
 ``distance()`` is then a sorted-merge intersection of two label slices —
 no graph traversal at all — and ``distance_batch()`` runs the same join
@@ -47,6 +52,7 @@ from repro.backends.base import (
 from repro.backends.ch import (
     WITNESS_SETTLE_CAP,
     ContractionHierarchy,
+    changed_rows,
     downward_closure,
 )
 from repro.core.signature import ObjectDistanceTable
@@ -57,61 +63,58 @@ from repro.obs.tracing import Tracer
 __all__ = ["HubLabelIndex", "build_labels"]
 
 
-#: Per-call pair budget for the pruning joins: large enough to amortize
-#: the batch kernel's setup, small enough to keep its gather workspace
-#: (each pair drags in both label slices) cache- and memory-friendly.
-_PRUNE_BLOCK_PAIRS = 32768
+#: Gathered label entries per pruning join call.  The batch kernel's
+#: thread-local workspace (``repro.backends.base._JOIN_WORKSPACE``)
+#: grows to the largest call it has served and keeps that size for the
+#: thread's life, so blocks are bounded by the label mass they gather
+#: (both sides' slices), not by pair count: 2^17 entries cap the
+#: workspace near 9 MB while each call still spans hundreds of pairs.
+_JOIN_BLOCK_ENTRIES = 1 << 17
 
 
-def _prune_inexact(indptr, hubs, dists):
-    """Exactness pruning of the phase-(1) search-space CSR.
+def _exact_mask(indptr, hubs, dists, owners, entry_hubs, entry_dists):
+    """Which space entries ``(owners[i], entry_hubs[i], entry_dists[i])``
+    carry the exact distance.
 
-    Returns one ``(hubs, dists)`` pair per node.  Each node's entries
-    are kept iff the vectorized join of its space against every hub's
-    space cannot beat the stored distance — i.e. the distance is exact.
-    All (node, hub) pairs go through :func:`batch_label_join_csr` in
-    node-aligned blocks rather than one call per node; the joins — and
-    therefore the kept entries — are bit-identical either way.
+    Each entry's owner space is joined against its hub's space — both
+    slices of the space CSR ``indptr`` / ``hubs`` / ``dists`` — with
+    :func:`batch_label_join_csr`; an entry is kept iff the join cannot
+    beat its distance.  Calls cover consecutive entries and gather at
+    most :data:`_JOIN_BLOCK_ENTRIES` label entries each (a single pair
+    over the budget gets a call of its own); the verdicts do not depend
+    on the blocking.
     """
-    nodes_arr = np.arange(len(indptr) - 1, dtype=np.int64)
-    out = []
+    lengths = np.diff(indptr)
+    gathered = np.cumsum(lengths[owners] + lengths[entry_hubs])
+    keep = np.empty(len(owners), dtype=bool)
     start = 0
-    while start < len(nodes_arr):
-        stop = start
-        pairs = 0
-        while stop < len(nodes_arr):
-            v = int(nodes_arr[stop])
-            count = int(indptr[v + 1] - indptr[v])
-            if pairs and pairs + count > _PRUNE_BLOCK_PAIRS:
-                break
-            pairs += count
-            stop += 1
-        block = nodes_arr[start:stop]
-        counts = indptr[block + 1] - indptr[block]
-        total = int(counts.sum())
-        offsets = np.cumsum(counts) - counts
-        positions = (
-            np.repeat(indptr[block], counts)
-            + np.arange(total)
-            - np.repeat(offsets, counts)
+    while start < len(owners):
+        before = int(gathered[start - 1]) if start else 0
+        stop = int(
+            np.searchsorted(
+                gathered, before + _JOIN_BLOCK_ENTRIES, side="right"
+            )
         )
-        entry_hubs = hubs[positions]
-        entry_dists = dists[positions]
+        stop = max(stop, start + 1)
         exact = batch_label_join_csr(
-            indptr,
-            hubs,
-            dists,
-            np.repeat(block, counts),
-            entry_hubs.astype(np.int64),
+            indptr, hubs, dists, owners[start:stop], entry_hubs[start:stop]
         )
-        keep = ~(exact < entry_dists)
-        for i in range(len(block)):
-            lo = int(offsets[i])
-            hi = lo + int(counts[i])
-            kept = keep[lo:hi]
-            out.append((entry_hubs[lo:hi][kept], entry_dists[lo:hi][kept]))
+        keep[start:stop] = ~(exact < entry_dists[start:stop])
         start = stop
-    return out
+    return keep
+
+
+def _distil(
+    spaces: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exactness pruning of a search-space CSR into the label CSR."""
+    indptr, hubs, dists = spaces
+    n = len(indptr) - 1
+    owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    keep = _exact_mask(indptr, hubs, dists, owners, hubs, dists)
+    label_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners[keep], minlength=n), out=label_indptr[1:])
+    return label_indptr, hubs[keep].astype(np.int32), dists[keep]
 
 
 def build_labels(
@@ -123,30 +126,7 @@ def build_labels(
     label is the slice ``label_indptr[v]:label_indptr[v+1]``, sorted by
     hub id with exact distances.
     """
-    n = hierarchy.num_nodes
-    # Phase 1: every search space, concatenated into one CSR in node
-    # order (per-node sweeps are independent once ranks are fixed).
-    spaces = [hierarchy.search_space(v) for v in range(n)]
-    sp_indptr = np.zeros(n + 1, dtype=np.int64)
-    if n:
-        np.cumsum([len(hubs) for hubs, _ in spaces], out=sp_indptr[1:])
-        sp_hubs = np.concatenate([hubs for hubs, _ in spaces])
-        sp_dists = np.concatenate([dists for _, dists in spaces])
-    else:
-        sp_hubs = np.zeros(0, dtype=np.int32)
-        sp_dists = np.zeros(0, dtype=np.float64)
-    del spaces
-    # Phase 2: per-node exactness pruning against the shared CSR.
-    pruned = _prune_inexact(sp_indptr, sp_hubs, sp_dists)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    if n:
-        np.cumsum([len(hubs) for hubs, _ in pruned], out=indptr[1:])
-        label_hubs = np.concatenate([hubs for hubs, _ in pruned])
-        label_dists = np.concatenate([dists for _, dists in pruned])
-    else:
-        label_hubs = np.zeros(0, dtype=np.int32)
-        label_dists = np.zeros(0, dtype=np.float64)
-    return indptr, label_hubs.astype(np.int32), label_dists
+    return _distil(hierarchy.batch_search_spaces())
 
 
 class HubLabelIndex(HierarchyIndexBase):
@@ -193,6 +173,7 @@ class HubLabelIndex(HierarchyIndexBase):
         *,
         settle_cap: int = WITNESS_SETTLE_CAP,
         hierarchy: ContractionHierarchy | None = None,
+        spaces: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         metrics=None,
     ) -> None:
         self.order = order
@@ -200,18 +181,18 @@ class HubLabelIndex(HierarchyIndexBase):
         self.label_hubs = label_hubs
         self.label_dists = label_dists
         self.settle_cap = int(settle_cap)
-        # The hierarchy the labels were distilled from — kept (when
-        # available) so incremental repair can replay contractions and
-        # recompute only the affected labels.  ``None`` for indexes
-        # restored from disk; the first apply_updates then rebuilds.
+        # The hierarchy the labels were distilled from — kept so
+        # incremental repair can replay contractions and recompute only
+        # the affected labels.  ``None`` for indexes restored from
+        # snapshots that predate the stored hierarchy; the first
+        # apply_updates then rebuilds.
         self.hierarchy = hierarchy
-        # Unstalled search-space CSR (indptr, hubs, dists), computed
-        # lazily by the first incremental apply and maintained across
-        # repairs.  Diffing old-vs-new spaces is what lets updates
-        # re-prune only the labels that actually changed.
-        self._spaces: tuple[np.ndarray, np.ndarray, np.ndarray] | None = (
-            None
-        )
+        # Unstalled search-space CSR (indptr, hubs, dists) the labels
+        # were distilled from, maintained across repairs.  Diffing
+        # old-vs-new spaces is what lets updates re-prune only the
+        # labels that actually changed.  Indexes restored from a
+        # snapshot derive it on their first write.
+        self._spaces = spaces
         super().__init__(
             network, dataset, partition, object_table, buckets,
             metrics=metrics,
@@ -224,7 +205,6 @@ class HubLabelIndex(HierarchyIndexBase):
         dataset,
         *,
         settle_cap: int = WITNESS_SETTLE_CAP,
-        record_repair: bool = False,
         metrics=None,
     ) -> "HubLabelIndex":
         """Contract, distill labels, bucket the object labels.
@@ -241,14 +221,12 @@ class HubLabelIndex(HierarchyIndexBase):
         with trace.span("build.hub", nodes=network.num_nodes):
             with trace.span("build.contract") as span:
                 hierarchy = ContractionHierarchy.build(
-                    network,
-                    settle_cap=settle_cap,
-                    record_repair=record_repair,
-                    metrics=metrics,
+                    network, settle_cap=settle_cap, metrics=metrics
                 )
                 span.set("shortcuts", hierarchy.num_shortcuts)
             with trace.span("build.labels") as span:
-                indptr, hubs, dists = build_labels(hierarchy)
+                spaces = hierarchy.batch_search_spaces()
+                indptr, hubs, dists = _distil(spaces)
                 span.set("entries", len(hubs))
             with trace.span("build.buckets") as span:
                 entries = [
@@ -269,7 +247,8 @@ class HubLabelIndex(HierarchyIndexBase):
         index = cls(
             network, dataset, hierarchy.order, indptr, hubs, dists,
             partition, object_table, buckets,
-            settle_cap=settle_cap, hierarchy=hierarchy, metrics=metrics,
+            settle_cap=settle_cap, hierarchy=hierarchy, spaces=spaces,
+            metrics=metrics,
         )
         index._record_build_trace(trace)
         return index
@@ -323,12 +302,11 @@ class HubLabelIndex(HierarchyIndexBase):
         )
         return [float(value) for value in joined]
 
-    def _rebuild(self, *, record_repair: bool = False) -> None:
+    def _rebuild(self) -> None:
         rebuilt = type(self).build(
             self.network,
             self.dataset,
             settle_cap=self.settle_cap,
-            record_repair=record_repair,
             metrics=self.metrics,
         )
         self.order = rebuilt.order
@@ -340,12 +318,8 @@ class HubLabelIndex(HierarchyIndexBase):
         self.object_table = rebuilt.object_table
         self.build_trace = rebuilt.build_trace
         self.hierarchy = rebuilt.hierarchy
-        self._spaces = None
+        self._spaces = rebuilt._spaces
         self._bind_backend_metrics(self.metrics)
-
-    def _rebuild_for_update(self) -> None:
-        # Record while rebuilding so the *next* changeset can repair.
-        self._rebuild(record_repair=True)
 
     def _refresh_object_structures(self) -> None:
         """Re-derive buckets / object table / partition from the label
@@ -397,15 +371,14 @@ class HubLabelIndex(HierarchyIndexBase):
         relaxation sums).
 
         Affected nodes are re-pruned against the updated space CSR with
-        the same keep rule as ``build_labels``; because pruning an
-        unstalled space keeps exactly the same entries as pruning the
-        stalled one, the resulting label arrays stay bit-identical to
-        ``build_labels`` on the repaired hierarchy.
+        the same keep rule the build distils with, so the resulting
+        label arrays stay bit-identical to ``build_labels`` on the
+        repaired hierarchy.
 
-        Falls back to a full (recording) rebuild when no repair
-        recording exists, hierarchy damage exceeds ``repair_threshold``
-        × nodes, or the affected-label count exceeds
-        ``relabel_threshold`` × nodes.
+        Falls back to a full rebuild when no repair recording exists
+        (indexes loaded from older snapshots), hierarchy damage exceeds
+        ``repair_threshold`` × nodes, or the affected-label count
+        exceeds ``relabel_threshold`` × nodes.
         """
         from repro.core.changeset import apply_changeset_to_network
         from repro.network.dijkstra import shortest_path_tree
@@ -471,21 +444,11 @@ class HubLabelIndex(HierarchyIndexBase):
             outcome.changed_up,
             n,
         )
-        old_indptr, old_hubs, old_dists = self._spaces
-        spaces = hierarchy.batch_search_spaces(
-            mask=closure, base=self._spaces
+        old_spaces = self._spaces
+        spaces = hierarchy.batch_search_spaces(mask=closure, base=old_spaces)
+        space_affected = changed_rows(
+            old_spaces, spaces, rows=np.flatnonzero(closure)
         )
-        new_indptr, new_hubs, new_dists = spaces
-        space_affected = np.zeros(n, dtype=bool)
-        for v in np.flatnonzero(closure):
-            v = int(v)
-            olo, ohi = int(old_indptr[v]), int(old_indptr[v + 1])
-            nlo, nhi = int(new_indptr[v]), int(new_indptr[v + 1])
-            if not (
-                np.array_equal(old_hubs[olo:ohi], new_hubs[nlo:nhi])
-                and np.array_equal(old_dists[olo:ohi], new_dists[nlo:nhi])
-            ):
-                space_affected[v] = True
         affected = dist_affected | space_affected
         affected_nodes = np.flatnonzero(affected)
         if len(affected_nodes) > self.relabel_threshold * n:
@@ -493,12 +456,7 @@ class HubLabelIndex(HierarchyIndexBase):
             return
         self._spaces = spaces
         if len(affected_nodes):
-            self._redistill(
-                affected,
-                affected_nodes,
-                (old_indptr, old_hubs, old_dists),
-                pair_masks,
-            )
+            self._redistill(affected, affected_nodes, old_spaces, pair_masks)
             self._refresh_object_structures()
         self.metrics.counter("backend.hub.update.repaired").inc()
         self.metrics.counter("backend.hub.update.damaged_nodes").inc(
@@ -551,8 +509,8 @@ class HubLabelIndex(HierarchyIndexBase):
         can change only if the realizing path crosses a changed edge,
         in which case its endpoints land on opposite directional masks
         of that edge.  Entries whose endpoints straddle a changed edge
-        always go through the join, in blocks sized to stay on the
-        batch kernel's workspace fast path.
+        always go through the join, in the same entry-bounded blocks as
+        the build.
         The joins run against the maintained unstalled space CSR with
         the exact same rule as ``build_labels`` (spaces are valid
         labels carrying exact entries), so the resulting label arrays
@@ -615,16 +573,14 @@ class HubLabelIndex(HierarchyIndexBase):
         )
         keep = carried & unchanged & in_label
         join_at = np.flatnonzero(~carried)
-        for lo in range(0, len(join_at), _PRUNE_BLOCK_PAIRS):
-            block = join_at[lo:lo + _PRUNE_BLOCK_PAIRS]
-            exact = batch_label_join_csr(
-                sp_indptr,
-                sp_hubs,
-                sp_dists,
-                owner[block],
-                entry_hubs[block].astype(np.int64),
-            )
-            keep[block] = ~(exact < entry_dists[block])
+        keep[join_at] = _exact_mask(
+            sp_indptr,
+            sp_hubs,
+            sp_dists,
+            owner[join_at],
+            entry_hubs[join_at],
+            entry_dists[join_at],
+        )
         self.metrics.counter("backend.hub.update.join_entries").inc(
             len(join_at)
         )

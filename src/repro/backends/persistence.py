@@ -17,6 +17,13 @@ arrays it stores)::
     arrays/<name>.bin           # raw array bytes, exact-size-checked
     meta.txt                    # magic + "key value" lines
 
+Both layouts also carry the hierarchy's repair recording
+(:attr:`RepairState.ARRAYS <repro.backends.ch.RepairState.ARRAYS>`), and
+the hub layout the upward CSR it was distilled from, so an index loaded
+from a snapshot repairs on its first write instead of rebuilding.
+Snapshots written before those arrays existed still load; their first
+write rebuilds (recording), as it always did.
+
 Every mismatch — missing file, wrong byte count, manifest/meta
 disagreement — raises a typed
 :class:`~repro.errors.PersistenceError` at load time, not a numpy
@@ -41,6 +48,7 @@ from repro.backends.ch import (
     WITNESS_SETTLE_CAP,
     CHIndex,
     ContractionHierarchy,
+    RepairState,
 )
 from repro.backends.hub_labels import HubLabelIndex
 from repro.core.categories import CategoryPartition
@@ -86,8 +94,12 @@ def _write_arrays(directory: Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def _read_arrays(
-    directory: Path, expected: tuple[str, ...]
+    directory: Path,
+    expected: tuple[str, ...],
+    optional: tuple[str, ...] = (),
 ) -> dict[str, np.ndarray]:
+    """Map the ``expected`` arrays, plus whichever ``optional`` ones the
+    manifest lists."""
     arrays_dir = directory / "arrays"
     manifest_path = arrays_dir / "manifest.json"
     if not manifest_path.exists():
@@ -106,7 +118,7 @@ def _read_arrays(
             f"{directory}: manifest lacks required arrays {missing}"
         )
     out: dict[str, np.ndarray] = {}
-    for name in expected:
+    for name in expected + tuple(n for n in optional if n in manifest):
         spec = manifest[name]
         dtype = np.dtype(spec["dtype"])
         shape = tuple(int(dim) for dim in spec["shape"])
@@ -180,6 +192,86 @@ def _buckets_from(arrays, num_nodes: int, directory: Path) -> BucketLists:
     )
 
 
+_UP_ARRAYS = ("up_indptr", "up_targets", "up_weights")
+
+
+def _repair_arrays(hierarchy: ContractionHierarchy | None) -> dict:
+    """The repair recording's arrays, or none when there is nothing to
+    record (a hierarchy loaded from an older snapshot)."""
+    if hierarchy is None or hierarchy.repair_state is None:
+        return {}
+    return hierarchy.repair_state.to_arrays()
+
+
+def _hierarchy_from(
+    arrays, order, num_nodes: int, meta, directory: Path
+) -> ContractionHierarchy | None:
+    """The stored hierarchy, with its repair recording when present.
+
+    Returns ``None`` when the snapshot stores no upward CSR (older hub
+    snapshots).  A partial set of upward or recording arrays is a
+    corrupt snapshot, not an old one.
+    """
+    stored = {
+        name for name in _UP_ARRAYS + RepairState.ARRAYS if name in arrays
+    }
+    if not stored:
+        return None
+    if stored not in (set(_UP_ARRAYS), set(_UP_ARRAYS + RepairState.ARRAYS)):
+        raise PersistenceError(
+            f"{directory}: incomplete hierarchy arrays {sorted(stored)}"
+        )
+    indptr = arrays["up_indptr"]
+    if (
+        len(indptr) != num_nodes + 1
+        or len(arrays["up_targets"]) != int(indptr[-1])
+        or len(arrays["up_weights"]) != int(indptr[-1])
+    ):
+        raise PersistenceError(
+            f"{directory}: upward CSR does not describe a {num_nodes}-node "
+            f"network"
+        )
+    hierarchy = ContractionHierarchy(
+        order,
+        indptr,
+        arrays["up_targets"],
+        arrays["up_weights"],
+        int(meta.get("num_shortcuts", 0)),
+    )
+    # Older snapshots predate the settle_cap meta line; default to the
+    # historical constant.  Some also record the worker count of a
+    # parallel build; like any unknown meta key, that line is ignored.
+    hierarchy.settle_cap = int(meta.get("settle_cap", WITNESS_SETTLE_CAP))
+    if RepairState.ARRAYS[0] in arrays:
+        try:
+            hierarchy.repair_state = RepairState.from_arrays(
+                arrays, num_nodes
+            )
+        except ValueError as exc:
+            raise PersistenceError(f"{directory}: {exc}") from None
+    return hierarchy
+
+
+def _object_entries_from(buckets: BucketLists, num_objects: int) -> list:
+    """Per-object ``(hubs, dists)`` in dataset-rank order, read back out
+    of the bucket CSR — the exact inverse of :meth:`BucketLists.build`
+    (each object's entries come out hub-sorted, as they went in)."""
+    hubs = np.repeat(
+        np.arange(len(buckets.indptr) - 1, dtype=np.int32),
+        np.diff(buckets.indptr),
+    )
+    by_rank = np.argsort(buckets.ranks, kind="stable")
+    hubs = hubs[by_rank]
+    dists = np.asarray(buckets.dists)[by_rank]
+    bounds = np.searchsorted(
+        np.asarray(buckets.ranks)[by_rank], np.arange(num_objects + 1)
+    )
+    return [
+        (hubs[bounds[r]:bounds[r + 1]], dists[bounds[r]:bounds[r + 1]])
+        for r in range(num_objects)
+    ]
+
+
 # ----------------------------------------------------------------------
 # contraction hierarchy (repro-ch-index 1)
 # ----------------------------------------------------------------------
@@ -198,6 +290,7 @@ def save_ch_index(index: CHIndex, directory: str | Path) -> None:
             "bucket_ranks": index.buckets.ranks,
             "bucket_dists": index.buckets.dists,
             "object_distances": index.object_table.matrix_view(),
+            **_repair_arrays(hierarchy),
         },
     )
     _write_meta(
@@ -215,35 +308,31 @@ def load_ch_index(directory: Path, meta: dict[str, str]) -> CHIndex:
     network, dataset, partition = _load_common(directory, meta)
     arrays = _read_arrays(
         directory,
-        ("order", "up_indptr", "up_targets", "up_weights")
-        + _BUCKET_ARRAYS
-        + ("object_distances",),
+        ("order",) + _UP_ARRAYS + _BUCKET_ARRAYS + ("object_distances",),
+        optional=RepairState.ARRAYS,
     )
     if len(arrays["order"]) != network.num_nodes:
         raise PersistenceError(
             f"{directory}: contraction order covers {len(arrays['order'])} "
             f"nodes but the network has {network.num_nodes}"
         )
-    hierarchy = ContractionHierarchy(
-        arrays["order"],
-        arrays["up_indptr"],
-        arrays["up_targets"],
-        arrays["up_weights"],
-        int(meta.get("num_shortcuts", 0)),
+    hierarchy = _hierarchy_from(
+        arrays, arrays["order"], network.num_nodes, meta, directory
     )
-    # Older snapshots predate the settle_cap meta line; default to the
-    # historical constant.  Some also record the worker count of a
-    # parallel build; like any unknown meta key, that line is ignored.
-    settle_cap = int(meta.get("settle_cap", WITNESS_SETTLE_CAP))
-    hierarchy.settle_cap = settle_cap
+    buckets = _buckets_from(arrays, network.num_nodes, directory)
     return CHIndex(
         network,
         dataset,
         hierarchy,
         partition,
         _object_table(arrays, partition, len(dataset), directory),
-        _buckets_from(arrays, network.num_nodes, directory),
-        settle_cap=settle_cap,
+        buckets,
+        settle_cap=hierarchy.settle_cap,
+        object_entries=(
+            _object_entries_from(buckets, len(dataset))
+            if hierarchy.repair_state is not None
+            else None
+        ),
     )
 
 
@@ -253,6 +342,16 @@ def load_ch_index(directory: Path, meta: dict[str, str]) -> CHIndex:
 def save_hub_index(index: HubLabelIndex, directory: str | Path) -> None:
     """Persist a :class:`~repro.backends.hub_labels.HubLabelIndex`."""
     directory = _save_common(index, directory)
+    hierarchy = index.hierarchy
+    extra_meta = []
+    arrays = _repair_arrays(hierarchy)
+    if arrays:
+        arrays.update(
+            up_indptr=hierarchy.up_indptr,
+            up_targets=hierarchy.up_targets,
+            up_weights=hierarchy.up_weights,
+        )
+        extra_meta.append(f"num_shortcuts {hierarchy.num_shortcuts}")
     _write_arrays(
         directory,
         {
@@ -264,13 +363,12 @@ def save_hub_index(index: HubLabelIndex, directory: str | Path) -> None:
             "bucket_ranks": index.buckets.ranks,
             "bucket_dists": index.buckets.dists,
             "object_distances": index.object_table.matrix_view(),
+            **arrays,
         },
     )
     _write_meta(
         directory, HUB_MAGIC, index,
-        [
-            f"settle_cap {index.settle_cap}",
-        ],
+        [f"settle_cap {index.settle_cap}", *extra_meta],
     )
 
 
@@ -283,12 +381,16 @@ def load_hub_index(directory: Path, meta: dict[str, str]) -> HubLabelIndex:
         ("order", "label_indptr", "label_hubs", "label_dists")
         + _BUCKET_ARRAYS
         + ("object_distances",),
+        optional=_UP_ARRAYS + RepairState.ARRAYS,
     )
     if len(arrays["label_indptr"]) != network.num_nodes + 1:
         raise PersistenceError(
             f"{directory}: label_indptr has {len(arrays['label_indptr'])} "
             f"entries for a {network.num_nodes}-node network"
         )
+    hierarchy = _hierarchy_from(
+        arrays, arrays["order"], network.num_nodes, meta, directory
+    )
     return HubLabelIndex(
         network,
         dataset,
@@ -300,6 +402,7 @@ def load_hub_index(directory: Path, meta: dict[str, str]) -> HubLabelIndex:
         _object_table(arrays, partition, len(dataset), directory),
         _buckets_from(arrays, network.num_nodes, directory),
         settle_cap=int(meta.get("settle_cap", WITNESS_SETTLE_CAP)),
+        hierarchy=hierarchy,
     )
 
 

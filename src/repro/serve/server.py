@@ -164,6 +164,8 @@ class QueryServer:
         registry.gauge(f"serve.build_info.backend.{self.backend}").set(1)
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.StreamWriter] = set()
+        # Connections waiting for their next request (keep-alive idle).
+        self._idle: set[asyncio.StreamWriter] = set()
         self._active_requests = 0
         self._draining = False
         self._stopped = asyncio.Event()
@@ -176,11 +178,12 @@ class QueryServer:
 
         Called by the coalescer on the event loop, under the
         coordinator's read gate.  ``batch`` (the coalescer's bucket)
-        gets execution telemetry attached — page counts and span trees —
-        for the member requests' slow-query records.  Tracing is scoped
-        to the batch only when slow-query capture is on; the
-        page-counter snapshot pair is two integer reads, cheap enough to
-        take unconditionally.
+        gets execution telemetry attached — page counts and the batch's
+        tracer — for the member requests' slow-query records.  Tracing
+        is scoped to the batch only when slow-query capture is on, and
+        the spans are serialized only for members that cross the
+        threshold; the page-counter snapshot pair is two integer reads,
+        cheap enough to take unconditionally.
         """
         index = self.index
         snap = index.counter.snapshot()
@@ -214,7 +217,7 @@ class QueryServer:
         batch.attach_execution(
             pages_logical=delta.logical,
             pages_physical=delta.physical,
-            spans=tracer.to_dicts() if tracer is not None else None,
+            tracer=tracer,
             epoch=self.coordinator.epoch,
         )
         return results
@@ -578,7 +581,11 @@ class QueryServer:
         self._connections.add(writer)
         try:
             while True:
-                request = await self._read_request(reader)
+                self._idle.add(writer)
+                try:
+                    request = await self._read_request(reader)
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -709,10 +716,14 @@ class QueryServer:
     async def shutdown(self) -> None:
         """Graceful stop: refuse new work, drain in-flight, then close.
 
-        The drain order matters: stop accepting connections, flush the
-        coalescer so buffered requests still get answers, wait (bounded
-        by ``drain_timeout_s``) for active requests, then drop idle
-        keep-alive connections.
+        The drain order matters: stop accepting connections and drop
+        idle keep-alive ones, flush the coalescer so buffered requests
+        still get answers, wait (bounded by ``drain_timeout_s``) for
+        active requests, then close what is left.  Busy connections
+        close themselves after their response (``Connection: close``
+        while draining).  Since Python 3.12.1 ``Server.wait_closed()``
+        waits for every connection handler to return, so it comes last,
+        after every connection was told to close, and is bounded too.
         """
         if self._draining:
             await self._stopped.wait()
@@ -721,17 +732,24 @@ class QueryServer:
         logger.info("draining: %d active requests", self._active_requests)
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        for writer in list(self._idle):
+            writer.close()
         await self.coalescer.drain()
-        deadline = asyncio.get_running_loop().time() + self.config.drain_timeout_s
-        while (
-            self._active_requests > 0
-            and asyncio.get_running_loop().time() < deadline
-        ):
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.drain_timeout_s
+        while self._active_requests > 0 and loop.time() < deadline:
             await asyncio.sleep(0.005)
             await self.coalescer.drain()
         for writer in list(self._connections):
             writer.close()
+        if self._server is not None:
+            try:
+                await asyncio.wait_for(
+                    self._server.wait_closed(),
+                    timeout=max(deadline - loop.time(), 0.1),
+                )
+            except asyncio.TimeoutError:
+                pass
         self.slow_log.close()
         self._stopped.set()
         logger.info(

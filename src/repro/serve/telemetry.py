@@ -87,7 +87,7 @@ class RequestContext:
         "batch_request_ids",
         "pages_logical",
         "pages_physical",
-        "spans",
+        "tracer",
         "epoch",
     )
 
@@ -103,7 +103,7 @@ class RequestContext:
         self.batch_request_ids: list[str] = []
         self.pages_logical = 0
         self.pages_physical = 0
-        self.spans: list[dict] = []
+        self.tracer = None
         self.epoch: int | None = None
 
     # -- stage marks ---------------------------------------------------
@@ -182,19 +182,22 @@ class RequestContext:
         *,
         pages_logical: int = 0,
         pages_physical: int = 0,
-        spans: list[dict] | None = None,
+        tracer=None,
         epoch: int | None = None,
     ) -> None:
         """Record what the request's batch cost and the epoch it saw.
 
         Page counts and spans are *batch-level* (the batch is the unit
         of execution; per-member attribution would be fiction) — the
-        slow-query record says so explicitly via ``batch.size``.
+        slow-query record says so explicitly via ``batch.size``.  The
+        batch's :class:`~repro.obs.tracing.Tracer` is kept as is and
+        serialized only by :meth:`to_record`, i.e. only for requests
+        that turn out slow.
         """
         self.pages_logical = int(pages_logical)
         self.pages_physical = int(pages_physical)
-        if spans:
-            self.spans = spans
+        if tracer is not None:
+            self.tracer = tracer
         if epoch is not None:
             self.epoch = epoch
 
@@ -221,8 +224,9 @@ class RequestContext:
             record["params"] = params
         if self.epoch is not None:
             record["epoch"] = self.epoch
-        if self.spans:
-            record["spans"] = self.spans
+        spans = self.tracer.to_dicts() if self.tracer is not None else None
+        if spans:
+            record["spans"] = spans
         return record
 
 

@@ -325,7 +325,7 @@ def updatable(request, planar):
             network.copy(), dataset, keep_trees=True,
             query_engine="columnar",
         )
-    return build_backend(name, network.copy(), dataset, record_repair=True)
+    return build_backend(name, network.copy(), dataset)
 
 
 @pytest.mark.parametrize(

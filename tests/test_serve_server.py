@@ -560,6 +560,36 @@ class TestLifecycle:
 
         assert asyncio.run(main()) == [200, 200, 200, 200]
 
+    def test_idle_keepalive_client_does_not_stall_shutdown(self, sig_index):
+        async def main():
+            config = ServeConfig(port=0).replace(max_wait_ms=60_000.0)
+            server = QueryServer(sig_index, config)
+            await server.start()
+            # Python >= 3.12.1: Server.wait_closed() waits for every
+            # connection handler to return.  Emulate that here so the
+            # test means the same on every interpreter.
+            real_wait_closed = server._server.wait_closed
+
+            async def wait_closed_like_312():
+                while server._connections:
+                    await asyncio.sleep(0.005)
+                await real_wait_closed()
+
+            server._server.wait_closed = wait_closed_like_312
+            client = ServeClient(server.host, server.port)
+            try:
+                assert (await client.range(3, 20.0)).status == 200
+                # The connection stays open and idle (keep-alive).
+                assert server._connections
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                await asyncio.wait_for(server.shutdown(), timeout=1.0)
+                return loop.time() - started
+            finally:
+                await client.close()
+
+        assert asyncio.run(main()) < 1.0
+
     def test_draining_server_refuses_new_work(self, sig_index):
         async def main():
             async with serving(sig_index) as (server, client):

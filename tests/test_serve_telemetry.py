@@ -139,6 +139,31 @@ class TestSlowQueryLog:
             "stitch",
         }
 
+    def test_batch_spans_serialize_only_for_slow_requests(self):
+        class CountingTracer:
+            calls = 0
+
+            def to_dicts(self):
+                CountingTracer.calls += 1
+                return [{"name": "query.range_batch", "children": []}]
+
+        tracer = CountingTracer()
+        fast, slow = RequestContext("/v1/range"), RequestContext("/v1/knn")
+        for ctx in (fast, slow):
+            ctx.attach_execution(tracer=tracer, epoch=0)
+        assert CountingTracer.calls == 0  # attaching serializes nothing
+        assert SlowQueryLog(threshold_ms=10_000.0).maybe_record(
+            fast, status=200
+        ) is None
+        assert CountingTracer.calls == 0
+        record = SlowQueryLog(threshold_ms=1e-6).maybe_record(
+            slow, status=200
+        )
+        assert CountingTracer.calls == 1
+        assert record["spans"] == [
+            {"name": "query.range_batch", "children": []}
+        ]
+
     def test_unwritable_file_disables_sink_not_requests(self, tmp_path):
         log = SlowQueryLog(
             threshold_ms=1e-6, path=str(tmp_path / "no" / "dir" / "x.jsonl")
@@ -289,6 +314,9 @@ class TestDebugSurfaces:
                 assert record["status"] == 200
                 assert record["batch"]["pages_logical"] >= 0
                 assert record["epoch"] == 0
+                # The batch's spans are serialized for the slow record.
+                assert record["spans"]
+                assert all("name" in span for span in record["spans"])
 
         asyncio.run(main())
         lines = [

@@ -55,12 +55,8 @@ def _all_implementations(network, dataset):
             network.copy(), dataset, keep_trees=True,
             query_engine="columnar",
         ),
-        "ch": build_backend(
-            "ch", network.copy(), dataset, record_repair=True
-        ),
-        "hub": build_backend(
-            "hub", network.copy(), dataset, record_repair=True
-        ),
+        "ch": build_backend("ch", network.copy(), dataset),
+        "hub": build_backend("hub", network.copy(), dataset),
     }
     # Tiny networks blow the default damage threshold immediately; the
     # interleaving test is about the *incremental* path, so force it.
@@ -165,11 +161,7 @@ class TestRepairVsRebuild:
         network, dataset = _world(seed=31)
         repair_registry = MetricsRegistry()
         repairing = build_backend(
-            name,
-            network.copy(),
-            dataset,
-            record_repair=True,
-            metrics=repair_registry,
+            name, network.copy(), dataset, metrics=repair_registry
         )
         repairing.repair_threshold = 1.0
         repairing.relabel_threshold = 1.0
@@ -209,9 +201,7 @@ class TestRepairVsRebuild:
     @pytest.mark.parametrize("name", ["ch", "hub"])
     def test_damage_threshold_falls_back_to_rebuild(self, name):
         network, dataset = _world(seed=31)
-        index = build_backend(
-            name, network.copy(), dataset, record_repair=True
-        )
+        index = build_backend(name, network.copy(), dataset)
         index.repair_threshold = 0.0  # every repair is "too damaged"
         edge = next(iter(network.edges()))
         result = index.apply_updates(
