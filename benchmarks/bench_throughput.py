@@ -11,7 +11,9 @@ on both engines, so their comparison isolates CPU-side query processing.
 kNN differs by design: the scalar engine runs the paper's Algorithm 6
 with its pairwise boundary sort, the columnar engine the bound-pruned
 refinement (:mod:`repro.core.knn_refine`), so the ``knn`` row is also
-the page-reduction gate of that refinement.
+the page-reduction gate of that refinement.  The ``knn`` row also
+reports ``single_node_ms``, the median time of a 1-node ``knn_batch``
+(one served kNN read's engine cost).
 
 Also times the §5.2 construction sweep per backend (``python``,
 ``scipy``).
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -52,7 +55,7 @@ from benchmarks.conftest import (  # noqa: E402
     Stopwatch,
     write_result,
 )
-from repro.core import SignatureIndex  # noqa: E402
+from repro.core import KnnType, SignatureIndex  # noqa: E402
 from repro.core.builder import run_construction_sweep  # noqa: E402
 from repro.obs import NULL_REGISTRY, metrics_to_json_lines  # noqa: E402
 from repro.workloads import (  # noqa: E402
@@ -70,9 +73,9 @@ KNN_K = 5
 #: The quick smoke runs a far smaller problem, where fixed per-batch
 #: overheads weigh more; it only checks the direction.
 MIN_SPEEDUP = 2.0 if QUICK else 5.0
-#: k values the kNN bit-identity check sweeps: k=1 exercises the
-#: single-winner tie-break, and 25 exceeds the quick-mode object count
-#: so the k >= D degenerate path is covered too.
+#: k values the kNN bit-identity check sweeps, for every ``KnnType``:
+#: k=1 exercises the single-winner tie-break, and 25 exceeds the
+#: quick-mode object count so the k >= D degenerate path is covered too.
 IDENTITY_KS = (1, 5, 25)
 #: The pruned kNN must read ≥10× fewer pages per query than the paper's
 #: pairwise boundary sort at N=6000.  The quick smoke has ≈12 objects,
@@ -153,12 +156,23 @@ def _measure_pair(scalar, vec, nodes, radius, epsilon):
     results["range"] = (range_scalar, range_vec, {"radius": radius})
 
     # kNN bit-identity first, ties included: the pruned refinement must
-    # answer exactly like the paper's algorithm, single and batched.
+    # answer exactly like the paper's algorithm, single and batched, for
+    # every result type.
     identity_nodes = nodes[:40]
-    for k in IDENTITY_KS:
-        want = [scalar.knn(node, k) for node in identity_nodes]
-        assert [vec.knn(node, k) for node in identity_nodes] == want, k
-        assert vec.knn_batch(identity_nodes, k) == want, k
+    identity_types = []
+    for knn_type in KnnType:
+        for k in IDENTITY_KS:
+            want = [
+                scalar.knn(node, k, knn_type=knn_type)
+                for node in identity_nodes
+            ]
+            got = [
+                vec.knn(node, k, knn_type=knn_type) for node in identity_nodes
+            ]
+            assert got == want, (knn_type, k)
+            got = vec.knn_batch(identity_nodes, k, knn_type=knn_type)
+            assert got == want, (knn_type, k)
+        identity_types.append(knn_type.name)
     for node in nodes:
         scalar.knn(node, KNN_K)
     vec.knn_batch(nodes, KNN_K)
@@ -169,7 +183,15 @@ def _measure_pair(scalar, vec, nodes, radius, epsilon):
         "knn/vectorized", vec, lambda ns: vec.knn_batch(ns, KNN_K), nodes
     )
     assert vec.knn_batch(nodes, KNN_K) == [scalar.knn(n, KNN_K) for n in nodes]
-    results["knn"] = (knn_scalar, knn_vec, {"k": KNN_K})
+    results["knn"] = (
+        knn_scalar,
+        knn_vec,
+        {
+            "k": KNN_K,
+            "single_node_ms": _single_node_ms(vec, nodes),
+            "identity_knn_types": identity_types,
+        },
+    )
 
     # ε-join: one pass issues a per-object scan for every dataset object;
     # normalize to scans/sec so the figure compares with the others.
@@ -201,6 +223,20 @@ def _measure_pair(scalar, vec, nodes, radius, epsilon):
     )
     results["epsilon_join"] = (join_scalar, join_vec, {"epsilon": epsilon})
     return results
+
+
+def _single_node_ms(vec, nodes, passes: int = 3) -> float:
+    """Median over ``nodes`` of a 1-node ``knn_batch``'s milliseconds:
+    the engine cost of one served kNN read, which a coalesced batch of
+    one pays in full.  Each node keeps its best of ``passes`` timings, so
+    a burst of host CPU drift does not land on the median."""
+    best = [float("inf")] * len(nodes)
+    for _ in range(passes):
+        for i, node in enumerate(nodes):
+            start = time.perf_counter()
+            vec.knn_batch([node], KNN_K)
+            best[i] = min(best[i], (time.perf_counter() - start) * 1e3)
+    return statistics.median(best)
 
 
 def _phase_breakdown(scalar, vec, nodes, radius) -> dict:

@@ -25,14 +25,18 @@ category arithmetic.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections.abc import Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import PartitionError
 
 __all__ = [
     "CategoryPartition",
     "ExponentialPartition",
+    "category_bound_arrays",
     "optimal_exponent",
     "optimal_first_boundary",
     "optimal_partition",
@@ -170,6 +174,29 @@ class ExponentialPartition(CategoryPartition):
             f"ExponentialPartition(c={self.c}, T={self.first_boundary}, "
             f"num_categories={self.num_categories})"
         )
+
+
+@functools.lru_cache(maxsize=64)
+def category_bound_arrays(
+    partition: CategoryPartition,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-category ``(lower_bounds, upper_bounds)`` arrays.
+
+    Indexed by categorical value including the unreachable sentinel
+    (``lb = ub = inf``), so a decoded row fancy-indexes straight into its
+    per-object bounds.  Partitions are immutable and hashable, hence the
+    module-level memoization.
+    """
+    m = partition.num_categories
+    lbs = np.empty(m + 1, dtype=float)
+    ubs = np.empty(m + 1, dtype=float)
+    for category in range(m):
+        lbs[category], ubs[category] = partition.bounds(category)
+    lbs[m] = np.inf
+    ubs[m] = np.inf
+    lbs.setflags(write=False)
+    ubs.setflags(write=False)
+    return lbs, ubs
 
 
 def optimal_exponent() -> float:

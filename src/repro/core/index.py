@@ -36,6 +36,7 @@ from repro.core.builder import (
 )
 from repro.core.categories import (
     CategoryPartition,
+    category_bound_arrays,
     optimal_partition,
     paper_evaluation_partition,
 )
@@ -792,7 +793,7 @@ class SignatureIndex:
         ) as span:
             self.touch_signature(node)
             row = vectorized.decode_signature_row(self, node)
-            lbs, _ = vectorized.category_bound_arrays(self.partition)
+            lbs, _ = category_bound_arrays(self.partition)
             hits = np.flatnonzero(lbs[row] <= radius)
             span.set("results", len(hits))
         return [self.dataset[int(rank)] for rank in hits]

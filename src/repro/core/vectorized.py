@@ -37,17 +37,15 @@ costs CPU, never I/O (§5.3): the read advances the index's
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core import knn_refine
-from repro.core.categories import CategoryPartition
+from repro.core.categories import category_bound_arrays
 from repro.core.operations import (
     Backtracker,
     SignatureIndexProtocol,
-    _observer_vote,
     retrieve_distance,
 )
 from repro.core.queries import _AGGREGATES, KnnType, _require_objects
@@ -56,7 +54,6 @@ from repro.errors import QueryError
 from repro.obs.tracing import span_of
 
 __all__ = [
-    "category_bound_arrays",
     "decode_signature_row",
     "decode_signature_rows",
     "range_query",
@@ -67,29 +64,6 @@ __all__ = [
     "epsilon_join",
     "knn_join",
 ]
-
-
-@functools.lru_cache(maxsize=64)
-def category_bound_arrays(
-    partition: CategoryPartition,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-category ``(lower_bounds, upper_bounds)`` arrays.
-
-    Indexed by categorical value including the unreachable sentinel
-    (``lb = ub = inf``), so a decoded row fancy-indexes straight into its
-    per-object bounds.  Partitions are immutable and hashable, hence the
-    module-level memoization.
-    """
-    m = partition.num_categories
-    lbs = np.empty(m + 1, dtype=float)
-    ubs = np.empty(m + 1, dtype=float)
-    for category in range(m):
-        lbs[category], ubs[category] = partition.bounds(category)
-    lbs[m] = np.inf
-    ubs[m] = np.inf
-    lbs.setflags(write=False)
-    ubs.setflags(write=False)
-    return lbs, ubs
 
 
 # ----------------------------------------------------------------------
@@ -145,67 +119,6 @@ def _tally_masks(index, confirmed: int, ambiguous: int, total: int) -> None:
         span.set("ambiguous", ambiguous)
         if total:
             span.set("mask_pass_rate", round(1 - ambiguous / total, 4))
-
-
-def _make_approx_comparator(index, node: int, cats_row: np.ndarray):
-    """A drop-in for Algorithm 3 seeded from a decoded row.
-
-    Byte-identical decisions to
-    :func:`repro.core.operations.compare_approximate` — same observer set,
-    same vote arithmetic — but the observer candidates (objects strictly
-    closer to ``node`` than the compared pair) are read off ``cats_row``
-    once per shared category instead of D ``component`` calls per
-    comparison.  Zero I/O either way, so the ordering *and* the paging of
-    the exact fix-up phase that follows are unchanged.
-    """
-    partition = index.partition
-    unreachable = partition.unreachable
-    table = index.object_table
-    num_objects = table.num_objects
-    candidates: dict[int, list[tuple[int, int]]] = {}
-
-    def compare(rank_a: int, rank_b: int) -> int:
-        cat_a = int(cats_row[rank_a])
-        cat_b = int(cats_row[rank_b])
-        if cat_a != cat_b:
-            return -1 if cat_a < cat_b else 1
-        shared = cat_a
-        if shared >= unreachable:
-            return 0
-        if not table.has(rank_a, rank_b):
-            return 0
-        d_ab = table.distance(rank_a, rank_b)
-        if d_ab <= 0:
-            return 0
-        observers = candidates.get(shared)
-        if observers is None:
-            observers = [
-                (rank, int(cats_row[rank]))
-                for rank in range(num_objects)
-                if cats_row[rank] < shared
-            ]
-            candidates[shared] = observers
-        votes = 0
-        for rank, observer_category in observers:
-            if rank == rank_a or rank == rank_b:
-                continue
-            if not (table.has(rank, rank_a) and table.has(rank, rank_b)):
-                continue
-            votes += _observer_vote(
-                partition,
-                shared,
-                observer_category,
-                d_ab,
-                table.distance(rank, rank_a),
-                table.distance(rank, rank_b),
-            )
-        if votes < 0:
-            return -1
-        if votes > 0:
-            return 1
-        return 0
-
-    return compare
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core import ColumnarSignatureStore, KnnType, SignatureIndex
-from repro.core.categories import ExponentialPartition
-from repro.core.vectorized import category_bound_arrays
+from repro.core.categories import (
+    ExponentialPartition,
+    category_bound_arrays,
+)
 from repro.errors import IndexError_, StorageError
 from repro.network import uniform_dataset
 from repro.network.dijkstra import shortest_path_tree

@@ -12,6 +12,7 @@ and serve as HTTP 400.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import math
 import random
 
@@ -21,13 +22,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SignatureIndex
-from repro.core import knn_refine, queries, vectorized
+from repro.core import knn_refine, operations, queries, vectorized
 from repro.core.persistence import load_index, save_index
 from repro.core.queries import KnnType
 from repro.core.signature import ObjectDistanceTable, SignatureTable
 from repro.errors import QueryError
 from repro.network import (
     ObjectDataset,
+    RoadNetwork,
     grid_network,
     random_planar_network,
     uniform_dataset,
@@ -421,3 +423,204 @@ class TestBoundMachinery:
         # Every page the repeat needed was already in the frontier.
         assert index.counter.logical_reads == 0
         assert ctx.reuse_hits > 0
+
+
+def dropped_and_disconnected_index() -> SignatureIndex:
+    """An index whose object table holds dropped last-category pairs
+    (``NaN``) and an object on a separate component (``inf`` pairs)."""
+    planar = random_planar_network(120, seed=5)
+    coordinates = [planar.coordinates(node) for node in planar.nodes()]
+    network = RoadNetwork(coordinates + [(1e4, 1e4), (1e4 + 1, 1e4)])
+    for edge in planar.edges():
+        network.add_edge(edge.u, edge.v, edge.weight)
+    island = planar.num_nodes
+    network.add_edge(island, island + 1, 1.0)
+    members = set(uniform_dataset(planar, density=0.1, seed=4)) | {island}
+    # The paper's partition ends its bounded categories well inside the
+    # distance spectrum, so many finite pairs fall in the last category.
+    return SignatureIndex.build(
+        network,
+        ObjectDataset(sorted(members)),
+        partition="paper",
+        backend="scipy",
+    )
+
+
+class TestComparatorDifferential:
+    """The columnar engine's Algorithm 3 comparator, built once per query
+    from the decoded row, decides every same-category pair exactly as
+    the paper's :func:`operations.compare_approximate` does."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            "compressed",
+            "v2_snapshot",
+            "grid_ties",
+            "dropped_and_disconnected",
+        ],
+    )
+    def case(self, request, refine_net, refine_objs, tmp_path_factory):
+        if request.param in ("compressed", "v2_snapshot"):
+            index = SignatureIndex.build(
+                refine_net, refine_objs, backend="scipy"
+            )
+            assert index.table.compressed.any()
+            if request.param == "v2_snapshot":
+                path = tmp_path_factory.mktemp("comparator") / "idx"
+                save_index(index, path, format=2)
+                index = load_index(path)
+            return index, sample_nodes(refine_net, 24, seed=11)
+        if request.param == "grid_ties":
+            network = grid_network(6, 6)
+            dataset = ObjectDataset([0, 5, 8, 14, 17, 21, 30, 35])
+            index = SignatureIndex.build(network, dataset, backend="scipy")
+            return index, list(range(network.num_nodes))
+        index = dropped_and_disconnected_index()
+        matrix = index.object_table.matrix_view()
+        assert np.isnan(matrix).any() and np.isinf(matrix).any()
+        return index, list(range(index.network.num_nodes))
+
+    def test_decisions_equal_compare_approximate(self, case):
+        index, nodes = case
+        pairs = decided = 0
+        for node in nodes:
+            row = vectorized.decode_signature_row(index, node)
+            compare = knn_refine._make_approx_comparator(index, row)
+            cats = row.tolist()
+            for a, cat_a in enumerate(cats):
+                for b, cat_b in enumerate(cats):
+                    if a == b or cat_a != cat_b:
+                        continue
+                    got = compare(a, b)
+                    want = operations.compare_approximate(index, node, a, b)
+                    assert got == want, (node, a, b)
+                    pairs += 1
+                    decided += got != 0
+        # The observers must actually vote, or equality proves little.
+        assert pairs and decided
+
+    def test_observer_past_the_bisector(self, refine_net, refine_objs):
+        """An observer whose every bisector candidate is nearer than the
+        node can be votes for the far side.  Network-consistent tables
+        never place one so; an edited table does.  Uncompressed, so the
+        edit cannot change what a decompression would resolve."""
+        index = SignatureIndex.build(
+            refine_net, refine_objs, backend="scipy", compress=False
+        )
+        partition = index.partition
+        table = index.object_table
+        last_lb = partition.lower_bound(partition.num_categories - 1)
+        for node in sample_nodes(refine_net, refine_net.num_nodes, seed=13):
+            cats = vectorized.decode_signature_row(index, node).tolist()
+            found = [
+                (a, b, c)
+                for a, b, c in itertools.permutations(range(len(cats)), 3)
+                if cats[a] == cats[b]
+                and 0 < cats[c] < cats[a]
+                and 2 * partition.upper_bound(cats[a]) < last_lb
+            ]
+            if found:
+                break
+        else:  # pragma: no cover - sampling failure
+            pytest.fail("no bounded pair with a nearer observer")
+        a, b, c = found[0]
+        shared, observer = cats[a], cats[c]
+        ub = partition.upper_bound(shared)
+        obs_lb = partition.lower_bound(observer)
+        # The pair nearly 2*ub apart (bisector candidates then sit within
+        # obs_lb / 2 of its midpoint) and the observer just off the
+        # midpoint; every other observer equidistant, so it abstains.
+        half = math.sqrt(ub * ub - obs_lb * obs_lb / 4)
+        d_ca, d_cb = half + obs_lb / 8, half - obs_lb / 8
+        table.set_distance(a, b, 2 * half)
+        table.set_distance(b, a, 2 * half)
+        table.set_distance(c, a, d_ca)
+        table.set_distance(c, b, d_cb)
+        for other, category in enumerate(cats):
+            if category < shared and other not in (a, b, c):
+                table.set_distance(other, a, 1.0)
+                table.set_distance(other, b, 1.0)
+        assert operations._observer_vote(
+            partition, shared, observer, 2 * half, d_ca, d_cb
+        ) == -1
+        row = vectorized.decode_signature_row(index, node)
+        compare = knn_refine._make_approx_comparator(index, row)
+        assert compare(a, b) == operations.compare_approximate(
+            index, node, a, b
+        ) == -1
+        assert compare(b, a) == operations.compare_approximate(
+            index, node, b, a
+        ) == 1
+
+
+#: The columnar engine's kNN cost on the configuration of
+#: ``tests/test_paper_pin.py`` (240-node planar network, seed 13;
+#: density 0.05, seed 9; the 20 query nodes ``Random(0)`` samples):
+#: ``(logical pages, decompressions, backtrack.hops)`` per ``(type, k)``,
+#: summed over one query per node, and for one 20-node ``knn_batch``
+#: (whose shared frontier charges a revisited record once).  A faster
+#: refinement must leave every figure where it is.
+COLUMNAR_KNN_COST_SINGLE = {
+    (KnnType.EXACT_DISTANCES, 1): (176, 173, 85),
+    (KnnType.EXACT_DISTANCES, 5): (979, 578, 989),
+    (KnnType.EXACT_DISTANCES, 10): (1798, 1034, 1916),
+    (KnnType.ORDERED, 1): (108, 173, 51),
+    (KnnType.ORDERED, 5): (964, 578, 955),
+    (KnnType.ORDERED, 10): (1783, 1034, 1882),
+    (KnnType.SET, 1): (108, 173, 51),
+    (KnnType.SET, 5): (908, 563, 829),
+    (KnnType.SET, 10): (681, 536, 609),
+}
+COLUMNAR_KNN_COST_BATCH = {
+    (KnnType.EXACT_DISTANCES, 1): (102, 173, 85),
+    (KnnType.EXACT_DISTANCES, 5): (201, 404, 989),
+    (KnnType.EXACT_DISTANCES, 10): (208, 563, 1916),
+    (KnnType.ORDERED, 1): (76, 173, 51),
+    (KnnType.ORDERED, 5): (201, 404, 955),
+    (KnnType.ORDERED, 10): (208, 563, 1882),
+    (KnnType.SET, 1): (76, 173, 51),
+    (KnnType.SET, 5): (194, 399, 829),
+    (KnnType.SET, 10): (160, 365, 609),
+}
+
+
+class TestColumnarCostPin:
+    @pytest.fixture(scope="class")
+    def pinned(self, refine_net, refine_objs):
+        index = SignatureIndex.build(
+            refine_net, refine_objs, backend="scipy", query_engine="columnar"
+        )
+        nodes = random.Random(0).sample(range(refine_net.num_nodes), 20)
+        return index, nodes
+
+    @staticmethod
+    def cost(index, run):
+        hops = index.metrics.counter("backtrack.hops")
+        index.reset_counters()
+        before = hops.value
+        run()
+        return (
+            index.counter.logical_reads,
+            index.decompressions,
+            hops.value - before,
+        )
+
+    @pytest.mark.parametrize(
+        "knn_type,k",
+        sorted(
+            COLUMNAR_KNN_COST_SINGLE,
+            key=lambda key: (key[0].value, key[1]),
+        ),
+    )
+    def test_single_and_batch_costs_are_pinned(self, pinned, knn_type, k):
+        index, nodes = pinned
+        single = self.cost(
+            index,
+            lambda: [index.knn(node, k, knn_type=knn_type) for node in nodes],
+        )
+        batch = self.cost(
+            index, lambda: index.knn_batch(nodes, k, knn_type=knn_type)
+        )
+        assert single == COLUMNAR_KNN_COST_SINGLE[(knn_type, k)]
+        assert batch == COLUMNAR_KNN_COST_BATCH[(knn_type, k)]
