@@ -1,19 +1,25 @@
 """Throughput: scalar reference vs the vectorized batch query engine.
 
 Not a paper figure — the perf trajectory of the serving north star.  One
-workload of range / kNN / ε-join queries runs twice over the same
-network, dataset, partition, and signature tables: once through the
+workload of range / kNN / distance / ε-join queries runs twice over the
+same network, dataset, partition, and signature tables: once through the
 scalar §4 implementation (:mod:`repro.core.queries`), once through the
 vectorized batch algorithms (:mod:`repro.core.vectorized`, the default
 ``columnar`` engine).  The bench asserts the result sets match before it
-reports a single number.  Range and ε-join charge the pager identically
-on both engines, so their comparison isolates CPU-side query processing.
+reports a single number.  Range, distance and ε-join charge the pager
+identically on both engines, so their comparison isolates CPU-side query
+processing.
 kNN differs by design: the scalar engine runs the paper's Algorithm 6
 with its pairwise boundary sort, the columnar engine the bound-pruned
 refinement (:mod:`repro.core.knn_refine`), so the ``knn`` row is also
 the page-reduction gate of that refinement.  The ``knn`` row also
 reports ``single_node_ms``, the median time of a 1-node ``knn_batch``
-(one served kNN read's engine cost).
+(one served kNN read's engine cost).  Served-size reads add
+``range.single_node_ms`` (a 1-node ``range_query_batch`` at a radius
+returning about three objects, which refines by backtracking) and a
+``distance`` row whose ``single_pair_ms`` is a 1-pair
+``distance_batch``; both engines must answer and charge pages alike
+there first.
 
 Also times the §5.2 construction sweep per backend (``python``,
 ``scipy``).
@@ -46,7 +52,10 @@ _REPO_ROOT = str(Path(__file__).resolve().parent.parent)
 if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from scipy.sparse import csr_matrix  # noqa: E402
+from scipy.sparse.csgraph import dijkstra  # noqa: E402
 
 from benchmarks.conftest import (  # noqa: E402
     NUM_QUERIES,
@@ -82,6 +91,10 @@ IDENTITY_KS = (1, 5, 25)
 #: where the boundary bucket is a large share of the dataset and bounds
 #: are weak, so its bar is lower.
 MIN_KNN_PAGE_REDUCTION = 5.0 if QUICK else 10.0
+#: Served-size range reads return about this many objects each, as the
+#: served benchmark's do; unlike the ``range`` row's radius, theirs
+#: refines by backtracking.
+SERVED_RANGE_OBJECTS = 3.0
 #: CI regression budget for quick-mode columnar kNN pages/query:
 #: measured 30.4 on the 1200-node / 25-query smoke, against ≈1650 for
 #: the paper's algorithm on the same workload.
@@ -154,6 +167,8 @@ def _measure_pair(scalar, vec, nodes, radius, epsilon):
         scalar.range_query(n, radius) for n in nodes
     ]
     results["range"] = (range_scalar, range_vec, {"radius": radius})
+    served_range, results["distance"] = _served_reads(scalar, vec, nodes)
+    results["range"][2].update(served_range)
 
     # kNN bit-identity first, ties included: the pruned refinement must
     # answer exactly like the paper's algorithm, single and batched, for
@@ -225,18 +240,94 @@ def _measure_pair(scalar, vec, nodes, radius, epsilon):
     return results
 
 
-def _single_node_ms(vec, nodes, passes: int = 3) -> float:
-    """Median over ``nodes`` of a 1-node ``knn_batch``'s milliseconds:
-    the engine cost of one served kNN read, which a coalesced batch of
-    one pays in full.  Each node keeps its best of ``passes`` timings, so
-    a burst of host CPU drift does not land on the median."""
-    best = [float("inf")] * len(nodes)
+def _single_read_ms(read, items, passes: int = 3) -> float:
+    """Median over ``items`` of ``read(item)``'s milliseconds.  With a
+    one-element batch per call this is the engine cost of one served
+    read, which a coalesced batch of one pays in full.  Each item keeps
+    its best of ``passes`` timings, so a burst of host CPU drift does not
+    land on the median."""
+    best = [float("inf")] * len(items)
     for _ in range(passes):
-        for i, node in enumerate(nodes):
+        for i, item in enumerate(items):
             start = time.perf_counter()
-            vec.knn_batch([node], KNN_K)
+            read(item)
             best[i] = min(best[i], (time.perf_counter() - start) * 1e3)
     return statistics.median(best)
+
+
+def _single_node_ms(vec, nodes) -> float:
+    """One served kNN read: a 1-node ``knn_batch``."""
+    return _single_read_ms(lambda node: vec.knn_batch([node], KNN_K), nodes)
+
+
+def _served_radius(index) -> float:
+    """A radius whose range queries return about
+    ``SERVED_RANGE_OBJECTS`` objects: that quantile of every exact
+    object-to-node distance (scipy Dijkstra from each object)."""
+    network = index.network
+    indptr, neighbors, weights = network.adjacency_arrays()
+    size = network.num_nodes
+    graph = csr_matrix((weights, neighbors, indptr), shape=(size, size))
+    distances = dijkstra(graph, indices=list(index.dataset))
+    share = SERVED_RANGE_OBJECTS / len(index.dataset)
+    return float(np.quantile(distances, share))
+
+
+def _answers_and_pages(index, run):
+    index.reset_counters()
+    answers = run(index)
+    return answers, index.counter.logical_reads
+
+
+def _served_reads(scalar, vec, nodes):
+    """Served-size reads: one node's range at a radius that refines by
+    backtracking, and one pair's ``distance_batch``.
+
+    Both engines must give equal answers and charge equal pages before
+    either is timed.  Returns the ``range`` row's extra keys and the
+    ``distance`` row (all query nodes' pairs in one batch per engine).
+    """
+    radius = _served_radius(vec)
+    rng = np.random.default_rng(407)
+    targets = [int(t) for t in rng.choice(list(vec.dataset), len(nodes))]
+    pairs = list(zip(nodes, targets))
+    for run in (
+        lambda index: [index.range_query_batch([n], radius) for n in nodes],
+        lambda index: [
+            index.range_query_batch([n], radius, with_distances=True)
+            for n in nodes
+        ],
+        lambda index: [
+            index.distance_batch([node], [target]) for node, target in pairs
+        ],
+    ):
+        assert _answers_and_pages(vec, run) == _answers_and_pages(scalar, run)
+    range_extra = {
+        "single_node_radius": radius,
+        "single_node_ms": _single_read_ms(
+            lambda node: vec.range_query_batch([node], radius), nodes
+        ),
+    }
+    distance_row = (
+        measure_batch_queries(
+            "distance/scalar",
+            scalar,
+            lambda ns: scalar.distance_batch(ns, targets),
+            nodes,
+        ),
+        measure_batch_queries(
+            "distance/vectorized",
+            vec,
+            lambda ns: vec.distance_batch(ns, targets),
+            nodes,
+        ),
+        {
+            "single_pair_ms": _single_read_ms(
+                lambda pair: vec.distance_batch([pair[0]], [pair[1]]), pairs
+            ),
+        },
+    )
+    return range_extra, distance_row
 
 
 def _phase_breakdown(scalar, vec, nodes, radius) -> dict:

@@ -37,6 +37,7 @@ __all__ = [
     "CategoryPartition",
     "ExponentialPartition",
     "category_bound_arrays",
+    "category_bound_lists",
     "optimal_exponent",
     "optimal_first_boundary",
     "optimal_partition",
@@ -197,6 +198,16 @@ def category_bound_arrays(
     lbs.setflags(write=False)
     ubs.setflags(write=False)
     return lbs, ubs
+
+
+@functools.lru_cache(maxsize=64)
+def category_bound_lists(
+    partition: CategoryPartition,
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """:func:`category_bound_arrays` as tuples of Python floats, for
+    per-hop scalar reads that would otherwise pay a numpy item access."""
+    lbs, ubs = category_bound_arrays(partition)
+    return tuple(lbs.tolist()), tuple(ubs.tolist())
 
 
 def optimal_exponent() -> float:

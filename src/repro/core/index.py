@@ -593,9 +593,10 @@ class SignatureIndex:
         """Exact network distance from ``node`` to the object at
         ``object_node`` (Algorithm 1)."""
         with self._scope("query.distance", node=node):
-            return operations.retrieve_distance(
-                self, node, self.rank_of(object_node)
-            )
+            rank = self.rank_of(object_node)
+            if self.query_engine == "scalar":
+                return operations.retrieve_distance(self, node, rank)
+            return vectorized.distance(self, node, rank)
 
     def distance_batch(self, nodes, object_nodes) -> list[float]:
         """One distance per aligned ``(nodes[i], object_nodes[i])`` pair.
@@ -614,6 +615,8 @@ class SignatureIndex:
             )
         ranks = [self.rank_of(object_node) for object_node in object_nodes]
         with self._scope("query.distance_batch", count=len(nodes)):
+            if self.query_engine != "scalar":
+                return vectorized.distance_batch(self, nodes, ranks)
             out = []
             for node, rank in zip(nodes, ranks):
                 try:

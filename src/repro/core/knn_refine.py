@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from repro.core.categories import category_bound_arrays
+from repro.core.categories import category_bound_arrays, category_bound_lists
 from repro.core.operations import SignatureIndexProtocol
 from repro.core.queries import KnnType
 from repro.core.signature import LINK_HERE, LINK_NONE
@@ -104,9 +104,7 @@ class RefinementContext:
         self._seen_sig: set[int] = set()
         self._seen_adj: set[int] = set()
         self._decompressed: set[tuple[int, int]] = set()
-        self._lower_bounds: list[float] = category_bound_arrays(
-            index.partition
-        )[0].tolist()
+        self._lower_bounds = category_bound_lists(index.partition)[0]
         self._hops_metric = getattr(index, "_metric_backtrack_hops", None)
         self._reuse_metric = getattr(index, "_metric_refine_reuse", None)
 
@@ -258,7 +256,7 @@ def _make_approx_comparator(index, cats_row: np.ndarray):
     — same observer set, same NaN/inf exclusions, and the float
     operations of ``_observer_vote`` / ``_embed_observer`` /
     ``_foot_distance`` in the same order — but built once per query: the
-    category bounds are plain lists, each shared category's observers
+    category bounds are plain tuples, each shared category's observers
     (objects strictly closer to the query node than the compared pair)
     are read off ``cats_row`` once as ``(rank, obs_lb, obs_ub,
     object-table row)``, and the terms that depend only on the compared
@@ -267,9 +265,7 @@ def _make_approx_comparator(index, cats_row: np.ndarray):
     phase that follows are unchanged.
     """
     unreachable = index.partition.unreachable
-    lbs, ubs = (
-        bounds.tolist() for bounds in category_bound_arrays(index.partition)
-    )
+    lbs, ubs = category_bound_lists(index.partition)
     matrix = index.object_table.matrix_view()
     cats = cats_row.tolist()
     rows: dict[int, list[float]] = {}

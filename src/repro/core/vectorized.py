@@ -5,22 +5,26 @@ before touching any per-object machinery.  The scalar reference
 implementation (:mod:`repro.core.queries`) performs that step as D Python
 calls to ``index.component`` per query; this module performs it as whole
 signature-row array operations instead — one ``(D,)`` (or, for batches,
-``(B, D)``) comparison against per-category bound arrays — and falls back
-to the scalar :class:`~repro.core.operations.Backtracker` refinement only
-for the *ambiguous boundary set* whose category straddles the decision
-radius.
+``(B, D)``) comparison against per-category bound arrays — and backtracks
+(Algorithm 1) only for the *ambiguous boundary set* whose category
+straddles the decision radius.
 
-Range, aggregate and ε-join keep the paper's page-access semantics
-exactly: ``touch_signature`` is charged once per visited query node, and
-every refinement runs through the same scalar code path as the reference
-implementation and is charged identically.  kNN differs by design: its
-boundary bucket resolves through the bound-pruned refinement of
-:mod:`repro.core.knn_refine` instead of the paper's pairwise sort, so it
-returns the same answers from far fewer pages.
+Range, distance, aggregate and ε-join keep the paper's page-access
+semantics exactly: ``touch_signature`` is charged once per visited query
+node, and every backtracking walk (refinement, exact distances) runs
+through :func:`_walk`, which reads the columnar store directly but
+performs the scalar :class:`~repro.core.operations.Backtracker`'s checks,
+page charges, decompression tallies and hop counts operation for
+operation.  kNN differs by design: its boundary bucket resolves through
+the bound-pruned refinement of :mod:`repro.core.knn_refine` instead of
+the paper's pairwise sort, so it returns the same answers from far fewer
+pages.
 
 The property suite (``tests/test_vectorized.py``) asserts result
 equality with the scalar path on random configurations, page equality
-for range, aggregate and ε-join, and ``columnar <= scalar`` pages for kNN.
+for range, aggregate and ε-join, and ``columnar <= scalar`` pages for
+kNN; ``tests/test_columnar.py`` compares the walk's answers, pages,
+decompressions and hops with the scalar engine's.
 
 Decoding
 --------
@@ -37,27 +41,26 @@ costs CPU, never I/O (§5.3): the read advances the index's
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core import knn_refine
-from repro.core.categories import category_bound_arrays
-from repro.core.operations import (
-    Backtracker,
-    SignatureIndexProtocol,
-    retrieve_distance,
-)
+from repro.core.categories import category_bound_arrays, category_bound_lists
+from repro.core.operations import SignatureIndexProtocol
 from repro.core.queries import _AGGREGATES, KnnType, _require_objects
-from repro.core.signature import DistanceRange
-from repro.errors import QueryError
-from repro.obs.tracing import span_of
+from repro.core.signature import LINK_HERE, LINK_NONE
+from repro.errors import DisconnectedError, IndexError_, QueryError
+from repro.obs.tracing import NULL_SPAN, span_of
 
 __all__ = [
     "decode_signature_row",
     "decode_signature_rows",
     "range_query",
     "range_query_batch",
+    "distance",
+    "distance_batch",
     "knn_query",
     "knn_query_batch",
     "aggregate_range",
@@ -89,25 +92,127 @@ def decode_signature_rows(
 
 
 # ----------------------------------------------------------------------
-# shared refinement helpers (scalar, identical I/O to the reference path)
+# Algorithm 1 over the columnar store (identical I/O to the reference path)
 # ----------------------------------------------------------------------
+def _walk(
+    index: SignatureIndexProtocol,
+    node: int,
+    rank: int,
+    radius: float | None = None,
+    *,
+    span=NULL_SPAN,
+) -> float | bool:
+    """Guided backtracking (Algorithm 1) from ``node`` toward ``rank``.
+
+    Without ``radius``, the exact distance, as
+    :func:`~repro.core.operations.retrieve_distance` returns it
+    (:class:`~repro.errors.DisconnectedError` when ``node``'s signature
+    marks the object unreachable).  With ``radius``, whether the distance
+    is within it: the walk steps only while the range straddles the
+    radius, which is what refining against ``DistanceRange(radius,
+    radius)`` decides.
+
+    Operation for operation a :class:`~repro.core.operations.Backtracker`
+    walk, minus its per-hop objects: components come straight from the
+    columnar store (logical categories, so a flagged one needs no
+    summation, but each read of it still tallies one decompression), each
+    hop charges ``touch_adjacency`` at the current node and
+    ``touch_signature`` at the next, the accumulator sums edge weights
+    left to right, and shifted bounds are ``lb + acc`` / ``ub + acc``, a
+    range counting as exact once they are equal.  The hop count goes to
+    ``backtrack.hops`` and to ``span``'s ``hops`` attribute.
+    """
+    store = index.columnar
+    categories = store.categories
+    links = store.links
+    compressed = store.compressed
+    lower, upper = category_bound_lists(index.partition)
+    neighbor_at = index.network.neighbor_at
+    touch_adjacency = index.touch_adjacency
+    touch_signature = index.touch_signature
+    max_steps = index.network.num_nodes
+    cur = node
+    acc = 0.0
+    steps = 0
+    decompressed = 0
+    try:
+        decompressed += compressed.item(cur, rank)
+        link = links.item(cur, rank)
+        if link == LINK_HERE:
+            lo = hi = 0.0
+        elif link == LINK_NONE:
+            lo = hi = math.inf
+        else:
+            category = categories.item(cur, rank)
+            lo, hi = lower[category], upper[category]
+        if radius is None and lo == math.inf:
+            raise DisconnectedError(node, rank)
+        while lo != hi:
+            if radius is not None and not lo <= radius < hi:
+                return hi <= radius
+            steps += 1
+            if steps > max_steps:
+                raise IndexError_(
+                    f"backtracking toward object {rank} exceeded "
+                    f"{max_steps} hops: the link table is corrupt"
+                )
+            touch_adjacency(cur)
+            cur, weight = neighbor_at(cur, link)
+            acc += weight
+            touch_signature(cur)
+            decompressed += compressed.item(cur, rank)
+            link = links.item(cur, rank)
+            if link == LINK_HERE:
+                lo = hi = acc
+            elif link == LINK_NONE:
+                raise IndexError_(
+                    f"backtracking reached node {cur} whose signature "
+                    f"marks object {rank} unreachable"
+                )
+            else:
+                category = categories.item(cur, rank)
+                lo, hi = lower[category] + acc, upper[category] + acc
+        return lo if radius is None else lo <= radius
+    finally:
+        index.decompressions += decompressed
+        hops = getattr(index, "_metric_backtrack_hops", None)
+        if steps and hops is not None:
+            hops.inc(steps)
+        span.set("hops", steps)
+
+
 def _refine_qualifies(
     index: SignatureIndexProtocol, node: int, rank: int, radius: float
 ) -> bool:
     """Algorithm 5's third case: backtrack until the range decides."""
-    delta = DistanceRange(radius, radius)
     with span_of(index, "refine", rank=rank) as span:
-        tracker = Backtracker(index, node, rank)
-        refined = tracker.refine(delta)
-        span.set("hops", tracker.steps)
-    if refined.is_exact:
-        return refined.value <= radius
-    return refined.ub <= radius
+        return _walk(index, node, rank, radius, span=span)
+
+
+def distance(index: SignatureIndexProtocol, node: int, rank: int) -> float:
+    """Exact distance retrieval (Algorithm 1); raises
+    :class:`~repro.errors.DisconnectedError` when ``node``'s signature
+    marks the object unreachable."""
+    return _walk(index, node, rank)
+
+
+def distance_batch(
+    index: SignatureIndexProtocol, nodes: Sequence[int], ranks: Sequence[int]
+) -> list[float]:
+    """Exact distance per aligned ``(nodes[i], ranks[i])`` pair, ``inf``
+    for a pair whose signature marks the object unreachable."""
+    out = []
+    for node, rank in zip(nodes, ranks):
+        try:
+            out.append(_walk(index, node, rank))
+        except DisconnectedError:
+            out.append(math.inf)
+    return out
 
 
 def _tally_masks(index, confirmed: int, ambiguous: int, total: int) -> None:
     """Record the categorical-phase outcome: how much of the candidate
-    set the vectorized masks decided without scalar refinement."""
+    set the vectorized masks decided without backtracking."""
     metrics = getattr(index, "metrics", None)
     if metrics is not None and metrics.enabled:
         metrics.counter("vectorized.confirmed").inc(confirmed)
@@ -155,7 +260,7 @@ def range_query(
     hits = _range_hits(index, node, radius, decode_signature_row(index, node))
     if not with_distances:
         return hits
-    return [(rank, retrieve_distance(index, node, rank)) for rank in hits]
+    return [(rank, _walk(index, node, rank)) for rank in hits]
 
 
 def range_query_batch(
@@ -192,7 +297,7 @@ def range_query_batch(
         hits = [int(rank) for rank in np.flatnonzero(confirmed[i])]
         if with_distances:
             results.append(
-                [(rank, retrieve_distance(index, node, rank)) for rank in hits]
+                [(rank, _walk(index, node, rank)) for rank in hits]
             )
         else:
             results.append(hits)

@@ -198,8 +198,20 @@ class PagedFile:
     # reading (counts page accesses)
     # ------------------------------------------------------------------
     def read(self, key: object) -> RecordLocation:
-        """Touch every page of the record, counting accesses; return location."""
-        location = self.locate(key)
+        """Touch every page of the record, counting accesses; return location.
+
+        Without a buffer pool every touch is a miss, so the record's page
+        count is added to both tallies in one step; with a pool each page
+        is looked up in turn.
+        """
+        # A missing key falls through to locate's StorageError.
+        location = self._locations.get(key) or self.locate(key)
+        if self.buffer_pool is None:
+            pages = location.num_pages
+            counter = self.counter
+            counter.logical_reads += pages
+            counter.physical_reads += pages
+            return location
         for page in range(location.first_page, location.last_page + 1):
             self._touch(page)
         return location

@@ -117,3 +117,28 @@ def line_net():
 def single_object_dataset(small_net):
     """A dataset with exactly one object (degenerate-cardinality cases)."""
     return ObjectDataset([small_net.num_nodes // 2])
+
+
+@pytest.fixture(scope="session")
+def dropped_and_disconnected_index():
+    """A ``partition="paper"`` index whose object table holds dropped
+    last-category pairs (``NaN``) and an object on a separate two-node
+    component (``inf`` pairs)."""
+    from repro.network.graph import RoadNetwork
+
+    planar = random_planar_network(120, seed=5)
+    coordinates = [planar.coordinates(node) for node in planar.nodes()]
+    network = RoadNetwork(coordinates + [(1e4, 1e4), (1e4 + 1, 1e4)])
+    for edge in planar.edges():
+        network.add_edge(edge.u, edge.v, edge.weight)
+    island = planar.num_nodes
+    network.add_edge(island, island + 1, 1.0)
+    members = set(uniform_dataset(planar, density=0.1, seed=4)) | {island}
+    # The paper's partition ends its bounded categories well inside the
+    # distance spectrum, so many finite pairs fall in the last category.
+    return SignatureIndex.build(
+        network,
+        ObjectDataset(sorted(members)),
+        partition="paper",
+        backend="scipy",
+    )

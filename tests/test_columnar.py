@@ -10,17 +10,29 @@ on every structural rebuild), whatever the engine.
 
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 import pytest
 
 from repro.core import ColumnarSignatureStore, KnnType, SignatureIndex
 from repro.core.categories import (
+    CategoryPartition,
     ExponentialPartition,
     category_bound_arrays,
 )
-from repro.errors import IndexError_, StorageError
-from repro.network import uniform_dataset
+from repro.core.persistence import load_index, save_index
+from repro.core.signature import LINK_HERE, LINK_NONE
+from repro.errors import DisconnectedError, IndexError_, StorageError
+from repro.network import (
+    ObjectDataset,
+    random_planar_network,
+    ring_network,
+    uniform_dataset,
+)
 from repro.network.dijkstra import shortest_path_tree
+from repro.storage.buffer import LRUBufferPool
 
 ENGINES = ("scalar", "columnar")
 
@@ -336,3 +348,302 @@ def test_approximate_range_on_scalar_engine(
             for object_node in got:
                 category = partition.categorize(truth[rank_of[object_node]])
                 assert lbs[category] <= radius
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1 walks: columnar vs the scalar Backtracker, cost included
+# ----------------------------------------------------------------------
+def _engine_cost(index, engine, run):
+    """``(outcome, cost)`` of ``run`` on ``engine`` from a cold pool.
+
+    The outcome is the result, or the type of the exception raised; the
+    cost is logical and physical pages, pool hits and misses,
+    decompressions and ``backtrack.hops``.
+    """
+    index.query_engine = engine
+    hops = index.metrics.counter("backtrack.hops")
+    index.reset_counters()
+    before = hops.value
+    try:
+        outcome = run()
+    except (DisconnectedError, IndexError_) as exc:
+        outcome = type(exc)
+    pool = index.buffer_pool
+    return outcome, (
+        index.counter.logical_reads,
+        index.counter.physical_reads,
+        pool.hits,
+        pool.misses,
+        index.decompressions,
+        hops.value - before,
+    )
+
+
+def _distances(index, pairs):
+    """Single ``distance`` calls, ``DisconnectedError`` recorded inline."""
+    out = []
+    for node, object_node in pairs:
+        try:
+            out.append(index.distance(node, object_node))
+        except DisconnectedError:
+            out.append(DisconnectedError)
+    return out
+
+
+def _walk_reads(index, nodes, targets, radii):
+    """Every read the columnar walk serves, keyed for error messages."""
+    pairs = list(zip(nodes, targets))
+    reads = {
+        "distance": lambda: _distances(index, pairs),
+        "distance_batch": lambda: index.distance_batch(nodes, targets),
+    }
+    for radius in radii:
+        for wd in (False, True):
+            reads[("range", radius, wd)] = (
+                lambda r=radius, wd=wd: [
+                    index.range_query(node, r, with_distances=wd)
+                    for node in nodes
+                ]
+            )
+            reads[("range_batch", radius, wd)] = (
+                lambda r=radius, wd=wd: index.range_query_batch(
+                    nodes, r, with_distances=wd
+                )
+            )
+    return reads
+
+
+def _with_pool(index, capacity=8):
+    """Attach a small LRU pool so physical pages differ from logical."""
+    index.buffer_pool = LRUBufferPool(capacity)
+    index.refresh_storage()
+    return index
+
+
+class TestWalkDifferential:
+    """Distance and range reads answer and charge identically on both
+    engines: the columnar walk is the scalar Backtracker, operation for
+    operation."""
+
+    @pytest.fixture(
+        scope="class",
+        params=["compressed", "v2_snapshot", "paper_island", "updated"],
+    )
+    def case(self, request, small_net, small_objs, tmp_path_factory):
+        if request.param in ("compressed", "v2_snapshot"):
+            index = SignatureIndex.build(small_net, small_objs, backend="scipy")
+            assert index.table.compressed.any()
+            if request.param == "v2_snapshot":
+                path = tmp_path_factory.mktemp("walk") / "idx"
+                save_index(index, path, format=2)
+                index = load_index(path)
+        elif request.param == "paper_island":
+            shared = request.getfixturevalue("dropped_and_disconnected_index")
+            index = SignatureIndex(
+                shared.network,
+                shared.dataset,
+                shared.partition,
+                shared.table,
+                shared.object_table,
+            )
+        else:
+            network = small_net.copy()
+            index = SignatureIndex.build(
+                network, small_objs, backend="scipy", keep_trees=True
+            )
+            u, (v, w) = 0, network.neighbors(0)[0]
+            far = next(
+                node
+                for node in range(network.num_nodes)
+                if node != u and node not in dict(network.neighbors(u))
+                and network.coordinates(node) != network.coordinates(u)
+            )
+            report = index.apply_updates(
+                [("set_weight", u, v, w * 0.5), ("add", u, far, 2.0)]
+            ).report
+            assert report.changed_components > 0
+        rng = random.Random(3)
+        objects = [int(node) for node in index.dataset]
+        nodes = rng.sample(range(index.network.num_nodes), 24)
+        if request.param == "paper_island":
+            nodes[:2] = [index.network.num_nodes - 1, 0]
+        targets = [rng.choice(objects) for _ in nodes]
+        return _with_pool(index), nodes, targets, request.param
+
+    @staticmethod
+    def radii(index, nodes, targets):
+        """Radii at which refinement decides: true distances (objects
+        exactly at the radius) and the lower bound of the median's
+        category, where that whole category straddles the radius."""
+        distances = index.distance_batch(nodes, targets)
+        finite = sorted(d for d in distances if math.isfinite(d))
+        median = finite[len(finite) // 2]
+        lbs, _ = category_bound_arrays(index.partition)
+        boundary = float(lbs[index.partition.categorize(median)])
+        return (finite[len(finite) // 4], median, boundary)
+
+    def test_answers_and_costs_are_identical(self, case):
+        index, nodes, targets, name = case
+        radii = self.radii(index, nodes, targets)
+        reads = _walk_reads(index, nodes, targets, radii)
+        refined = 0
+        for key, run in reads.items():
+            got, got_cost = _engine_cost(index, "columnar", run)
+            want, want_cost = _engine_cost(index, "scalar", run)
+            assert got == want, key
+            assert got_cost == want_cost, key
+            refined += want_cost[-1]
+        assert refined > 0, "no read backtracked: the walk went untested"
+        if name == "paper_island":
+            batch = index.distance_batch(nodes[:2], [targets[1]] * 2)
+            assert math.inf in batch
+            assert DisconnectedError in _distances(
+                index, list(zip(nodes[:2], [targets[1]] * 2))
+            )
+
+
+class TestWalkCorruption:
+    """A corrupt link table fails the same way, after the same charges,
+    on both engines."""
+
+    @pytest.fixture
+    def corruptible(self, small_net, small_objs):
+        index = _with_pool(
+            SignatureIndex.build(small_net, small_objs, backend="scipy")
+        )
+        links = index.table.links
+        for node in range(small_net.num_nodes):
+            for rank in range(len(small_objs)):
+                link = int(links[node, rank])
+                if link in (LINK_HERE, LINK_NONE):
+                    continue
+                after, _ = small_net.neighbor_at(node, link)
+                if links[after, rank] != LINK_HERE:
+                    return index, node, rank, after
+        raise AssertionError("no two-hop walk to corrupt")
+
+    @staticmethod
+    def assert_engines_fail_alike(index, node, rank):
+        object_node = int(index.dataset[rank])
+        for run in (
+            lambda: index.distance(node, object_node),
+            lambda: index.distance_batch([node], [object_node]),
+            lambda: index.range_query(node, 1e9, with_distances=True),
+        ):
+            got, got_cost = _engine_cost(index, "columnar", run)
+            want, want_cost = _engine_cost(index, "scalar", run)
+            assert got is want is IndexError_
+            assert got_cost == want_cost
+
+    def test_link_cycle(self, corruptible):
+        index, node, rank, after = corruptible
+        back = [n for n, _ in index.network.neighbors(after)].index(node)
+        index.table.links[after, rank] = back
+        self.assert_engines_fail_alike(index, node, rank)
+
+    def test_mid_walk_unreachable(self, corruptible):
+        index, node, rank, after = corruptible
+        index.table.links[after, rank] = LINK_NONE
+        self.assert_engines_fail_alike(index, node, rank)
+
+
+def test_shifted_range_collapse_ends_the_walk_on_both_engines():
+    """A category narrower than the accumulator's rounding shifts to
+    ``lb + acc == ub + acc``: both engines take the range as exact there
+    and stop, after the same charges."""
+    network = ring_network(12, edge_weight=1000.0)
+    partition = CategoryPartition([1.0, 1.0 + 1e-14, 5000.0])
+    index = _with_pool(
+        SignatureIndex.build(
+            network, ObjectDataset([0]), partition, backend="scipy"
+        )
+    )
+    start = 5
+    after, _ = network.neighbor_at(start, int(index.table.links[start, 0]))
+    index.table.categories[after, 0] = 1
+    index.table.compressed[after, 0] = False
+    runs = (
+        # (read, its walks: one hop each, where the range collapses)
+        (lambda: index.distance(start, 0), 1),
+        (lambda: index.distance_batch([start], [0]), 1),
+        (lambda: index.range_query(start, 6000.0, with_distances=True), 2),
+    )
+    for run, walks in runs:
+        got, got_cost = _engine_cost(index, "columnar", run)
+        want, want_cost = _engine_cost(index, "scalar", run)
+        assert got == want
+        assert got_cost == want_cost
+        assert want_cost[-1] == walks
+    assert index.distance(start, 0) == 1001.0
+
+
+#: Columnar ``(logical pages, decompressions, backtrack.hops)`` on the
+#: ``tests/test_paper_pin.py`` configuration, 20 query nodes: range at a
+#: radius that refines 137 ambiguous objects, without and with distances,
+#: and ``distance_batch`` over 20 pairs.  Recorded before the columnar
+#: walk replaced the scalar Backtracker on this engine.
+COLUMNAR_RANGE_COST = {False: (814, 506, 397), True: (1358, 552, 669)}
+COLUMNAR_DISTANCE_BATCH_COST = (384, 85, 192)
+
+
+class TestColumnarWalkCostPin:
+    RADIUS = 25.0
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        network = random_planar_network(240, seed=13)
+        objects = uniform_dataset(network, density=0.05, seed=9)
+        index = SignatureIndex.build(
+            network, objects, backend="scipy", query_engine="columnar"
+        )
+        nodes = random.Random(0).sample(range(network.num_nodes), 20)
+        targets = random.Random(1).choices(
+            [int(node) for node in index.dataset], k=20
+        )
+        return index, nodes, targets
+
+    @staticmethod
+    def cost(index, run):
+        hops = index.metrics.counter("backtrack.hops")
+        index.reset_counters()
+        before = hops.value
+        run()
+        return (
+            index.counter.logical_reads,
+            index.decompressions,
+            hops.value - before,
+        )
+
+    @pytest.mark.parametrize("with_distances", [False, True])
+    def test_range_single_and_batch(self, pinned, with_distances):
+        index, nodes, _ = pinned
+        single = self.cost(
+            index,
+            lambda: [
+                index.range_query(
+                    node, self.RADIUS, with_distances=with_distances
+                )
+                for node in nodes
+            ],
+        )
+        batch = self.cost(
+            index,
+            lambda: index.range_query_batch(
+                nodes, self.RADIUS, with_distances=with_distances
+            ),
+        )
+        assert single == batch == COLUMNAR_RANGE_COST[with_distances]
+
+    def test_distance_single_and_batch(self, pinned):
+        index, nodes, targets = pinned
+        single = self.cost(
+            index,
+            lambda: [
+                index.distance(node, target)
+                for node, target in zip(nodes, targets)
+            ],
+        )
+        batch = self.cost(
+            index, lambda: index.distance_batch(nodes, targets)
+        )
+        assert single == batch == COLUMNAR_DISTANCE_BATCH_COST

@@ -29,7 +29,6 @@ from repro.core.signature import ObjectDistanceTable, SignatureTable
 from repro.errors import QueryError
 from repro.network import (
     ObjectDataset,
-    RoadNetwork,
     grid_network,
     random_planar_network,
     uniform_dataset,
@@ -425,27 +424,6 @@ class TestBoundMachinery:
         assert ctx.reuse_hits > 0
 
 
-def dropped_and_disconnected_index() -> SignatureIndex:
-    """An index whose object table holds dropped last-category pairs
-    (``NaN``) and an object on a separate component (``inf`` pairs)."""
-    planar = random_planar_network(120, seed=5)
-    coordinates = [planar.coordinates(node) for node in planar.nodes()]
-    network = RoadNetwork(coordinates + [(1e4, 1e4), (1e4 + 1, 1e4)])
-    for edge in planar.edges():
-        network.add_edge(edge.u, edge.v, edge.weight)
-    island = planar.num_nodes
-    network.add_edge(island, island + 1, 1.0)
-    members = set(uniform_dataset(planar, density=0.1, seed=4)) | {island}
-    # The paper's partition ends its bounded categories well inside the
-    # distance spectrum, so many finite pairs fall in the last category.
-    return SignatureIndex.build(
-        network,
-        ObjectDataset(sorted(members)),
-        partition="paper",
-        backend="scipy",
-    )
-
-
 class TestComparatorDifferential:
     """The columnar engine's Algorithm 3 comparator, built once per query
     from the decoded row, decides every same-category pair exactly as
@@ -476,7 +454,7 @@ class TestComparatorDifferential:
             dataset = ObjectDataset([0, 5, 8, 14, 17, 21, 30, 35])
             index = SignatureIndex.build(network, dataset, backend="scipy")
             return index, list(range(network.num_nodes))
-        index = dropped_and_disconnected_index()
+        index = request.getfixturevalue("dropped_and_disconnected_index")
         matrix = index.object_table.matrix_view()
         assert np.isnan(matrix).any() and np.isinf(matrix).any()
         return index, list(range(index.network.num_nodes))

@@ -188,3 +188,46 @@ class TestReading:
 
     def test_default_page_size_is_4k(self):
         assert DEFAULT_PAGE_SIZE == 4096
+
+
+def _three_record_file(**kwargs) -> PagedFile:
+    """One-byte pages holding a one-page record, a record spanning three
+    pages and an empty (0-bit) record."""
+    file = PagedFile("t", page_size=1, **kwargs)
+    file.append_record("one", 8)
+    file.append_record("span", 20)
+    file.append_record("empty", 0)
+    return file
+
+
+class TestReadCounting:
+    """``read`` charges exactly what touching each page in turn charges."""
+
+    @pytest.mark.parametrize(
+        "key,pages", [("one", 1), ("span", 3), ("empty", 1)]
+    )
+    def test_without_pool_adds_num_pages_to_both_counters(self, key, pages):
+        counter = PageAccessCounter(logical_reads=5, physical_reads=2)
+        file = _three_record_file(counter=counter)
+        location = file.read(key)
+        assert location.num_pages == pages
+        assert counter.logical_reads == 5 + pages
+        assert counter.physical_reads == 2 + pages
+
+    def test_pool_hits_and_misses_equal_the_per_page_path(self):
+        sequence = ["span", "one", "span", "empty", "one", "span", "empty"]
+        whole = _three_record_file(
+            counter=PageAccessCounter(), buffer_pool=LRUBufferPool(2)
+        )
+        paged = _three_record_file(
+            counter=PageAccessCounter(), buffer_pool=LRUBufferPool(2)
+        )
+        for key in sequence:
+            whole.read(key)
+            location = paged.locate(key)
+            for page in range(location.first_page, location.last_page + 1):
+                paged.touch_page(page)
+        assert whole.counter.snapshot() == paged.counter.snapshot()
+        assert whole.buffer_pool.snapshot() == paged.buffer_pool.snapshot()
+        assert whole.counter.logical_reads == 13
+        assert 0 < whole.buffer_pool.hits < whole.counter.logical_reads
