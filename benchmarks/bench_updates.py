@@ -22,7 +22,13 @@ what that buys, on traffic-shaped single-edge reweights from
   ``backend.<name>.update.{repaired,rebuilt}`` counters recorded to
   prove the incremental path actually ran.  The two sides' applies are
   interleaved, spread evenly over one timed phase, so host-speed drift
-  during the run lands on both sides of the ratio alike.
+  during the run lands on both sides of the ratio alike.  Each row also
+  carries the median and p90 single-write time and the mean
+  ``damaged_nodes`` (and, for hub, ``relabeled_nodes``) per write.
+* **Scaling** — the median single-edge hub repair at two network sizes
+  5x apart (2000 and 10,000 nodes; 1000 and 5000 in ``--quick``) and
+  their ratio: a repair whose cost follows the damage, not the node
+  count, keeps it near 1.
 * **Signature-family throughput** — the signature index under both
   query engines (scalar + columnar) driven through the same
   ``apply_updates`` entry point.
@@ -88,6 +94,9 @@ DENSITY = 0.01
 SEED = 1959
 WRITE_RATIO = 0.1  # the mixed 90/10 read/write serving workload
 SERVE_CLIENTS = 8 if QUICK else 16
+#: Network sizes (5x apart) and timed writes of the hub scaling block.
+SCALING_NODES = (1000, 5000) if QUICK else (2000, 10000)
+SCALING_WRITES = 20
 
 #: The acceptance bar: hierarchy-backend incremental repair over
 #: rebuild-on-update on single-edge reweights.  The full-size run
@@ -161,12 +170,19 @@ def bench_hierarchy(name: str, network, dataset) -> dict:
         ]
     )
     elapsed = {"incremental": 0.0, "rebuild": 0.0}
+    write_ms: list[float] = []
+    damaged = relabeled = 0
     for _, side in schedule:
         target, stream = sides[side]
         changeset = next(stream)
         start = time.perf_counter()
-        target.apply_updates(changeset)
-        elapsed[side] += time.perf_counter() - start
+        result = target.apply_updates(changeset)
+        seconds = time.perf_counter() - start
+        elapsed[side] += seconds
+        if side == "incremental":
+            write_ms.append(seconds * 1e3)
+            damaged += result.counters.get("damaged_nodes", 0)
+            relabeled += result.counters.get("relabeled_nodes", 0)
     incremental_s = elapsed["incremental"] / NUM_UPDATES
     rebuild_s = elapsed["rebuild"] / NUM_REBUILD_UPDATES
     repaired = (
@@ -194,7 +210,14 @@ def bench_hierarchy(name: str, network, dataset) -> dict:
         "update_rebuilt": int(rebuilt),
         "baseline_update_rebuilt": int(baseline_rebuilt),
         "bit_identical_to_rebuild": True,
+        "incremental_update_p50_ms": round(float(np.median(write_ms)), 2),
+        "incremental_update_p90_ms": round(
+            float(np.percentile(write_ms, 90)), 2
+        ),
+        "mean_damaged_nodes": round(damaged / NUM_UPDATES, 1),
     }
+    if name == "hub":
+        row["mean_relabeled_nodes"] = round(relabeled / NUM_UPDATES, 1)
     print(
         f"{name}: incremental {row['incremental_update_s'] * 1e3:.1f} ms "
         f"vs rebuild {row['rebuild_update_s'] * 1e3:.1f} ms per update "
@@ -202,6 +225,53 @@ def bench_hierarchy(name: str, network, dataset) -> dict:
         f"rebuilt={rebuilt}"
     )
     return row
+
+
+def bench_scaling() -> dict:
+    """Median single-edge hub repair at two network sizes, 5x apart.
+
+    A repair whose cost follows the damage rather than the node count
+    keeps the ratio near the ratio of the damage (the bar is 2x); the
+    mean damaged and relabeled nodes per write are reported beside it.  Each size gets its own
+    planar network and :class:`TrafficSimulator` stream (same seeds);
+    one untimed write first derives the lazily built repair state, then
+    ``SCALING_WRITES`` single-edge writes are timed one by one.
+    """
+    sizes = {}
+    for nodes in SCALING_NODES:
+        network = random_planar_network(nodes, seed=SEED)
+        dataset = uniform_dataset(network, density=DENSITY, seed=SEED)
+        index = BACKENDS["hub"](network, dataset)
+        stream = TrafficSimulator(index.network, seed=SEED + 1).stream(
+            SCALING_WRITES + 1, 1
+        )
+        index.apply_updates(next(stream))
+        write_ms = []
+        damaged = relabeled = 0
+        for changeset in stream:
+            start = time.perf_counter()
+            result = index.apply_updates(changeset)
+            write_ms.append((time.perf_counter() - start) * 1e3)
+            assert "rebuilt" not in result.counters, result.counters
+            damaged += result.counters["damaged_nodes"]
+            relabeled += result.counters["relabeled_nodes"]
+        sizes[str(nodes)] = {
+            "median_ms": round(float(np.median(write_ms)), 2),
+            "p90_ms": round(float(np.percentile(write_ms, 90)), 2),
+            "mean_damaged_nodes": round(damaged / SCALING_WRITES, 1),
+            "mean_relabeled_nodes": round(relabeled / SCALING_WRITES, 1),
+        }
+        print(
+            f"scaling: hub at {nodes} nodes, median "
+            f"{sizes[str(nodes)]['median_ms']:g} ms per write"
+        )
+    small, large = (sizes[str(nodes)]["median_ms"] for nodes in SCALING_NODES)
+    return {
+        "backend": "hub",
+        "writes": SCALING_WRITES,
+        "sizes": sizes,
+        "median_ratio": round(large / small, 2),
+    }
 
 
 def bench_signature_family(network, dataset) -> dict[str, dict]:
@@ -299,6 +369,7 @@ def main() -> int:
         name: bench_hierarchy(name, network, dataset)
         for name in ("ch", "hub")
     }
+    scaling = bench_scaling()
     signature = bench_signature_family(network, dataset)
     serve = asyncio.run(_live_traffic(network, dataset))
     print(
@@ -324,6 +395,7 @@ def main() -> int:
             "quick": QUICK,
         },
         "hierarchy": hierarchy,
+        "scaling": scaling,
         "signature_family": signature,
         "serve": serve,
         "speedups": speedups,
@@ -334,16 +406,26 @@ def main() -> int:
     lines = [
         f"§5.4 maintenance ({network.num_nodes} nodes, "
         f"{len(dataset)} objects, {NUM_UPDATES} single-edge updates)",
-        f"{'backend':<10}  {'inc ms':>8}  {'rebuild ms':>10}  "
-        f"{'speedup':>8}  {'repaired':>8}  {'rebuilt':>7}",
+        f"{'backend':<10}  {'inc ms':>8}  {'p50 ms':>8}  {'p90 ms':>8}  "
+        f"{'rebuild ms':>10}  {'speedup':>8}  {'repaired':>8}  "
+        f"{'rebuilt':>7}  {'damaged':>7}",
     ]
     for name, row in hierarchy.items():
         lines.append(
             f"{name:<10}  {row['incremental_update_s'] * 1e3:>8.1f}  "
+            f"{row['incremental_update_p50_ms']:>8.1f}  "
+            f"{row['incremental_update_p90_ms']:>8.1f}  "
             f"{row['rebuild_update_s'] * 1e3:>10.1f}  "
             f"{row['incremental_vs_rebuild']:>8.2f}  "
-            f"{row['update_repaired']:>8}  {row['update_rebuilt']:>7}"
+            f"{row['update_repaired']:>8}  {row['update_rebuilt']:>7}  "
+            f"{row['mean_damaged_nodes']:>7g}"
         )
+    small, large = (str(nodes) for nodes in SCALING_NODES)
+    lines.append(
+        f"hub scaling: median {scaling['sizes'][small]['median_ms']:g} ms "
+        f"at {small} nodes, {scaling['sizes'][large]['median_ms']:g} ms at "
+        f"{large} ({scaling['median_ratio']:g}x)"
+    )
     for name, row in signature.items():
         lines.append(
             f"{name:<10}  {row['updates_per_s']:>8.1f} updates/s "

@@ -68,6 +68,7 @@ from repro.storage.pager import PageAccessCounter
 __all__ = [
     "BucketLists",
     "HierarchyIndexBase",
+    "RepairPhases",
     "batch_label_join_csr",
     "label_join",
     "pairwise_label_distances",
@@ -477,6 +478,36 @@ class BucketLists:
         return self.indptr.nbytes + self.ranks.nbytes + self.dists.nbytes
 
 
+class RepairPhases:
+    """Wall time of each phase of one incremental repair.
+
+    A backend times its phases with ``with phases("replay"): ...`` and
+    calls :meth:`observe` once the write has been repaired, so every
+    ``backend.<name>.update.<phase>_seconds`` histogram gets exactly one
+    observation per repaired write — zero for a phase with nothing to
+    do, the sum for a phase entered more than once.
+    """
+
+    __slots__ = ("seconds",)
+
+    def __init__(self, phases) -> None:
+        self.seconds = dict.fromkeys(phases, 0.0)
+
+    @contextmanager
+    def __call__(self, phase: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[phase] += time.perf_counter() - start
+
+    def observe(self, metrics, backend: str) -> None:
+        for phase, seconds in self.seconds.items():
+            metrics.histogram(
+                f"backend.{backend}.update.{phase}_seconds"
+            ).observe(seconds)
+
+
 class HierarchyIndexBase:
     """Common :class:`DistanceIndex` implementation of the CH/hub backends.
 
@@ -811,6 +842,30 @@ class HierarchyIndexBase:
         ):
             pairs = self.range_query(node, radius, with_distances=True)
             return reducer([distance for _, distance in pairs])
+
+    def _refresh_object_rows(self, entries, ranks) -> None:
+        """Re-derive buckets / object table / partition after the
+        per-object ``(hubs, dists)`` entries of object ``ranks`` changed.
+
+        Only those rows (and columns) of the object distance matrix are
+        re-joined; the rest carry over from the current table.  Each
+        pair goes through the same :func:`label_join` the build's
+        :func:`pairwise_label_distances` runs, so the result equals a
+        fresh derivation from ``entries``.
+        """
+        distances = np.array(self.object_table.matrix_view())
+        for i in ranks:
+            hubs_i, dists_i = entries[i]
+            for j, (hubs_j, dists_j) in enumerate(entries):
+                if j != i:
+                    distances[i, j] = distances[j, i] = label_join(
+                        hubs_i, dists_i, hubs_j, dists_j
+                    )
+        self.buckets = BucketLists.build(self.network.num_nodes, entries)
+        self.partition = self._derive_partition(distances)
+        self.object_table = ObjectDistanceTable(
+            distances, self.partition, drop_last_category=False
+        )
 
     # ------------------------------------------------------------------
     # updates (§5.4): the unified changeset pipeline

@@ -44,13 +44,16 @@ provably not a shortest path.
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from bisect import bisect_right, insort
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 from repro.backends.base import (
     BucketLists,
     HierarchyIndexBase,
+    RepairPhases,
+    _expand_side,
     pairwise_label_distances,
 )
 from repro.core.signature import ObjectDistanceTable
@@ -91,14 +94,17 @@ def _witness_distances(
     the witness-dependency set incremental repair records (the search's
     outcome depends only on edges among those nodes).
     """
+    inf = math.inf
     dist: dict[int, float] = {source: 0.0}
+    tentative = dist.get
     heap: list[tuple[float, int]] = [(0.0, source)]
+    push, pop = heappush, heappop
     found: dict[int, float] = {}
     remaining = set(targets)
     settled = 0
     while heap and remaining and settled < settle_cap:
-        d, u = heappop(heap)
-        if d > dist.get(u, math.inf):
+        d, u = pop(heap)
+        if d > tentative(u, inf):
             continue  # stale heap entry
         if d > bound:
             break
@@ -110,9 +116,9 @@ def _witness_distances(
             if w == excluded or contracted[w]:
                 continue
             nd = d + weight
-            if nd < dist.get(w, math.inf):
+            if nd < tentative(w, inf):
                 dist[w] = nd
-                heappush(heap, (nd, w))
+                push(heap, (nd, w))
     if visited is not None:
         visited.update(dist)
     return found
@@ -190,6 +196,208 @@ def changed_rows(old_csr, new_csr, rows=None) -> np.ndarray:
     return changed
 
 
+def splice_rows(indptr: np.ndarray, columns, rows, counts, values):
+    """A CSR with ``rows`` replaced, as fresh arrays.
+
+    ``columns`` are the CSR's aligned value arrays; ``rows`` are sorted
+    row ids, ``counts[i]`` is the new length of ``rows[i]`` and
+    ``values`` holds, per column, the new rows' contents back to back.
+    The new rows land with one scatter per column; the unchanged rows
+    move as one block copy per gap between replaced rows.  So the cost
+    is one ``memcpy`` pass over the arrays plus numpy work per replaced
+    row — the form every maintained CSR (upward graph, search spaces,
+    labels) takes a per-write patch in.  Returns ``(indptr, columns)``;
+    the inputs are left untouched.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    lengths = np.diff(indptr)
+    lengths[rows] = counts
+    out_indptr = _csr_indptr(lengths)
+    out = [np.empty(int(out_indptr[-1]), dtype=col.dtype) for col in columns]
+    if len(rows):
+        offsets = np.cumsum(counts) - counts
+        dst = np.repeat(out_indptr[rows] - offsets, counts) + np.arange(
+            int(counts.sum())
+        )
+        for value, target in zip(values, out):
+            target[dst] = value
+    block_lo = np.r_[0, rows + 1]
+    block_hi = np.r_[rows, len(lengths)]
+    gaps = np.flatnonzero(indptr[block_hi] > indptr[block_lo])
+    for lo, hi, dst in zip(
+        indptr[block_lo[gaps]].tolist(),
+        indptr[block_hi[gaps]].tolist(),
+        out_indptr[block_lo[gaps]].tolist(),
+    ):
+        for col, target in zip(columns, out):
+            target[dst:dst + hi - lo] = col[lo:hi]
+    return out_indptr, out
+
+
+def _csr_indptr(counts: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+class _SpaceRows:
+    """Search-space rows under recomputation: a base CSR plus the rows
+    recomputed so far, kept in an append-only store.
+
+    :meth:`merge` runs the space DP for a batch of nodes whose upward
+    neighbors' rows are final, in one vectorized pass: every upward
+    neighbor's current row shifted by the edge weight, plus the node
+    itself at distance 0, sorted by ``(node, hub)`` and reduced to the
+    minimum per hub.  The minimum does not depend on the order of the
+    merged entries, so each row equals the per-node DP bit for bit.
+    """
+
+    __slots__ = ("base", "n", "at", "length", "hubs", "dists", "used")
+
+    def __init__(self, spaces, n: int) -> None:
+        self.base = spaces
+        self.n = n
+        #: Store offset of each recomputed row; -1 while a node's row
+        #: is still the base one.
+        self.at = np.full(n, -1, dtype=np.int64)
+        self.length = np.zeros(n, dtype=np.int64)
+        self.hubs = np.empty(1024, dtype=np.int32)
+        self.dists = np.empty(1024, dtype=np.float64)
+        self.used = 0
+
+    def gather(self, nodes: np.ndarray):
+        """The current rows of ``nodes`` back to back:
+        ``(hubs, dists, counts)``."""
+        base_indptr, base_hubs, base_dists = self.base
+        at = self.at[nodes]
+        fresh = at >= 0
+        counts = np.where(
+            fresh,
+            self.length[nodes],
+            base_indptr[nodes + 1] - base_indptr[nodes],
+        )
+        total = int(counts.sum())
+        offsets = np.cumsum(counts) - counts
+        source = np.repeat(
+            np.where(fresh, at, base_indptr[nodes]) - offsets, counts
+        ) + np.arange(total)
+        if not fresh.any():
+            return base_hubs[source], base_dists[source], counts
+        stored = np.repeat(fresh, counts)
+        based = ~stored
+        hubs = np.empty(total, dtype=np.int32)
+        dists = np.empty(total, dtype=np.float64)
+        hubs[stored] = self.hubs[source[stored]]
+        dists[stored] = self.dists[source[stored]]
+        hubs[based] = base_hubs[source[based]]
+        dists[based] = base_dists[source[based]]
+        return hubs, dists, counts
+
+    def merge(self, nodes, edge_owner, edge_targets, edge_weights):
+        """Recompute the rows of ``nodes`` (``edge_*``: their upward
+        edges, ``edge_owner`` indexing ``nodes``); store the rows that
+        changed and return those nodes."""
+        k = len(nodes)
+        up_hubs, up_dists, up_counts = self.gather(edge_targets)
+        owner = np.concatenate(
+            [np.repeat(edge_owner, up_counts), np.arange(k)]
+        )
+        hubs = np.concatenate([up_hubs, nodes.astype(np.int32)])
+        dists = np.concatenate(
+            [up_dists + np.repeat(edge_weights, up_counts), np.zeros(k)]
+        )
+        key = owner * self.n + hubs
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.empty(len(key), dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        new_hubs = hubs[order][starts]
+        new_dists = np.minimum.reduceat(dists[order], starts)
+        new_counts = np.bincount(owner[order][starts], minlength=k)
+        old_hubs, old_dists, old_counts = self.gather(nodes)
+        changed = changed_rows(
+            (_csr_indptr(old_counts), old_hubs, old_dists),
+            (_csr_indptr(new_counts), new_hubs, new_dists),
+        )
+        if changed.any():
+            kept = np.repeat(changed, new_counts)
+            stored_hubs = new_hubs[kept]
+            stored_dists = new_dists[kept]
+            end = self.used + len(stored_hubs)
+            if end > len(self.hubs):
+                size = max(end, 2 * len(self.hubs))
+                self.hubs = np.resize(self.hubs, size)
+                self.dists = np.resize(self.dists, size)
+            self.hubs[self.used:end] = stored_hubs
+            self.dists[self.used:end] = stored_dists
+            lengths = new_counts[changed]
+            self.at[nodes[changed]] = self.used + np.cumsum(lengths) - lengths
+            self.length[nodes[changed]] = lengths
+            self.used = end
+        return nodes[changed]
+
+    def result(self):
+        """``(spaces, changed nodes ascending)``: the base CSR with
+        every recomputed row that differs from it spliced in."""
+        rows = np.flatnonzero(self.at >= 0)
+        if not len(rows):
+            return self.base, rows
+        hubs, dists, counts = self.gather(rows)
+        indptr, columns = splice_rows(
+            self.base[0], self.base[1:], rows, counts, (hubs, dists)
+        )
+        spaces = (indptr, *columns)
+        moved = changed_rows(self.base, spaces, rows=rows)
+        return spaces, rows[moved[rows]]
+
+
+class _KeyedCSR:
+    """A sorted ``row * n + column`` key array with its row pointer.
+
+    The in-memory form of the two inverted indexes repair maintains —
+    the witness-dependency index and the reverse upward graph.  A patch
+    removes and inserts individual keys (``np.delete`` / ``np.insert``
+    at ``searchsorted`` positions) and shifts the row pointer by the
+    per-row count change, so it costs a few numpy passes, never a
+    rebuild from the forward lists.
+    """
+
+    __slots__ = ("n", "indptr", "keys")
+
+    def __init__(self, n: int, rows: np.ndarray, columns: np.ndarray):
+        self.n = n
+        self.keys = np.sort(
+            rows.astype(np.int64) * n + columns.astype(np.int64)
+        )
+        self.indptr = np.searchsorted(
+            self.keys, np.arange(n + 1, dtype=np.int64) * n
+        )
+
+    def row(self, x: int) -> list[int]:
+        """Columns of row ``x``, ascending."""
+        lo, hi = self.indptr[x], self.indptr[x + 1]
+        return (self.keys[lo:hi] - x * self.n).tolist()
+
+    def patch(self, removed: list[int], added: list[int]) -> None:
+        """Drop the ``removed`` keys (all present) and insert ``added``."""
+        n = self.n
+        delta = np.zeros(n, dtype=np.int64)
+        if removed:
+            gone = np.sort(np.asarray(removed, dtype=np.int64))
+            self.keys = np.delete(self.keys, np.searchsorted(self.keys, gone))
+            np.subtract.at(delta, gone // n, 1)
+        if added:
+            new = np.sort(np.asarray(added, dtype=np.int64))
+            self.keys = np.insert(
+                self.keys, np.searchsorted(self.keys, new), new
+            )
+            np.add.at(delta, new // n, 1)
+        self.indptr[1:] += np.cumsum(delta)
+
+
 class RepairState:
     """What incremental repair needs to replay a contraction.
 
@@ -197,9 +405,10 @@ class RepairState:
     node, the shortcut pairs its contraction decided on (with weights)
     and its witness-dependency set (see :func:`_shortcuts_for`).  The
     inverted *dependency index* — for node ``x``, which contractions
-    read ``x`` — is derived lazily as a CSR and cached until a repair
-    re-records nodes.  :meth:`to_arrays` / :meth:`from_arrays` flatten
-    the recording into CSR arrays for the on-disk snapshots.
+    read ``x`` — is derived once, on the first repair, and then patched
+    in place whenever a repair re-records a node whose dependency set
+    changed.  :meth:`to_arrays` / :meth:`from_arrays` flatten the
+    recording into CSR arrays for the on-disk snapshots.
     """
 
     __slots__ = ("pairs", "visited", "_deps")
@@ -221,7 +430,7 @@ class RepairState:
     ) -> None:
         self.pairs = pairs
         self.visited = visited
-        self._deps: tuple[np.ndarray, np.ndarray] | None = None
+        self._deps: _KeyedCSR | None = None
 
     def nbytes(self) -> int:
         """Approximate footprint (ints assumed 8 bytes, pairs 24)."""
@@ -229,28 +438,41 @@ class RepairState:
             len(p) for p in self.pairs
         )
 
-    def invalidate_deps(self) -> None:
-        self._deps = None
-
-    def deps_csr(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, contractors)``: who read node ``x``, as a CSR."""
-        if self._deps is not None:
-            return self._deps
-        total = sum(len(seen) for seen in self.visited)
-        read = np.empty(total, dtype=np.int64)
-        contractor = np.empty(total, dtype=np.int64)
-        pos = 0
-        for v, seen in enumerate(self.visited):
-            k = len(seen)
-            read[pos:pos + k] = seen
-            contractor[pos:pos + k] = v
-            pos += k
-        by_read = np.argsort(read, kind="stable")
-        read = read[by_read]
-        contractor = contractor[by_read]
-        indptr = np.searchsorted(read, np.arange(n + 1))
-        self._deps = (indptr, contractor)
+    def _dependency_index(self) -> _KeyedCSR:
+        if self._deps is None:
+            n = len(self.visited)
+            counts = [len(seen) for seen in self.visited]
+            read = np.fromiter(
+                (x for seen in self.visited for x in seen),
+                dtype=np.int64,
+                count=sum(counts),
+            )
+            contractor = np.repeat(np.arange(n, dtype=np.int64), counts)
+            self._deps = _KeyedCSR(n, read, contractor)
         return self._deps
+
+    def readers(self, x: int) -> list[int]:
+        """The contractions whose recorded decision read node ``x``."""
+        return self._dependency_index().row(x)
+
+    def rerecord(self, recorded: dict) -> None:
+        """Commit re-run contractions: ``{v: (pairs, visited)}``.
+
+        Only dependency entries whose membership changed are patched.
+        """
+        n = len(self.visited)
+        removed: list[int] = []
+        added: list[int] = []
+        for v, (pairs, visited) in recorded.items():
+            old = self.visited[v]
+            if visited != old:
+                before, after = set(old), set(visited)
+                removed.extend(x * n + v for x in before - after)
+                added.extend(x * n + v for x in after - before)
+            self.pairs[v] = pairs
+            self.visited[v] = visited
+        if self._deps is not None and (removed or added):
+            self._deps.patch(removed, added)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The recording as CSR arrays keyed by :attr:`ARRAYS`."""
@@ -307,60 +529,189 @@ class RepairState:
         )
 
 
+class _Overlay:
+    """The contraction overlay, kept across repairs and patched per write.
+
+    The overlay is the base graph plus every recorded shortcut.  Each
+    overlay edge keeps its shortcut *contributions* — ``(rank, seq,
+    weight)``: the contractor's rank, the pair's index in that
+    contractor's recording, the shortcut weight — sorted by rank.  So
+    the overlay a contraction at rank ``r`` saw is recoverable exactly
+    (:meth:`view`): an edge exists there if it is a base edge or has a
+    contribution below ``r``, weighs the minimum of its base weight and
+    those contributions, and sits at the adjacency position the
+    build's insertion order gave it — base edges in network order, then
+    shortcut-only edges by their first contribution.  That is the
+    overlay a full rank-order replay would rebuild from scratch, so a
+    damaged node can be re-contracted without replaying anything below
+    it.
+
+    A node's view only changes where ``r`` crosses a neighbor's rank or
+    a contribution's, so each node caches its last view with the rank
+    interval it holds for; witness searches of nearby damaged nodes
+    mostly read the same interval.
+    """
+
+    __slots__ = ("rank", "base", "shortcuts", "num_shortcuts", "_entries",
+                 "_views", "none_contracted")
+
+    def __init__(self, network: RoadNetwork, order: np.ndarray, pairs):
+        n = network.num_nodes
+        self.rank: list[int] = order.tolist()
+        self.base = [dict(network.neighbors(x)) for x in range(n)]
+        self.shortcuts: list[dict[int, list]] = [{} for _ in range(n)]
+        self.num_shortcuts = 0
+        self._entries: list[tuple | None] = [None] * n
+        self._views: list[tuple | None] = [None] * n
+        #: Views hold live nodes only; witness searches get this as
+        #: their (never set) contracted mask.
+        self.none_contracted = bytes(n)
+        for v in np.argsort(order, kind="stable").tolist():
+            self.add(v, pairs[v])
+
+    def _invalidate(self, x: int) -> None:
+        self._entries[x] = self._views[x] = None
+
+    def add(self, v: int, pairs) -> None:
+        """Insert contractor ``v``'s shortcut pairs."""
+        rank = self.rank[v]
+        shortcuts, base = self.shortcuts, self.base
+        for seq, (a, b, weight) in enumerate(pairs):
+            contributions = shortcuts[a].get(b)
+            if contributions is None:
+                contributions = shortcuts[a][b] = shortcuts[b][a] = []
+                if b not in base[a]:
+                    self.num_shortcuts += 1
+            insort(contributions, (rank, seq, weight))
+            self._invalidate(a)
+            self._invalidate(b)
+
+    def remove(self, v: int, pairs) -> None:
+        """Withdraw contractor ``v``'s (previously added) pairs."""
+        rank = self.rank[v]
+        shortcuts, base = self.shortcuts, self.base
+        for seq, (a, b, weight) in enumerate(pairs):
+            contributions = shortcuts[a][b]
+            contributions.remove((rank, seq, weight))
+            if not contributions:
+                del shortcuts[a][b], shortcuts[b][a]
+                if b not in base[a]:
+                    self.num_shortcuts -= 1
+            self._invalidate(a)
+            self._invalidate(b)
+
+    def sync_base(self, network: RoadNetwork, edges) -> None:
+        """Re-read the base adjacency of every endpoint of ``edges``."""
+        shortcuts = self.shortcuts
+        for a, b in edges:
+            if b in shortcuts[a] and (b in self.base[a]) != network.has_edge(
+                a, b
+            ):
+                # The edge flips between shortcut-only and base.
+                self.num_shortcuts += 1 if b in self.base[a] else -1
+        for x in {x for edge in edges for x in edge}:
+            self.base[x] = dict(network.neighbors(x))
+            self._invalidate(x)
+
+    def _ordered(self, x: int) -> tuple[list, list[int]]:
+        """``(entries, events)`` of node ``x``.
+
+        ``entries`` is ``(neighbor, base weight or inf, contributions)``
+        for every overlay edge of ``x`` in insertion order; ``events``
+        the sorted ranks at which :meth:`view` can change — each
+        neighbor's rank (it stops being live) and one past each
+        contribution's (it starts to count).
+        """
+        cached = self._entries[x]
+        if cached is None:
+            shortcuts = self.shortcuts[x]
+            base = self.base[x]
+            rank = self.rank
+            entries = [
+                (w, weight, shortcuts.get(w, ()))
+                for w, weight in base.items()
+            ]
+            entries.extend(
+                (w, math.inf, contributions)
+                for _, w, contributions in sorted(
+                    (contributions[0], w, contributions)
+                    for w, contributions in shortcuts.items()
+                    if w not in base
+                )
+            )
+            events = [rank[w] for w, _, _ in entries]
+            events.extend(
+                contributor + 1
+                for contributions in shortcuts.values()
+                for contributor, _, _ in contributions
+            )
+            events.sort()
+            cached = self._entries[x] = (entries, events)
+        return cached
+
+    def view(self, x: int, r: int) -> dict[int, float]:
+        """``x``'s live neighbors at rank ``r`` (rank above ``r``) with
+        the weights the contraction at rank ``r`` saw, in the replay's
+        adjacency order.  The returned dict is shared: read only."""
+        cached = self._views[x]
+        if cached is not None and cached[0] <= r < cached[1]:
+            return cached[2]
+        entries, events = self._ordered(x)
+        at = bisect_right(events, r)
+        rank = self.rank
+        live: dict[int, float] = {}
+        for w, weight, contributions in entries:
+            if rank[w] <= r:
+                continue
+            for contributor, _, shortcut in contributions:
+                if contributor >= r:
+                    break
+                if shortcut < weight:
+                    weight = shortcut
+            if weight != math.inf:
+                live[w] = weight
+        self._views[x] = (
+            events[at - 1] if at else -1,
+            events[at] if at < len(events) else len(rank) + 1,
+            live,
+        )
+        return live
+
+
+class _RankView(dict):
+    """Adjacency of the overlay as the contraction at one rank saw it,
+    materialized per node on first access (what witness searches read)."""
+
+    __slots__ = ("overlay", "r")
+
+    def __init__(self, overlay: _Overlay, r: int) -> None:
+        super().__init__()
+        self.overlay = overlay
+        self.r = r
+
+    def __missing__(self, x: int) -> dict[int, float]:
+        live = self[x] = self.overlay.view(x, self.r)
+        return live
+
+
 class RepairOutcome:
     """What one :meth:`ContractionHierarchy.repair` pass changed."""
 
-    __slots__ = (
-        "changed_up", "damaged", "repaired", "old_indptr", "old_targets",
-    )
+    __slots__ = ("changed_up", "damaged", "repaired", "removed_up")
 
-    def __init__(self, changed_up, damaged, repaired, old_indptr,
-                 old_targets) -> None:
-        #: Nodes whose upward edge list (targets or weights) changed.
+    def __init__(self, changed_up, damaged, repaired, removed_up) -> None:
+        #: Nodes whose upward edge list (targets or weights) changed,
+        #: ascending.
         self.changed_up = changed_up
         #: Size of the final damage set (re-contracted nodes).
         self.damaged = damaged
         #: Damaged nodes whose witness searches actually re-ran.
         self.repaired = repaired
-        #: The pre-repair upward CSR (for downward-closure computation).
-        self.old_indptr = old_indptr
-        self.old_targets = old_targets
-
-
-def downward_closure(
-    old_indptr: np.ndarray,
-    old_targets: np.ndarray,
-    new_indptr: np.ndarray,
-    new_targets: np.ndarray,
-    seeds,
-    n: int,
-) -> np.ndarray:
-    """Nodes whose stalled upward search space may differ after repair.
-
-    A node's upward sweep reads only the upward edges of nodes it
-    reaches, so its search space can change only if it reaches — in the
-    old upward graph or the new one — a node whose upward edges changed.
-    Returns a boolean mask of that reverse-reachable closure over the
-    union of both graphs (seeds included).
-    """
-    reverse: list[list[int]] = [[] for _ in range(n)]
-    for indptr, targets in (
-        (old_indptr, old_targets), (new_indptr, new_targets),
-    ):
-        for v in range(n):
-            for pos in range(int(indptr[v]), int(indptr[v + 1])):
-                reverse[int(targets[pos])].append(v)
-    affected = np.zeros(n, dtype=bool)
-    stack = [int(s) for s in seeds]
-    for s in stack:
-        affected[s] = True
-    while stack:
-        x = stack.pop()
-        for v in reverse[x]:
-            if not affected[v]:
-                affected[v] = True
-                stack.append(v)
-    return affected
+        #: Upward edges ``(v, target)`` the repair dropped — with the
+        #: maintained reverse CSR, the union of old and new upward
+        #: graphs that :meth:`ContractionHierarchy.downward_closure`
+        #: walks.
+        self.removed_up = removed_up
 
 
 class ContractionHierarchy:
@@ -405,6 +756,11 @@ class ContractionHierarchy:
         #: from older snapshots — :meth:`repair` then declines and the
         #: caller must rebuild.
         self.repair_state: RepairState | None = None
+        # Repair's maintained state, derived on the first repair (or
+        # first use) and patched by every later one: the contraction
+        # overlay and the reverse upward CSR.
+        self._overlay: _Overlay | None = None
+        self._reverse: _KeyedCSR | None = None
         self.bind_metrics(metrics)
 
     def bind_metrics(self, metrics) -> None:
@@ -596,34 +952,40 @@ class ContractionHierarchy:
         *,
         damage_limit: int | None = None,
     ) -> RepairOutcome | None:
-        """Replay the recorded contraction against the *updated* network.
+        """Re-contract the damaged nodes against the *updated* network.
 
         ``network`` must already carry the mutations; ``changed_edges``
         are the canonical endpoint pairs of every added / removed /
-        re-weighted edge.  Keeps the node order fixed and re-derives the
-        upward CSR by replaying contractions in rank order over a fresh
-        overlay of the updated graph:
+        re-weighted edge.  The node order stays fixed; the result is
+        the upward CSR a rank-order replay of every contraction over a
+        fresh overlay of the updated graph would produce, but only the
+        damaged contractions run:
 
         * a node is *damaged* if any witness search it ran (or its own
           neighborhood) touched a changed edge's endpoint — the inverted
           dependency index answers that in one slice per endpoint.
-          Damaged nodes re-run their witness searches against the
-          replayed overlay; any difference between the new shortcut
+          Damaged nodes re-run their witness searches, in rank order,
+          against the maintained overlay as it stood at their rank
+          (:class:`_Overlay`); any difference between the new shortcut
           decision and the recorded one propagates damage to the
           higher-ranked contractions that read either endpoint;
         * an *undamaged* node's local overlay is bit-identical to what
           the original build saw (every incident edge change damages it
           directly, and every incoming-shortcut change is a recorded
           pair diff of a damaged lower node), so its recorded shortcut
-          pairs — weights included — are replayed verbatim.
+          pairs — already in the overlay — stand.
 
-        Replayed decisions keep the CH invariant (witness paths lie in
-        the recorded dependency sets; unseen weight decreases only make
+        Only upward rows with an endpoint of a changed base edge or of
+        a changed shortcut pair are rewritten; the dependency index and
+        the reverse upward CSR are patched to match.  Replayed
+        decisions keep the CH invariant (witness paths lie in the
+        recorded dependency sets; unseen weight decreases only make
         kept shortcuts redundant), so queries stay exact.  Returns a
         :class:`RepairOutcome`, or ``None`` — without committing
-        anything — when no recording exists, the node count changed, or
-        the damage set exceeds ``damage_limit`` (the caller should then
-        rebuild from scratch, recording).
+        anything to the recording or the upward graph — when no
+        recording exists, the node count changed, or the damage set
+        exceeds ``damage_limit`` (the caller should then rebuild from
+        scratch, recording).
         """
         state = self.repair_state
         n = self.num_nodes
@@ -631,106 +993,153 @@ class ContractionHierarchy:
             return None
         if damage_limit is None:
             damage_limit = n
-        order = self.order
-        dep_indptr, dep_contractor = state.deps_csr(n)
-        damaged = np.zeros(n, dtype=bool)
-        for edge in changed_edges:
+        edges = {(min(a, b), max(a, b)) for a, b in changed_edges}
+        damaged: set[int] = set()
+        for edge in edges:
             for x in edge:
-                damaged[dep_contractor[dep_indptr[x]:dep_indptr[x + 1]]] = (
-                    True
-                )
-        damage_count = int(damaged.sum())
-        if damage_count > damage_limit:
+                damaged.update(state.readers(x))
+        if len(damaged) > damage_limit:
+            self._overlay = None
             return None
-        # Fresh overlay of the updated base graph; replay grows it with
-        # shortcuts exactly the way build() did.
-        adj: list[dict[int, float]] = [dict() for _ in range(n)]
-        for node in range(n):
-            for neighbor, weight in network.neighbors(node):
-                current = adj[node].get(neighbor)
-                if current is None or weight < current:
-                    adj[node][neighbor] = weight
-        by_rank = np.argsort(order, kind="stable")
-        contracted = np.zeros(n, dtype=bool)
+        if self._overlay is None:
+            self._overlay = _Overlay(network, self.order, state.pairs)
+        else:
+            self._overlay.sync_base(network, edges)
+        overlay = self._overlay
+        rank = overlay.rank
         settle_cap = self.settle_cap
-        new_pairs: dict[int, list[tuple[int, int, float]]] = {}
-        new_visited: dict[int, list[int]] = {}
-        up_edges: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        num_shortcuts = 0
-        for r in range(n):
-            v = int(by_rank[r])
-            if damaged[v]:
-                pairs, _, visited = _shortcuts_for(
-                    adj, contracted, v, settle_cap
-                )
-                old_map = {(a, b): w for a, b, w in state.pairs[v]}
+        touched = {x for edge in edges for x in edge}
+        recorded: dict[int, tuple[list, list[int]]] = {}
+        heap = [(rank[v], v) for v in damaged]
+        heapify(heap)
+        while heap:
+            r, v = heappop(heap)
+            pairs, _, visited = _shortcuts_for(
+                _RankView(overlay, r), overlay.none_contracted, v,
+                settle_cap,
+            )
+            old = state.pairs[v]
+            if pairs != old:
+                old_map = {(a, b): w for a, b, w in old}
                 cur_map = {(a, b): w for a, b, w in pairs}
                 for pair in old_map.keys() | cur_map.keys():
                     if old_map.get(pair) == cur_map.get(pair):
                         continue
                     for x in pair:
-                        cand = dep_contractor[
-                            dep_indptr[x]:dep_indptr[x + 1]
-                        ]
-                        cand = cand[order[cand] > r]
-                        fresh = cand[~damaged[cand]]
-                        if fresh.size:
-                            damaged[fresh] = True
-                            damage_count += int(fresh.size)
-                if damage_count > damage_limit:
+                        for reader in state.readers(x):
+                            if rank[reader] > r and reader not in damaged:
+                                damaged.add(reader)
+                                heappush(heap, (rank[reader], reader))
+                if len(damaged) > damage_limit:
+                    # The overlay already carries re-run decisions the
+                    # recording will not: drop it (the next repair
+                    # rebuilds it from the recording).
+                    self._overlay = None
                     return None
-                new_pairs[v] = pairs
-                new_visited[v] = visited
-            else:
-                pairs = state.pairs[v]
-            up_edges[v] = [
-                (u, weight)
-                for u, weight in adj[v].items()
-                if not contracted[u]
-            ]
-            for a, b, weight in pairs:
-                existing = adj[a].get(b)
-                if existing is None or weight < existing:
-                    adj[a][b] = weight
-                    adj[b][a] = weight
-                    if existing is None:
-                        num_shortcuts += 1
-            contracted[v] = True
-        # Commit: recorded state, then the upward CSR.
-        for v, pairs in new_pairs.items():
-            state.pairs[v] = pairs
-            state.visited[v] = new_visited[v]
-        if new_pairs:
-            state.invalidate_deps()
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for v in range(n):
-            indptr[v + 1] = indptr[v] + len(up_edges[v])
-        targets = np.zeros(int(indptr[-1]), dtype=np.int32)
-        weights = np.zeros(int(indptr[-1]), dtype=np.float64)
-        for v in range(n):
-            start = int(indptr[v])
-            for offset, (u, weight) in enumerate(up_edges[v]):
-                targets[start + offset] = u
-                weights[start + offset] = weight
-        old_indptr = self.up_indptr
-        old_targets = self.up_targets
-        changed_up = np.flatnonzero(
-            changed_rows(
-                (old_indptr, old_targets, self.up_weights),
-                (indptr, targets, weights),
-            )
-        )
-        self.up_indptr = indptr
-        self.up_targets = targets
-        self.up_weights = weights
-        self.num_shortcuts = num_shortcuts
+                overlay.remove(v, old)
+                overlay.add(v, pairs)
+                for a, b, _ in old:
+                    touched.update((a, b))
+                for a, b, _ in pairs:
+                    touched.update((a, b))
+            recorded[v] = (pairs, visited)
+        state.rerecord(recorded)
+        changed_up, removed_up = self._rewrite_up_rows(sorted(touched))
+        self.num_shortcuts = overlay.num_shortcuts
         return RepairOutcome(
             changed_up=changed_up,
-            damaged=damage_count,
-            repaired=len(new_pairs),
-            old_indptr=old_indptr,
-            old_targets=old_targets,
+            damaged=len(damaged),
+            repaired=len(recorded),
+            removed_up=removed_up,
         )
+
+    def _rewrite_up_rows(self, rows: list[int]):
+        """Re-derive the upward rows of ``rows`` from the overlay and
+        splice the ones that differ into the CSR (and the reverse CSR).
+
+        Returns ``(changed rows, removed upward edges)``.
+        """
+        overlay = self._overlay
+        rank = overlay.rank
+        indptr, targets, weights = (
+            self.up_indptr, self.up_targets, self.up_weights,
+        )
+        n = self.num_nodes
+        changed: list[int] = []
+        counts: list[int] = []
+        row_targets: list[int] = []
+        row_weights: list[float] = []
+        removed: list[tuple[int, int]] = []
+        gone: list[int] = []
+        added: list[int] = []
+        for x in rows:
+            live = overlay.view(x, rank[x])
+            lo, hi = int(indptr[x]), int(indptr[x + 1])
+            old_targets = targets[lo:hi].tolist()
+            new_targets = list(live)
+            new_weights = list(live.values())
+            if (
+                new_targets == old_targets
+                and new_weights == weights[lo:hi].tolist()
+            ):
+                continue
+            changed.append(x)
+            counts.append(len(new_targets))
+            row_targets += new_targets
+            row_weights += new_weights
+            before, after = set(old_targets), set(new_targets)
+            removed.extend((x, t) for t in before - after)
+            gone.extend(t * n + x for t in before - after)
+            added.extend(t * n + x for t in after - before)
+        if changed:
+            self.up_indptr, (self.up_targets, self.up_weights) = splice_rows(
+                indptr, (targets, weights), changed, counts,
+                (row_targets, row_weights),
+            )
+            if self._reverse is not None:
+                self._reverse.patch(gone, added)
+        return np.asarray(changed, dtype=np.int64), removed
+
+    def reverse_csr(self) -> _KeyedCSR:
+        """The reverse upward graph: row ``x`` lists the nodes whose
+        upward edges point at ``x``.  Derived on the first repair, then
+        kept in step with every later one; building and querying never
+        derive it."""
+        if self._reverse is None:
+            n = self.num_nodes
+            owners = np.repeat(
+                np.arange(n, dtype=np.int64), np.diff(self.up_indptr)
+            )
+            self._reverse = _KeyedCSR(n, self.up_targets, owners)
+        return self._reverse
+
+    def downward_closure(self, seeds, removed_up=()) -> np.ndarray:
+        """Nodes whose stalled upward search space may differ after repair.
+
+        A node's upward sweep reads only the upward edges of nodes it
+        reaches, so its search space can change only if it reaches — in
+        the old upward graph or the new one — a node whose upward edges
+        changed.  Returns a boolean mask of that reverse-reachable
+        closure over the union of both graphs (seeds included): the
+        maintained reverse CSR covers the new graph, ``removed_up``
+        (:attr:`RepairOutcome.removed_up`) the edges only the old one
+        had.
+        """
+        reverse = self.reverse_csr()
+        dropped: dict[int, list[int]] = {}
+        for v, target in removed_up:
+            dropped.setdefault(target, []).append(v)
+        affected = np.zeros(self.num_nodes, dtype=bool)
+        stack = [int(s) for s in seeds]
+        seen = set(stack)
+        while stack:
+            x = stack.pop()
+            for v in reverse.row(x) + dropped.get(x, []):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        affected[list(seen)] = True
+        return affected
 
     # ------------------------------------------------------------------
     # queries
@@ -808,11 +1217,7 @@ class ContractionHierarchy:
         ordered = np.argsort(nodes, kind="stable")
         return nodes[ordered].astype(np.int32), dists[ordered]
 
-    def batch_search_spaces(
-        self,
-        mask: np.ndarray | None = None,
-        base: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def batch_search_spaces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """*Unstalled* upward search spaces for every node, as one CSR.
 
         Every upward path is strictly rank-ascending, so node ``v``'s
@@ -830,54 +1235,81 @@ class ContractionHierarchy:
         distance (stalling suppresses an entry only when a real
         witness path beats it), so exactness pruning produces the
         *same* labels from either — which is why the incremental hub
-        maintenance can diff and re-prune these cheaply.
-
-        With ``mask`` and ``base`` (a prior CSR from this method), only
-        masked nodes are recomputed; unmasked nodes' slices are carried
-        over from ``base`` — valid whenever the unmasked nodes' spaces
-        are known to be unchanged (the downward-closure guarantee).
+        maintenance can diff and re-prune these cheaply
+        (:meth:`patch_search_spaces`; this runs the same DP from an
+        empty CSR with every node a candidate, so nothing propagates
+        and the reverse upward CSR is not needed).
         """
         n = self.num_nodes
+        empty = (
+            np.zeros(n + 1, dtype=np.int64),
+            np.zeros(0, dtype=np.int32),
+            np.zeros(0, dtype=np.float64),
+        )
+        spaces, _ = self._space_dp(empty, range(n), None)
+        return spaces
+
+    def patch_search_spaces(self, spaces, seeds):
+        """Bring a :meth:`batch_search_spaces` CSR up to date after a
+        repair whose changed upward rows are ``seeds``.
+
+        A node's space is a function of its upward row and its upward
+        neighbors' spaces, so it can differ only if its row changed (a
+        seed) or an upward neighbor's space actually changed.
+        Candidates leave a heap in descending rank, in *batches*: the
+        longest run whose upward neighbors are all settled, which the
+        DP then merges in one vectorized pass (:class:`_SpaceRows`).  A
+        recomputed space equal to the one its readers saw stops the
+        propagation there; a changed one makes its reverse-upward
+        neighbors candidates again, even if they already ran (a
+        candidate found late can sit above a node an earlier batch
+        computed).  Every other node carries over from ``spaces``.
+        Returns ``(new spaces, changed nodes ascending)``.
+        """
+        return self._space_dp(spaces, seeds, self.reverse_csr())
+
+    def _space_dp(self, spaces, seeds, reverse: _KeyedCSR | None):
+        """The DP behind :meth:`patch_search_spaces`; with ``reverse``
+        ``None`` (every node a seed) changed spaces propagate nowhere."""
         indptr, targets, weights = (
             self.up_indptr, self.up_targets, self.up_weights,
         )
-        if base is not None:
-            base_indptr, base_hubs, base_dists = base
-        nodes_out: list = [None] * n
-        dists_out: list = [None] * n
-        for v in np.argsort(self.order)[::-1]:
-            v = int(v)
-            if mask is not None and not mask[v]:
-                lo, hi = int(base_indptr[v]), int(base_indptr[v + 1])
-                nodes_out[v] = base_hubs[lo:hi]
-                dists_out[v] = base_dists[lo:hi]
-                continue
-            lo, hi = int(indptr[v]), int(indptr[v + 1])
-            parts_nodes = [np.array([v], dtype=np.int32)]
-            parts_dists = [np.zeros(1, dtype=np.float64)]
-            for pos in range(lo, hi):
-                w = int(targets[pos])
-                parts_nodes.append(nodes_out[w])
-                parts_dists.append(dists_out[w] + weights[pos])
-            cat_nodes = np.concatenate(parts_nodes)
-            cat_dists = np.concatenate(parts_dists)
-            by_node = np.argsort(cat_nodes, kind="stable")
-            cat_nodes = cat_nodes[by_node]
-            cat_dists = cat_dists[by_node]
-            starts = np.flatnonzero(
-                np.r_[True, cat_nodes[1:] != cat_nodes[:-1]]
+        rank = self._ranks()
+        rows = _SpaceRows(spaces, self.num_nodes)
+        heap = [(-rank[v], v) for v in {int(s) for s in seeds}]
+        pending = {v for _, v in heap}
+        heapify(heap)
+        while heap:
+            batch: list[int] = []
+            while heap:
+                v = heap[0][1]
+                lo, hi = indptr[v], indptr[v + 1]
+                if batch and not pending.isdisjoint(targets[lo:hi].tolist()):
+                    break
+                heappop(heap)
+                batch.append(v)
+            nodes = np.asarray(batch, dtype=np.int64)
+            edges, counts = _expand_side(indptr, nodes)
+            changed = rows.merge(
+                nodes,
+                np.repeat(np.arange(len(batch)), counts),
+                targets[edges],
+                weights[edges],
             )
-            nodes_out[v] = cat_nodes[starts]
-            dists_out[v] = np.minimum.reduceat(cat_dists, starts)
-        sp_indptr = np.zeros(n + 1, dtype=np.int64)
-        if n:
-            np.cumsum([len(x) for x in nodes_out], out=sp_indptr[1:])
-            sp_hubs = np.concatenate(nodes_out).astype(np.int32)
-            sp_dists = np.concatenate(dists_out)
-        else:
-            sp_hubs = np.zeros(0, dtype=np.int32)
-            sp_dists = np.zeros(0, dtype=np.float64)
-        return sp_indptr, sp_hubs, sp_dists
+            pending.difference_update(batch)
+            if reverse is None:
+                continue
+            for v in changed.tolist():
+                for u in reverse.row(v):
+                    if u not in pending:
+                        pending.add(u)
+                        heappush(heap, (-rank[u], u))
+        return rows.result()
+
+    def _ranks(self) -> list[int]:
+        if self._overlay is not None:
+            return self._overlay.rank
+        return self.order.tolist()
 
     def distance(self, source: int, target: int) -> float:
         """Exact point-to-point distance (bidirectional upward Dijkstra).
@@ -1065,22 +1497,16 @@ class CHIndex(HierarchyIndexBase):
         self.build_trace = rebuilt.build_trace
         self._object_entries = rebuilt._object_entries
 
-    def _refresh_object_structures(self) -> None:
-        """Re-derive buckets / object table / partition from the (partly
-        recomputed) per-object search spaces — identical to what a fresh
-        build would produce from the same entries."""
-        entries = self._object_entries
-        self.buckets = BucketLists.build(self.network.num_nodes, entries)
-        distances = pairwise_label_distances(entries)
-        self.partition = self._derive_partition(distances)
-        self.object_table = ObjectDistanceTable(
-            distances, self.partition, drop_last_category=False
-        )
-
     def _apply_changeset(self, changeset, result) -> None:
         """Incremental §5.4 maintenance: repair the hierarchy, then
         recompute search spaces only for objects the repair may have
         moved.
+
+        The repair's phases land on ``backend.ch.update.<phase>_seconds``
+        histograms, once per repaired write: ``replay`` (the damaged
+        contractions and the upward-row patch), ``spaces`` (the
+        downward closure and the affected objects' search spaces) and
+        ``objects`` (buckets and object table).
 
         Falls back to a full rebuild when no repair recording exists
         (indexes loaded from older snapshots), or the contraction damage
@@ -1093,35 +1519,41 @@ class CHIndex(HierarchyIndexBase):
         changed_edges = changeset.edges()
         apply_changeset_to_network(self.network, changeset)
         n = self.network.num_nodes
+        phases = RepairPhases(("replay", "spaces", "objects"))
         outcome = None
         if self._object_entries is not None:
             limit = max(1, int(self.repair_threshold * n))
-            outcome = self.hierarchy.repair(
-                self.network, changed_edges, damage_limit=limit
-            )
+            with phases("replay"):
+                outcome = self.hierarchy.repair(
+                    self.network, changed_edges, damage_limit=limit
+                )
         if outcome is None:
             self._note_rebuilt(result)
             return
         hierarchy = self.hierarchy
-        affected = downward_closure(
-            outcome.old_indptr,
-            outcome.old_targets,
-            hierarchy.up_indptr,
-            hierarchy.up_targets,
-            outcome.changed_up,
-            n,
-        )
-        affected_ranks = [
-            rank
-            for rank, object_node in enumerate(self.dataset)
-            if affected[int(object_node)]
-        ]
-        for rank in affected_ranks:
-            self._object_entries[rank] = hierarchy.search_space(
-                int(self.dataset[rank])
+        with phases("spaces"):
+            affected = hierarchy.downward_closure(
+                outcome.changed_up, outcome.removed_up
             )
-        if affected_ranks:
-            self._refresh_object_structures()
+            affected_ranks = [
+                rank
+                for rank, object_node in enumerate(self.dataset)
+                if affected[int(object_node)]
+            ]
+            moved = []
+            for rank in affected_ranks:
+                entry = hierarchy.search_space(int(self.dataset[rank]))
+                old = self._object_entries[rank]
+                if not (
+                    np.array_equal(entry[0], old[0])
+                    and np.array_equal(entry[1], old[1])
+                ):
+                    self._object_entries[rank] = entry
+                    moved.append(rank)
+        with phases("objects"):
+            if moved:
+                self._refresh_object_rows(self._object_entries, moved)
+        phases.observe(self.metrics, "ch")
         self.metrics.counter("backend.ch.update.repaired").inc()
         self.metrics.counter("backend.ch.update.damaged_nodes").inc(
             outcome.damaged

@@ -40,11 +40,15 @@ order-of-magnitude qps gap over both other backends
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.backends.base import (
     BucketLists,
     HierarchyIndexBase,
+    RepairPhases,
+    _expand_side,
     batch_label_join_csr,
     label_join,
     pairwise_label_distances,
@@ -53,7 +57,7 @@ from repro.backends.ch import (
     WITNESS_SETTLE_CAP,
     ContractionHierarchy,
     changed_rows,
-    downward_closure,
+    splice_rows,
 )
 from repro.core.signature import ObjectDistanceTable
 from repro.core.update import UpdateReport
@@ -70,6 +74,21 @@ __all__ = ["HubLabelIndex", "build_labels"]
 #: (both sides' slices), not by pair count: 2^17 entries cap the
 #: workspace near 9 MB while each call still spans hundreds of pairs.
 _JOIN_BLOCK_ENTRIES = 1 << 17
+
+#: Relative slack of the crossing tests (:func:`_toward`,
+#: :func:`_moved`, :func:`_straddlers`).  Each compares sums of one
+#: path's weights added in different orders — label joins against
+#: space-DP entries — which can disagree in the last bits when weights
+#: are not dyadic.  A wider test only sends more entries to the
+#: exactness join, which makes the final decision, so the tests err
+#: wide: ``x`` counts as no longer than ``bound`` while
+#: ``x <= bound * (1 + _SLACK)``.
+_SLACK = 1e-9
+
+
+def _within(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """``x <= bound`` up to the rounding slack (``NaN`` never is)."""
+    return x <= bound * (1.0 + _SLACK)
 
 
 def _exact_mask(indptr, hubs, dists, owners, entry_hubs, entry_dists):
@@ -115,6 +134,160 @@ def _distil(
     label_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owners[keep], minlength=n), out=label_indptr[1:])
     return label_indptr, hubs[keep].astype(np.int32), dists[keep]
+
+
+def _toward(network, labels, source: int, target: int, weight: float):
+    """``d(x, source)`` for the nodes ``x`` with
+    ``d(x, source) + weight == d(x, target)``, ``inf`` elsewhere.
+
+    The equality is tested up to the rounding slack (:func:`_within`),
+    so the set may hold a few near-ties besides: every caller only
+    needs a superset.  ``labels`` is any valid labeling CSR of
+    ``network``.  The set is closed under stepping toward ``source``
+    along a shortest path — if ``x`` is in it, so is the next hop of
+    any shortest ``x``–``source`` path — so it is grown breadth-first
+    from ``source`` through graph neighbors, one frontier at a time,
+    and the work is proportional to the set and its boundary rather
+    than to the network.  A frontier's
+    distances to ``source`` and ``target`` are one-to-many label joins:
+    each candidate's label entries against the two endpoints' labels
+    spread over dense hub-indexed arrays (the same shared-hub sums
+    :func:`label_join` minimizes).
+    """
+    indptr, hubs, dists = labels
+    n = network.num_nodes
+    ends = []
+    for end in (source, target):
+        dense = np.full(n, np.inf)
+        lo, hi = indptr[end], indptr[end + 1]
+        dense[hubs[lo:hi]] = dists[lo:hi]
+        ends.append(dense)
+    to_source, to_target = ends
+    near = np.full(n, np.inf)
+    seen = {source}
+    frontier = [source]
+    while frontier:
+        candidates = np.asarray(frontier, dtype=np.int64)
+        positions, counts = _expand_side(indptr, candidates)
+        starts = np.cumsum(counts) - counts
+        entry_hubs = hubs[positions]
+        entry_dists = dists[positions]
+        d_source = np.minimum.reduceat(entry_dists + to_source[entry_hubs],
+                                       starts)
+        d_target = np.minimum.reduceat(entry_dists + to_target[entry_hubs],
+                                       starts)
+        inside = _within(d_source + weight, d_target)
+        members = candidates[inside]
+        near[members] = d_source[inside]
+        frontier = []
+        for x in members.tolist():
+            for y, _ in network.neighbors(x):
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return near
+
+
+class _Crossing(NamedTuple):
+    """The two sides of one changed edge ``(a, b)``.
+
+    ``near_a[x]`` is ``d(x, a)`` for the nodes some shortest path to
+    ``b`` leaves through the edge (``inf`` for every other node), and
+    ``near_b`` likewise with the endpoints swapped, both measured with
+    edge weight ``weight`` in the pre-mutation graph for an
+    ``increase`` (weight increase or removal), the post-mutation graph
+    otherwise.
+    """
+
+    near_a: np.ndarray
+    near_b: np.ndarray
+    weight: float
+    increase: bool
+
+    @classmethod
+    def measure(cls, network, labels, a, b, weight, increase):
+        return cls(
+            _toward(network, labels, a, b, weight),
+            _toward(network, labels, b, a, weight),
+            weight,
+            increase,
+        )
+
+    def through(self, owners, hubs) -> np.ndarray:
+        """Length of the shortest owner-to-hub path that crosses the
+        edge from one side to the other; ``inf`` for pairs that do not
+        straddle it."""
+        return np.minimum(
+            self.near_a[owners] + self.near_b[hubs],
+            self.near_b[owners] + self.near_a[hubs],
+        ) + self.weight
+
+    def sides(self) -> np.ndarray:
+        """The nodes on either side."""
+        return np.flatnonzero(
+            np.isfinite(self.near_a) | np.isfinite(self.near_b)
+        )
+
+
+def _moved(crossing: _Crossing, owners, hubs, dists, old_dists, in_old,
+           in_label):
+    """Which entries ``(owners[i], hubs[i], dists[i])`` may flip their
+    keep verdict because of ``crossing``.
+
+    By subpath optimality, ``d(v, h)`` can change through a changed edge
+    only if some shortest ``v``–``h`` path crosses it — in the
+    pre-mutation graph for an increase, the post-mutation one for a
+    decrease — and such a path has length ``through``, no longer than
+    any known ``v``–``h`` path: the entry's old space distance for an
+    increase, its new one for a decrease.  An entry whose distance did
+    not change flips only one way: an exact one (``in_label``) becomes
+    inexact when a decrease gives a strictly shorter path, an inexact
+    one becomes exact when an increase lifts ``d(v, h)`` — from
+    ``through`` — to it.  An increase can never make an exact entry
+    inexact there, nor a decrease an inexact one exact.  Lengths are
+    compared up to the rounding slack (:func:`_within`), so ties and
+    near-ties count as moved.
+    """
+    through = crossing.through(owners, hubs)
+    unchanged = in_old & (dists == old_dists)
+    reaches = _within(through, dists)
+    if crossing.increase:
+        moved = _within(through, old_dists) | (
+            ~in_old & np.isfinite(through)
+        )
+        return np.where(unchanged, ~in_label & reaches, moved)
+    return np.where(unchanged, in_label & reaches, reaches)
+
+
+def _straddlers(spaces, crossing: _Crossing) -> np.ndarray:
+    """Mask of nodes with a space entry whose keep verdict ``crossing``
+    may flip while their (unchanged) space stays the same — a superset
+    of :func:`_moved` that needs no label lookup."""
+    indptr, hubs, dists = spaces
+    out = np.zeros(len(indptr) - 1, dtype=bool)
+    nodes = crossing.sides()
+    if len(nodes):
+        positions, counts = _expand_side(indptr, nodes)
+        owners = np.repeat(nodes, counts)
+        through = crossing.through(owners, hubs[positions])
+        out[owners[_within(through, dists[positions])]] = True
+    return out
+
+
+def _find_keys(keys, indptr, hubs, rows, base):
+    """Where the node-prefixed ``keys`` (``owner * base + hub``, sorted,
+    owners among ``rows``) sit in the CSR ``indptr`` / ``hubs``:
+    ``(found, position)`` per key, reading only the ``rows`` slices."""
+    positions, counts = _expand_side(indptr, rows)
+    row_keys = (
+        np.repeat(rows.astype(np.int64), counts) * base + hubs[positions]
+    )
+    if not len(row_keys):
+        return np.zeros(len(keys), dtype=bool), np.zeros(
+            len(keys), dtype=np.int64
+        )
+    at = np.minimum(np.searchsorted(row_keys, keys), len(row_keys) - 1)
+    return row_keys[at] == keys, positions[at]
 
 
 def build_labels(
@@ -321,24 +494,6 @@ class HubLabelIndex(HierarchyIndexBase):
         self._spaces = rebuilt._spaces
         self._bind_backend_metrics(self.metrics)
 
-    def _refresh_object_structures(self) -> None:
-        """Re-derive buckets / object table / partition from the label
-        CSR — the same pure function of the labels the build runs."""
-        indptr, hubs, dists = (
-            self.label_indptr, self.label_hubs, self.label_dists,
-        )
-        entries = [
-            (hubs[indptr[obj]:indptr[obj + 1]],
-             dists[indptr[obj]:indptr[obj + 1]])
-            for obj in self.dataset
-        ]
-        self.buckets = BucketLists.build(self.network.num_nodes, entries)
-        distances = pairwise_label_distances(entries)
-        self.partition = self._derive_partition(distances)
-        self.object_table = ObjectDistanceTable(
-            distances, self.partition, drop_last_category=False
-        )
-
     def _apply_changeset(self, changeset, result) -> None:
         """Incremental §5.4 maintenance: repair the hierarchy, then
         redistill only the labels the changeset actually invalidated.
@@ -347,33 +502,32 @@ class HubLabelIndex(HierarchyIndexBase):
         its upward search space and the true network distances from
         ``x`` (the keep rule retains exactly the space entries whose
         settled distance is exact).  So ``x`` needs redistillation iff
-        (a) its search space changed, or (b) some exact distance from
-        ``x`` changed, which can flip a keep decision even when the
-        space is intact.
+        (a) its search space changed, or (b) the true distance to the
+        hub of one of its space entries changed, which can flip that
+        entry's keep decision even when the space is intact.
 
-        (a) is decided by *recomputing* spaces, cheaply: only nodes
-        that reach — in the old or repaired upward graph — a node whose
-        upward edges changed can differ (the downward closure), and the
-        closure's unstalled spaces come out of one rank-descending
-        dynamic program (``batch_search_spaces``) instead of per-node
-        Dijkstras.  The recomputed spaces are then *diffed* against the
-        stored ones; the closure is reachability-conservative, so most
-        of it is usually unchanged and drops out here.
+        (a) comes out of :meth:`~repro.backends.ch.ContractionHierarchy.patch_search_spaces`:
+        starting from the nodes whose upward rows the repair changed,
+        it recomputes spaces in descending rank and stops wherever a
+        recomputed space equals the stored one.
 
         (b) is detected per changed edge ``(a, b)`` by the classic
         subpath-optimality criterion: a weight increase / removal
         rerouted some old shortest path from ``x`` iff
         ``d(x,a) + w = d(x,b)`` (or symmetrically) held in the
         *pre-mutation* graph; a decrease / insertion attracts a new
-        shortest path iff the same equality holds *post-mutation*.  Two
-        Dijkstras per changed edge decide that for every node at once,
-        and both equalities are bit-exact (each side comes from the same
-        relaxation sums).
+        shortest path iff the same equality holds *post-mutation*.
+        Each side of that test is a set grown from one endpoint
+        (:func:`_toward`), and a distance ``d(x, h)`` can change only if
+        ``x`` and ``h`` lie on opposite sides of some changed edge.
 
         Affected nodes are re-pruned against the updated space CSR with
         the same keep rule the build distils with, so the resulting
         label arrays stay bit-identical to ``build_labels`` on the
-        repaired hierarchy.
+        repaired hierarchy.  Phase wall times land on
+        ``backend.hub.update.<phase>_seconds`` histograms, once per
+        repaired write: ``replay``, ``spaces``, ``masks``,
+        ``redistill`` and ``objects``.
 
         Falls back to a full rebuild when no repair recording exists
         (indexes loaded from older snapshots), hierarchy damage exceeds
@@ -381,7 +535,6 @@ class HubLabelIndex(HierarchyIndexBase):
         exceeds ``relabel_threshold`` × nodes.
         """
         from repro.core.changeset import apply_changeset_to_network
-        from repro.network.dijkstra import shortest_path_tree
 
         hierarchy = self.hierarchy
         n = self.network.num_nodes
@@ -392,6 +545,9 @@ class HubLabelIndex(HierarchyIndexBase):
         if self._spaces is None:
             self._spaces = hierarchy.batch_search_spaces()
         limit = max(1, int(self.repair_threshold * n))
+        phases = RepairPhases(
+            ("replay", "spaces", "masks", "redistill", "objects")
+        )
         # Classify deltas: increases are checked against the
         # pre-mutation graph, decreases against the post-mutation one.
         increases: list[tuple[int, int, float]] = []
@@ -410,54 +566,64 @@ class HubLabelIndex(HierarchyIndexBase):
                     decreases.append((delta.u, delta.v, delta.weight))
                 elif delta.weight > old:
                     increases.append((delta.u, delta.v, old))
-        # Each changed edge contributes a *pair* of directional masks:
-        # ``toward_b[x]`` — some shortest path from ``x`` to ``b``
-        # crosses the edge via ``a`` — and symmetrically ``toward_a``.
-        # A pairwise distance d(v, u) can change only when the
-        # realizing path crosses a changed edge, which by subpath
-        # optimality means v and u sit on *opposite* masks of it; nodes
+        # Each changed edge splits into two sides (_Crossing): the
+        # nodes some shortest path to ``b`` leaves through the edge via
+        # ``a``, and symmetrically.  A pairwise distance d(v, u) can
+        # change only when a shortest path between them crosses a
+        # changed edge, so v and u sit on *opposite* sides of it; nodes
         # on the same side keep every mutual distance bit-identical.
-        pair_masks: list[tuple[np.ndarray, np.ndarray]] = []
-        for a, b, w in increases:
-            da = np.asarray(shortest_path_tree(self.network, a).distance)
-            db = np.asarray(shortest_path_tree(self.network, b).distance)
-            pair_masks.append((da + w == db, db + w == da))
+        # Pre-mutation distances come from the current labels.
+        labels = (self.label_indptr, self.label_hubs, self.label_dists)
+        with phases("masks"):
+            crossings = [
+                _Crossing.measure(self.network, labels, a, b, w, True)
+                for a, b, w in increases
+            ]
         apply_changeset_to_network(self.network, changeset)
-        outcome = hierarchy.repair(
-            self.network, changeset.edges(), damage_limit=limit
-        )
+        with phases("replay"):
+            outcome = hierarchy.repair(
+                self.network, changeset.edges(), damage_limit=limit
+            )
         if outcome is None:
             self._note_rebuilt(result)
             return
-        for a, b, w in decreases:
-            da = np.asarray(shortest_path_tree(self.network, a).distance)
-            db = np.asarray(shortest_path_tree(self.network, b).distance)
-            pair_masks.append((da + w == db, db + w == da))
-        dist_affected = np.zeros(n, dtype=bool)
-        for toward_b, toward_a in pair_masks:
-            dist_affected |= toward_b | toward_a
-        closure = downward_closure(
-            outcome.old_indptr,
-            outcome.old_targets,
-            hierarchy.up_indptr,
-            hierarchy.up_targets,
-            outcome.changed_up,
-            n,
-        )
         old_spaces = self._spaces
-        spaces = hierarchy.batch_search_spaces(mask=closure, base=old_spaces)
-        space_affected = changed_rows(
-            old_spaces, spaces, rows=np.flatnonzero(closure)
-        )
-        affected = dist_affected | space_affected
-        affected_nodes = np.flatnonzero(affected)
+        with phases("spaces"):
+            spaces, space_changed = hierarchy.patch_search_spaces(
+                old_spaces, outcome.changed_up
+            )
+        # Post-mutation distances: the repaired spaces are a valid
+        # labeling of the updated graph.
+        with phases("masks"):
+            crossings += [
+                _Crossing.measure(self.network, spaces, a, b, w, False)
+                for a, b, w in decreases
+            ]
+            affected = np.zeros(n, dtype=bool)
+            affected[space_changed] = True
+            for crossing in crossings:
+                affected |= _straddlers(spaces, crossing)
+            affected_nodes = np.flatnonzero(affected)
         if len(affected_nodes) > self.relabel_threshold * n:
             self._note_rebuilt(result)
             return
         self._spaces = spaces
-        if len(affected_nodes):
-            self._redistill(affected, affected_nodes, old_spaces, pair_masks)
-            self._refresh_object_structures()
+        old_labels = labels
+        with phases("redistill"):
+            if len(affected_nodes):
+                self._redistill(affected_nodes, old_spaces, crossings)
+        with phases("objects"):
+            object_rows = np.asarray(self.dataset, dtype=np.int64)
+            moved = np.flatnonzero(
+                changed_rows(
+                    old_labels,
+                    (self.label_indptr, self.label_hubs, self.label_dists),
+                    rows=object_rows[affected[object_rows]],
+                )[object_rows]
+            )
+            if len(moved):
+                self._refresh_object_rows(self._object_entries(), moved)
+        phases.observe(self.metrics, "hub")
         self.metrics.counter("backend.hub.update.repaired").inc()
         self.metrics.counter("backend.hub.update.damaged_nodes").inc(
             outcome.damaged
@@ -484,19 +650,17 @@ class HubLabelIndex(HierarchyIndexBase):
 
     def _redistill(
         self,
-        affected: np.ndarray,
         affected_nodes: np.ndarray,
         old_spaces: tuple[np.ndarray, np.ndarray, np.ndarray],
-        pair_masks: list[tuple[np.ndarray, np.ndarray]],
+        crossings: list[_Crossing],
     ) -> None:
         """Recompute the labels of ``affected_nodes`` in place.
 
         The keep rule — retain a space entry iff its settled distance
         is exact — normally costs one label join per entry.  But for an
         entry ``(u, d)`` of node ``v`` whose true distance
-        ``d_G(v, u)`` did not change (the pair does not straddle any
-        changed edge, per ``pair_masks``), exactness is decided by
-        comparing against the *old* space and label:
+        ``d_G(v, u)`` did not change, exactness is decided by comparing
+        against the *old* space and label:
 
         * ``d`` unchanged from the old space → the old verdict stands
           (exact iff the entry survived the previous pruning);
@@ -505,68 +669,43 @@ class HubLabelIndex(HierarchyIndexBase):
         * ``d`` decreased, or the entry is new → it may have become
           exact; only these need a join.
 
-        ``pair_masks`` guards those carried verdicts: ``d_G(v, u)``
-        can change only if the realizing path crosses a changed edge,
-        in which case its endpoints land on opposite directional masks
-        of that edge.  Entries whose endpoints straddle a changed edge
-        always go through the join, in the same entry-bounded blocks as
-        the build.
+        ``crossings`` guard those carried verdicts: ``d_G(v, u)`` can
+        change only if a shortest ``v``–``u`` path crosses a changed
+        edge (:func:`_moved`).  Entries that may have moved always go
+        through the join, in the same entry-bounded blocks as the
+        build.
         The joins run against the maintained unstalled space CSR with
         the exact same rule as ``build_labels`` (spaces are valid
         labels carrying exact entries), so the resulting label arrays
-        match a full redistillation bit for bit.
+        match a full redistillation bit for bit.  Only the affected
+        rows of the space, old-space and label CSRs are read, and the
+        new label rows are spliced into the label CSR.
         """
-        n = self.network.num_nodes
         sp_indptr, sp_hubs, sp_dists = self._spaces
-        old_sp_indptr, old_sp_hubs, old_sp_dists = old_spaces
-        base = np.int64(n + 1)
-        counts = sp_indptr[affected_nodes + 1] - sp_indptr[affected_nodes]
-        total = int(counts.sum())
-        offsets = np.cumsum(counts) - counts
-        positions = (
-            np.repeat(sp_indptr[affected_nodes], counts)
-            + np.arange(total)
-            - np.repeat(offsets, counts)
-        )
+        base = np.int64(self.network.num_nodes + 1)
+        positions, counts = _expand_side(sp_indptr, affected_nodes)
+        total = len(positions)
         owner = np.repeat(affected_nodes.astype(np.int64), counts)
         entry_hubs = sp_hubs[positions]
         entry_dists = sp_dists[positions]
-        # Node-prefixed keys make every lookup one global searchsorted
-        # over arrays that are already sorted (CSRs are node-major and
+        # Node-prefixed keys make every lookup one searchsorted over the
+        # affected rows, already sorted (CSRs are node-major and
         # hub-sorted within each node).
         keys = owner * base + entry_hubs
-        old_keys = (
-            np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(old_sp_indptr)
-            ) * base
-            + old_sp_hubs
+        old_sp_indptr, old_sp_hubs, old_sp_dists = old_spaces
+        in_old, old_at = _find_keys(
+            keys, old_sp_indptr, old_sp_hubs, affected_nodes, base
         )
-        at = np.minimum(
-            np.searchsorted(old_keys, keys), max(len(old_keys) - 1, 0)
-        )
-        in_old = (
-            old_keys[at] == keys if len(old_keys)
-            else np.zeros(total, dtype=bool)
-        )
-        old_vals = np.where(in_old, old_sp_dists[at], np.nan)
-        lab_keys = (
-            np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(self.label_indptr)
-            ) * base
-            + self.label_hubs
-        )
-        at = np.minimum(
-            np.searchsorted(lab_keys, keys), max(len(lab_keys) - 1, 0)
-        )
-        in_label = (
-            lab_keys[at] == keys if len(lab_keys)
-            else np.zeros(total, dtype=bool)
+        old_vals = np.where(in_old, old_sp_dists[old_at], np.nan)
+        in_label, _ = _find_keys(
+            keys, self.label_indptr, self.label_hubs, affected_nodes, base
         )
         unchanged = in_old & (entry_dists == old_vals)
         pair_marked = np.zeros(total, dtype=bool)
-        for toward_b, toward_a in pair_masks:
-            pair_marked |= (toward_b[owner] & toward_a[entry_hubs]) | (
-                toward_a[owner] & toward_b[entry_hubs]
+        for crossing in crossings:
+            pair_marked |= _moved(
+                crossing, owner, entry_hubs, entry_dists, old_vals, in_old,
+                in_label,
             )
         carried = ~pair_marked & (
             unchanged | (in_old & (entry_dists > old_vals))
@@ -584,42 +723,29 @@ class HubLabelIndex(HierarchyIndexBase):
         self.metrics.counter("backend.hub.update.join_entries").inc(
             len(join_at)
         )
-        kept_hubs = entry_hubs[keep]
-        kept_dists = entry_dists[keep]
-        bounds = np.r_[offsets, total]
-        kept_counts = np.diff(np.searchsorted(np.flatnonzero(keep), bounds))
-        kept_offsets = np.cumsum(kept_counts) - kept_counts
-        old_indptr, old_hubs, old_dists = (
+        # Kept entries per affected node (owners are ascending).
+        kept_counts = np.diff(
+            np.searchsorted(owner[keep], np.r_[affected_nodes, base])
+        )
+        self.label_indptr, (self.label_hubs, self.label_dists) = splice_rows(
+            self.label_indptr,
+            (self.label_hubs, self.label_dists),
+            affected_nodes,
+            kept_counts,
+            (entry_hubs[keep], entry_dists[keep]),
+        )
+        self._bind_backend_metrics(self.metrics)
+
+    def _object_entries(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-object ``(hubs, dists)`` label slices, in dataset order."""
+        indptr, hubs, dists = (
             self.label_indptr, self.label_hubs, self.label_dists,
         )
-        new_counts = np.diff(old_indptr).copy()
-        new_counts[affected_nodes] = kept_counts
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(new_counts, out=indptr[1:])
-        label_hubs = np.empty(int(indptr[-1]), dtype=np.int32)
-        label_dists = np.empty(int(indptr[-1]), dtype=np.float64)
-        segment = dict(
-            zip(
-                (int(x) for x in affected_nodes),
-                zip(kept_offsets, kept_counts),
-            )
-        )
-        for v in range(n):
-            lo = int(indptr[v])
-            if affected[v]:
-                klo, kn = segment[v]
-                hubs = kept_hubs[klo:klo + kn]
-                dists = kept_dists[klo:klo + kn]
-            else:
-                olo, ohi = int(old_indptr[v]), int(old_indptr[v + 1])
-                hubs = old_hubs[olo:ohi]
-                dists = old_dists[olo:ohi]
-            label_hubs[lo:lo + len(hubs)] = hubs
-            label_dists[lo:lo + len(hubs)] = dists
-        self.label_indptr = indptr
-        self.label_hubs = label_hubs
-        self.label_dists = label_dists
-        self._bind_backend_metrics(self.metrics)
+        return [
+            (hubs[indptr[obj]:indptr[obj + 1]],
+             dists[indptr[obj]:indptr[obj + 1]])
+            for obj in self.dataset
+        ]
 
     def _structure_bytes(self) -> int:
         return (

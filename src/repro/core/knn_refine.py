@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from repro.core.categories import category_bound_arrays, category_bound_lists
-from repro.core.operations import SignatureIndexProtocol
+from repro.core.operations import SignatureIndexProtocol, link_out_of_range
 from repro.core.queries import KnnType
 from repro.core.signature import LINK_HERE, LINK_NONE
 from repro.errors import IndexError_
@@ -142,7 +142,7 @@ class RefinementContext:
         categories = store.categories
         links = store.links
         compressed = store.compressed
-        neighbor_at = index.network.neighbor_at
+        adjacency = index.network.adjacency_lists()
         touch_adjacency = index.touch_adjacency
         touch_signature = index.touch_signature
         lower_bounds = self._lower_bounds
@@ -186,7 +186,10 @@ class RefinementContext:
                 else:
                     seen_adj.add(cur)
                     touch_adjacency(cur)
-                cur, weight = neighbor_at(cur, link)
+                row = adjacency[cur]
+                if not 0 <= link < len(row):
+                    raise link_out_of_range(cur, link, rank)
+                cur, weight = row[link]
                 acc += weight
                 if cur in seen_sig:
                     reused += 1

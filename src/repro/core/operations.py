@@ -48,6 +48,15 @@ __all__ = [
 ]
 
 
+def link_out_of_range(node: int, link: int, rank: int) -> IndexError_:
+    """The error every backtracking walk raises for a link position
+    outside the node's adjacency list: a corrupt link table."""
+    return IndexError_(
+        f"backtracking toward object {rank} read link {link} at node "
+        f"{node}, outside its adjacency list: the link table is corrupt"
+    )
+
+
 class SignatureIndexProtocol(Protocol):
     """The slice of :class:`~repro.core.index.SignatureIndex` operations use."""
 
@@ -120,7 +129,8 @@ class Backtracker:
         """Backtrack one hop, tightening the range; returns the new range.
 
         Raises :class:`~repro.errors.IndexError_` if the walk exceeds the
-        node count — a link cycle, i.e. a corrupted index.
+        node count — a link cycle — or follows a link outside the node's
+        adjacency list, i.e. a corrupted index.
         """
         if self.is_exact:
             return self._range
@@ -134,9 +144,11 @@ class Backtracker:
             )
         index = self._index
         index.touch_adjacency(self._node)
-        next_node, weight = index.network.neighbor_at(
-            self._node, self._component.link
-        )
+        link = self._component.link
+        adjacency = index.network.adjacency_lists()[self._node]
+        if not 0 <= link < len(adjacency):
+            raise link_out_of_range(self._node, link, self._rank)
+        next_node, weight = adjacency[link]
         self._accumulated += weight
         self._node = next_node
         index.touch_signature(next_node)

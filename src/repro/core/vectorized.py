@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core import knn_refine
 from repro.core.categories import category_bound_arrays, category_bound_lists
-from repro.core.operations import SignatureIndexProtocol
+from repro.core.operations import SignatureIndexProtocol, link_out_of_range
 from repro.core.queries import _AGGREGATES, KnnType, _require_objects
 from repro.core.signature import LINK_HERE, LINK_NONE
 from repro.errors import DisconnectedError, IndexError_, QueryError
@@ -127,7 +127,7 @@ def _walk(
     links = store.links
     compressed = store.compressed
     lower, upper = category_bound_lists(index.partition)
-    neighbor_at = index.network.neighbor_at
+    adjacency = index.network.adjacency_lists()
     touch_adjacency = index.touch_adjacency
     touch_signature = index.touch_signature
     max_steps = index.network.num_nodes
@@ -157,7 +157,10 @@ def _walk(
                     f"{max_steps} hops: the link table is corrupt"
                 )
             touch_adjacency(cur)
-            cur, weight = neighbor_at(cur, link)
+            row = adjacency[cur]
+            if not 0 <= link < len(row):
+                raise link_out_of_range(cur, link, rank)
+            cur, weight = row[link]
             acc += weight
             touch_signature(cur)
             decompressed += compressed.item(cur, rank)

@@ -296,6 +296,19 @@ class RoadNetwork:
             )
         return adj[position]
 
+    def adjacency_lists(self) -> list[list[tuple[int, float]]]:
+        """The live adjacency lists: entry ``n`` is node ``n``'s ordered
+        ``(neighbor, weight)`` list, so ``adjacency_lists()[n][i]`` is
+        :meth:`neighbor_at` ``(n, i)`` without its validation.
+
+        This is the network's own storage, not a copy: it is for hot
+        loops that follow §3.1 backtracking links (and bounds-check the
+        positions themselves) and must be treated as read-only — mutate
+        through :meth:`add_edge`, :meth:`remove_edge` and
+        :meth:`set_edge_weight`.
+        """
+        return self._adjacency
+
     def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The adjacency structure in CSR form: ``(indptr, neighbors, weights)``.
 

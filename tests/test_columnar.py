@@ -546,6 +546,20 @@ class TestWalkCorruption:
         index.table.links[after, rank] = LINK_NONE
         self.assert_engines_fail_alike(index, node, rank)
 
+    @pytest.mark.parametrize("past_end", (0, 5), ids=("at-degree", "beyond"))
+    def test_link_out_of_range(self, corruptible, past_end):
+        index, node, rank, after = corruptible
+        index.table.links[after, rank] = (
+            index.network.degree(after) + past_end
+        )
+        self.assert_engines_fail_alike(index, node, rank)
+
+    def test_negative_link(self, corruptible):
+        index, node, rank, after = corruptible
+        # Below both sentinels: a negative position, not a marker.
+        index.table.links[after, rank] = min(LINK_HERE, LINK_NONE) - 1
+        self.assert_engines_fail_alike(index, node, rank)
+
 
 def test_shifted_range_collapse_ends_the_walk_on_both_engines():
     """A category narrower than the accumulator's rounding shifts to

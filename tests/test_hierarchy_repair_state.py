@@ -16,6 +16,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.backends import base
 from repro.backends.base import batch_label_join_csr
@@ -23,14 +25,17 @@ from repro.backends.ch import (
     CHIndex,
     ContractionHierarchy,
     RepairState,
+    _shortcuts_for,
     changed_rows,
 )
 from repro.backends.hub_labels import HubLabelIndex, build_labels
+from repro.core.changeset import ChangeSet
 from repro.core.persistence import load_index, save_index
 from repro.errors import PersistenceError
 from repro.network.datasets import uniform_dataset
 from repro.network.dijkstra import shortest_path_tree
 from repro.network.generators import grid_network, random_planar_network
+from repro.obs.metrics import MetricsRegistry
 
 BACKENDS = pytest.mark.parametrize(
     "cls", (CHIndex, HubLabelIndex), ids=("ch", "hub")
@@ -267,3 +272,294 @@ class TestRepairPieces:
         )
         assert np.array_equal(np.flatnonzero(got),
                               subset[want[subset]])
+
+
+def _reference_replay(order, pairs, visited, network, changed_edges,
+                      settle_cap):
+    """The full rank-order replay incremental repair must reproduce.
+
+    Rebuilds the contraction overlay of the updated network from
+    scratch, replays every contraction in rank order — re-running the
+    witness searches of damaged nodes (dependency readers of a changed
+    edge's endpoints, plus readers of any endpoint whose recorded pair
+    changed), reusing every other node's recorded pairs — and
+    assembles the upward CSR from the replayed overlay.  Returns
+    ``(indptr, targets, weights, pairs, visited, damaged,
+    num_shortcuts)``.
+    """
+    n = network.num_nodes
+    readers = [[] for _ in range(n)]
+    for v, seen in enumerate(visited):
+        for x in seen:
+            readers[x].append(v)
+    damaged = np.zeros(n, dtype=bool)
+    for edge in changed_edges:
+        for x in edge:
+            damaged[readers[x]] = True
+    adj = [dict() for _ in range(n)]
+    for node in range(n):
+        for neighbor, weight in network.neighbors(node):
+            current = adj[node].get(neighbor)
+            if current is None or weight < current:
+                adj[node][neighbor] = weight
+    contracted = np.zeros(n, dtype=bool)
+    new_pairs = list(pairs)
+    new_visited = list(visited)
+    up_edges = [[] for _ in range(n)]
+    num_shortcuts = 0
+    for r, v in enumerate(np.argsort(order, kind="stable").tolist()):
+        if damaged[v]:
+            replayed, _, seen = _shortcuts_for(adj, contracted, v,
+                                               settle_cap)
+            old_map = {(a, b): w for a, b, w in pairs[v]}
+            cur_map = {(a, b): w for a, b, w in replayed}
+            for pair in old_map.keys() | cur_map.keys():
+                if old_map.get(pair) != cur_map.get(pair):
+                    for x in pair:
+                        for reader in readers[x]:
+                            if order[reader] > r:
+                                damaged[reader] = True
+            new_pairs[v] = replayed
+            new_visited[v] = seen
+        up_edges[v] = [
+            (u, weight) for u, weight in adj[v].items() if not contracted[u]
+        ]
+        for a, b, weight in new_pairs[v]:
+            existing = adj[a].get(b)
+            if existing is None or weight < existing:
+                adj[a][b] = weight
+                adj[b][a] = weight
+                if existing is None:
+                    num_shortcuts += 1
+        contracted[v] = True
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in up_edges], out=indptr[1:])
+    targets = np.array([u for row in up_edges for u, _ in row],
+                       dtype=np.int32)
+    weights = np.array([w for row in up_edges for _, w in row],
+                       dtype=np.float64)
+    return (indptr, targets, weights, new_pairs, new_visited,
+            int(damaged.sum()), num_shortcuts)
+
+
+def _edges_of(network):
+    return sorted((e.u, e.v) for e in network.edges())
+
+
+def _stays_connected(network, u, v):
+    probe = network.copy()
+    probe.remove_edge(u, v)
+    return bool(np.isfinite(shortest_path_tree(probe, u).distance[v]))
+
+
+def _traffic_factor(rng):
+    """A ``TrafficSimulator`` draw without its dyadic snap: a clamped
+    log-normal factor, so path sums round differently by order."""
+    return float(np.clip(np.exp(0.3 * rng.standard_normal()), 0.25, 4.0))
+
+
+def _random_step(rng, network, hierarchy, fractional=False):
+    """A random changeset of add / remove / set_weight deltas on
+    distinct edges, sometimes led by a weight decrease on an edge at the
+    top-ranked node (damage there reaches the whole upward graph).
+
+    New weights are quarter-integers (exact sums), or with
+    ``fractional`` traffic-style multiples of the current or a random
+    base weight."""
+
+    def draw(base):
+        if fractional:
+            return base * _traffic_factor(rng)
+        return float(rng.integers(1, 64)) / 4.0
+
+    deltas = []
+    used = set()
+    if rng.random() < 0.4:
+        top = int(np.argmax(hierarchy.order))
+        neighbor, weight = network.neighbors(top)[
+            int(rng.integers(network.degree(top)))
+        ]
+        if fractional:
+            lower = weight * 0.7
+        else:
+            lower = weight - 0.25 if weight > 0.25 else weight / 2
+        deltas.append(("set_weight", top, neighbor, lower))
+        used.add((min(top, neighbor), max(top, neighbor)))
+    edges = _edges_of(network)
+    for _ in range(int(rng.integers(1, 4))):
+        roll = rng.random()
+        if roll < 0.5:
+            u, v = edges[int(rng.integers(len(edges)))]
+            if (u, v) not in used:
+                weight = draw(network.edge_weight(u, v))
+                deltas.append(("set_weight", u, v, weight))
+                used.add((u, v))
+        elif roll < 0.75:
+            u = int(rng.integers(network.num_nodes))
+            v = int(rng.integers(network.num_nodes))
+            key = (min(u, v), max(u, v))
+            if u != v and key not in used and not network.has_edge(u, v):
+                base = float(rng.integers(1, 9)) if fractional else None
+                deltas.append(("add", u, v, draw(base)))
+                used.add(key)
+        else:
+            u, v = edges[int(rng.integers(len(edges)))]
+            if (u, v) not in used and _stays_connected(network, u, v):
+                deltas.append(("remove", u, v))
+                used.add((u, v))
+    if not deltas:
+        u, v = edges[0]
+        deltas.append(("set_weight", u, v, network.edge_weight(u, v) + 1))
+    return ChangeSet.build(deltas)
+
+
+def _assert_maintained_state(index, expected, exact_sums=True):
+    hierarchy = index.hierarchy
+    state = hierarchy.repair_state
+    (indptr, targets, weights, pairs, visited, damaged,
+     num_shortcuts) = expected
+    n = hierarchy.num_nodes
+    # Upward CSR, recorded pairs and dependency sets: the full replay's.
+    assert np.array_equal(hierarchy.up_indptr, indptr)
+    assert np.array_equal(hierarchy.up_targets, targets)
+    assert np.array_equal(hierarchy.up_weights, weights)
+    assert hierarchy.up_targets.dtype == np.int32
+    assert state.pairs == pairs
+    assert state.visited == visited
+    assert hierarchy.num_shortcuts == num_shortcuts
+    # The patched dependency index inverts visited, and the patched
+    # reverse CSR transposes the upward CSR.
+    reverse = hierarchy.reverse_csr()
+    for x in range(n):
+        assert state.readers(x) == [
+            v for v in range(n) if x in visited[v]
+        ]
+        assert reverse.row(x) == [
+            v for v in range(n)
+            if x in targets[indptr[v]:indptr[v + 1]].tolist()
+        ]
+    if isinstance(index, HubLabelIndex):
+        for kept, full in zip(index._spaces,
+                              hierarchy.batch_search_spaces()):
+            assert kept.dtype == full.dtype
+            assert np.array_equal(kept, full)
+        labels = build_labels(hierarchy)
+        for kept, full in zip(
+            (index.label_indptr, index.label_hubs, index.label_dists),
+            labels,
+        ):
+            assert np.array_equal(kept, full)
+    for obj in index.dataset:
+        tree = shortest_path_tree(index.network, obj)
+        for node in range(n):
+            want = float(tree.distance[node])
+            if exact_sums:
+                assert index.distance(node, obj) == want
+            else:
+                # The label join and Dijkstra add a path's weights in
+                # different orders.
+                assert index.distance(node, obj) == pytest.approx(
+                    want, rel=1e-12
+                )
+
+
+def _replay_steps(cls, nodes, seed, steps, fractional):
+    network = random_planar_network(nodes, seed=seed, max_weight=8)
+    rng = np.random.default_rng(seed)
+    if fractional:
+        for u, v in _edges_of(network):
+            network.set_edge_weight(
+                u, v, network.edge_weight(u, v) * _traffic_factor(rng)
+            )
+    dataset = uniform_dataset(network, density=0.1, seed=seed)
+    index = cls.build(network, dataset)
+    # Repair, never rebuild: the comparison is with a replay of the
+    # recorded contraction, and tiny graphs blow the damage limit.
+    index.repair_threshold = 1.0
+    for _ in range(steps):
+        hierarchy = index.hierarchy
+        state = hierarchy.repair_state
+        before = (list(state.pairs), list(state.visited))
+        changeset = _random_step(rng, index.network, hierarchy, fractional)
+        result = index.apply_updates(changeset)
+        assert result.counters.get("repaired") == 1, result.counters
+        expected = _reference_replay(
+            hierarchy.order, *before, index.network, changeset.edges(),
+            hierarchy.settle_cap,
+        )
+        assert result.counters["damaged_nodes"] == expected[5]
+        _assert_maintained_state(index, expected, exact_sums=not fractional)
+
+
+REPLAY_SETTINGS = settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+REPLAY_CASES = given(
+    nodes=st.integers(min_value=25, max_value=70),
+    seed=st.integers(min_value=0, max_value=2**16),
+    steps=st.integers(min_value=2, max_value=6),
+)
+
+
+class TestMaintainedRepairState:
+    @BACKENDS
+    @REPLAY_SETTINGS
+    @REPLAY_CASES
+    def test_patched_state_equals_a_full_replay(self, cls, nodes, seed,
+                                                steps):
+        _replay_steps(cls, nodes, seed, steps, fractional=False)
+
+    @BACKENDS
+    @REPLAY_SETTINGS
+    @REPLAY_CASES
+    def test_patched_state_equals_a_full_replay_on_fractional_weights(
+        self, cls, nodes, seed, steps
+    ):
+        # Traffic-style weights that are not dyadic: the hub crossing
+        # tests compare sums rounded in different orders, and must
+        # still cover every entry a full distillation would change.
+        _replay_steps(cls, nodes, seed, steps, fractional=True)
+
+
+PHASES = {
+    CHIndex: ("replay", "spaces", "objects"),
+    HubLabelIndex: ("replay", "spaces", "masks", "redistill", "objects"),
+}
+
+
+class TestRepairPhaseMetrics:
+    @BACKENDS
+    def test_one_observation_per_repaired_write_within_the_apply_span(
+        self, cls
+    ):
+        network, dataset = _world(seed=31)
+        registry = MetricsRegistry()
+        index = cls.build(network, dataset, metrics=registry)
+        index.repair_threshold = 1.0
+        name = cls.backend_name
+        histograms = [
+            registry.histogram(f"backend.{name}.update.{phase}_seconds")
+            for phase in PHASES[cls]
+        ]
+        apply_span = registry.histogram("update.apply.seconds")
+        for pick in (3, 11, 40):
+            u, v, weight = _an_edge(index.network, pick=pick)
+            before = [h.total for h in histograms]
+            span_before = apply_span.total
+            result = index.apply_updates([("set_weight", u, v, weight + 1.5)])
+            assert result.counters.get("repaired") == 1, result.counters
+            phase_sum = sum(
+                h.total - t for h, t in zip(histograms, before)
+            )
+            assert 0 < phase_sum <= apply_span.total - span_before
+        repaired = registry.counter(f"backend.{name}.update.repaired").value
+        assert repaired == 3
+        assert [h.count for h in histograms] == [3] * len(histograms)
+        # A rebuilt write has no repair phases to report.
+        index.repair_threshold = 0.0
+        u, v, weight = _an_edge(index.network, pick=5)
+        result = index.apply_updates([("set_weight", u, v, weight + 1.0)])
+        assert result.counters == {"rebuilt": 1}
+        assert [h.count for h in histograms] == [3] * len(histograms)
