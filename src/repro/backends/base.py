@@ -24,14 +24,17 @@ holds — is everything *around* that primitive:
   :class:`~repro.errors.QueryError`.  Ties are resolved by
   ``(distance, dataset rank)`` — the ordering the monolith's
   ``EXACT_DISTANCES`` results pin.
-* **§5.4 updates through** ``apply_updates``.  By default a changeset
-  applies to the network and rebuilds the backend's structures
-  wholesale; backends with an incremental path override
-  ``_apply_changeset``.  A rebuild's
+* **§5.4 updates through** ``prepare_updates`` / ``Patch.commit``
+  (``apply_updates`` is the two in one call).  By default preparing
+  only validates, and the commit applies the changeset to the network
+  and rebuilds the backend's structures wholesale, in place; backends
+  with an incremental path override ``_publish`` (CH: repair in place
+  at commit) and ``_prepare_changeset`` (hub labels: everything
+  computed privately in the prepare, published by reference swap).  A rebuild's
   :class:`~repro.core.update.UpdateReport` honestly marks every object
-  affected and every node touched.  The serving tier's epoch machinery
-  (:mod:`repro.serve.coordinator`) drives ``apply_updates`` unchanged,
-  so acknowledged updates are never stale.
+  affected and every node touched.  The serving tier
+  (:mod:`repro.serve.coordinator`) runs the same two calls, so
+  acknowledged updates are never stale.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ __all__ = [
     "batch_label_join_csr",
     "label_join",
     "pairwise_label_distances",
+    "release_join_workspace",
 ]
 
 
@@ -125,9 +129,21 @@ class _JoinWorkspace(threading.local):
     OS on free and every pass re-faults them in.  Carving slices out of
     a few geometrically grown thread-local buffers keeps the hot path
     allocation-free for everything that scales with the batch.
+
+    The buffers grow to the largest call the thread has served and stay
+    that size until :meth:`release` drops them; ``peak`` keeps the
+    largest capacity ever reserved.  The thread's int32 indptr copies
+    (:func:`_indptr32`) live here too, so one thread's label CSRs never
+    evict another's.
     """
 
     def __init__(self) -> None:
+        self.peak = 0
+        self.release()
+
+    def release(self) -> None:
+        """Drop the buffers and indptr copies (``peak`` stays)."""
+        self.indptr32: dict[int, tuple] = {}
         self.idx_bits = 0
         self.iota = np.zeros(0, dtype=np.int64)
         self.iota_side = np.zeros(0, dtype=np.int64)
@@ -156,34 +172,44 @@ class _JoinWorkspace(threading.local):
             self.dist_b = np.zeros(cap, dtype=np.float64)
             self.matched = np.zeros(cap, dtype=np.float64)
             self.eq = np.zeros(cap, dtype=bool)
+            self.peak = max(self.peak, cap)
 
 
 _JOIN_WORKSPACE = _JoinWorkspace()
 
-#: Memoized int32 copies of label indptrs for the C row gather, keyed
-#: by ``id(indptr)`` and revalidated by identity (a weakref keeps a
-#: recycled id from ever aliasing a new array).
-_INDPTR32_CACHE: dict[int, tuple] = {}
+
+def release_join_workspace() -> None:
+    """Free the calling thread's join buffers.
+
+    A label build or a hub write grows them to its largest join block
+    (up to 2^18 entries, about 18 MB); the reads that follow need far
+    less, and re-grow on demand.
+    """
+    _JOIN_WORKSPACE.release()
 
 
 def _indptr32(indptr: np.ndarray) -> np.ndarray:
-    """``indptr`` as int32, cached per label CSR.
+    """``indptr`` as int32, memoized per label CSR in the calling
+    thread's workspace.
 
     The caller guarantees the values fit (it routes CSRs with ``>= 2^31``
     entries to the fallback join); serving and benchmarks join against
     the same label arrays for the life of an index, so the one-time
-    conversion amortizes to nothing.
+    conversion amortizes to nothing.  Entries are keyed by
+    ``id(indptr)`` and revalidated by identity (a weakref keeps a
+    recycled id from ever aliasing a new array).
     """
+    cache = _JOIN_WORKSPACE.indptr32
     key = id(indptr)
-    entry = _INDPTR32_CACHE.get(key)
+    entry = cache.get(key)
     if entry is not None:
         ref, ip32 = entry
         if ref() is indptr:
             return ip32
-    if len(_INDPTR32_CACHE) >= 8:
-        _INDPTR32_CACHE.clear()
+    if len(cache) >= 8:
+        cache.clear()
     ip32 = np.ascontiguousarray(indptr, dtype=np.int32)
-    _INDPTR32_CACHE[key] = (weakref.ref(indptr), ip32)
+    cache[key] = (weakref.ref(indptr), ip32)
     return ip32
 
 
@@ -482,7 +508,8 @@ class RepairPhases:
     """Wall time of each phase of one incremental repair.
 
     A backend times its phases with ``with phases("replay"): ...`` and
-    calls :meth:`observe` once the write has been repaired, so every
+    calls :meth:`observe` once the write has been published (timing
+    touches no metric, so a prepare may run on another thread), so every
     ``backend.<name>.update.<phase>_seconds`` histogram gets exactly one
     observation per repaired write — zero for a phase with nothing to
     do, the sum for a phase entered more than once.
@@ -517,12 +544,18 @@ class HierarchyIndexBase:
     * ``_forward_entries(node) -> (hubs, dists)`` — the query-side label;
     * ``_point_distance(node, target) -> float`` — exact point-to-point;
     * ``_rebuild()`` — reconstruct every derived structure from
-      ``self.network`` (the §5.4 rebuild-on-update path);
+      ``self.network`` (the in-place §5.4 rebuild-on-update path; a
+      backend that overrides ``_prepare_changeset`` / ``_publish``
+      rebuilds in its prepare instead);
     * ``_bind_backend_metrics(registry)`` — rebind backend instruments;
     * ``_structure_bytes()`` — backend array footprint for stats.
     """
 
     backend_name = "hierarchy"
+
+    #: Committed writes so far; a patch commits only at the generation
+    #: it was prepared at (:class:`~repro.core.changeset.Patch`).
+    write_generation = 0
 
     def __init__(
         self,
@@ -589,8 +622,8 @@ class HierarchyIndexBase:
         raise NotImplementedError
 
     @contextmanager
-    def _observed(self, kind: str, *, count: int, attrs: dict):
-        start = time.perf_counter()
+    def _observed(self, kind: str, *, count: int, lead: float, attrs: dict):
+        start = time.perf_counter() - lead
         with span_of(self, kind, **attrs) as span:
             yield span
             elapsed = time.perf_counter() - start
@@ -599,10 +632,13 @@ class HierarchyIndexBase:
         if count > 0:
             metrics.histogram(f"{kind}.seconds").observe(elapsed / count)
 
-    def _scope(self, kind: str, *, count: int = 1, **attrs):
+    def _scope(self, kind: str, *, count: int = 1, lead: float = 0.0,
+               **attrs):
+        """One instrumented region; ``lead`` seconds spent on it before
+        the block (a write's prepare) count toward ``kind.seconds``."""
         if self.tracer is None and not self.metrics.enabled:
             return _NULL_SCOPE
-        return self._observed(kind, count=count, attrs=attrs)
+        return self._observed(kind, count=count, lead=lead, attrs=attrs)
 
     # ------------------------------------------------------------------
     # validation
@@ -843,15 +879,15 @@ class HierarchyIndexBase:
             pairs = self.range_query(node, radius, with_distances=True)
             return reducer([distance for _, distance in pairs])
 
-    def _refresh_object_rows(self, entries, ranks) -> None:
-        """Re-derive buckets / object table / partition after the
+    def _object_rows(self, entries, ranks):
+        """Fresh ``(buckets, partition, object_table)`` after the
         per-object ``(hubs, dists)`` entries of object ``ranks`` changed.
 
         Only those rows (and columns) of the object distance matrix are
-        re-joined; the rest carry over from the current table.  Each
-        pair goes through the same :func:`label_join` the build's
-        :func:`pairwise_label_distances` runs, so the result equals a
-        fresh derivation from ``entries``.
+        re-joined; the rest carry over from the current table, which is
+        only read.  Each pair goes through the same :func:`label_join`
+        the build's :func:`pairwise_label_distances` runs, so the result
+        equals a fresh derivation from ``entries``.
         """
         distances = np.array(self.object_table.matrix_view())
         for i in ranks:
@@ -861,10 +897,11 @@ class HierarchyIndexBase:
                     distances[i, j] = distances[j, i] = label_join(
                         hubs_i, dists_i, hubs_j, dists_j
                     )
-        self.buckets = BucketLists.build(self.network.num_nodes, entries)
-        self.partition = self._derive_partition(distances)
-        self.object_table = ObjectDistanceTable(
-            distances, self.partition, drop_last_category=False
+        partition = self._derive_partition(distances)
+        return (
+            BucketLists.build(self.network.num_nodes, entries),
+            partition,
+            ObjectDistanceTable(distances, partition, drop_last_category=False),
         )
 
     # ------------------------------------------------------------------
@@ -881,32 +918,63 @@ class HierarchyIndexBase:
 
     def apply_updates(self, changeset):
         """Apply a coalesced batch of edge deltas under one maintenance
-        pass.
+        pass: ``prepare_updates(changeset).commit()``.
 
-        The whole batch is validated before anything mutates (structural
-        problems raise :class:`~repro.errors.QueryError`, unknown nodes
-        and edges :class:`~repro.errors.DatasetError`), then handed to
-        the backend's ``_apply_changeset`` hook — incremental repair
-        where the backend supports it, rebuild-from-network otherwise.
         Returns an :class:`~repro.core.changeset.ApplyResult`.
         """
-        from repro.core.changeset import ApplyResult, as_changeset
+        return self.prepare_updates(changeset).commit()
 
+    def prepare_updates(self, changeset):
+        """Validate ``changeset`` and prepare its write, unpublished.
+
+        The whole batch is validated before anything is computed
+        (structural problems raise :class:`~repro.errors.QueryError`,
+        unknown nodes and edges :class:`~repro.errors.DatasetError`),
+        then handed to the backend's ``_prepare_changeset`` hook, which
+        reads the live index and writes only state no query reads — so
+        queries may run on another thread meanwhile — and records no
+        metric and no span.  Returns a
+        :class:`~repro.core.changeset.Patch` whose ``commit`` publishes
+        the write.
+        """
+        from repro.core.changeset import Patch, as_changeset
+
+        start = time.perf_counter()
         changeset = as_changeset(changeset)
         changeset.validate(self.network)
+        prepared = self._prepare_changeset(changeset)
+        return Patch(
+            self, changeset, prepared,
+            prepare_seconds=time.perf_counter() - start,
+        )
+
+    def _prepare_changeset(self, changeset):
+        """Default: nothing to prepare; the commit runs the whole write
+        in place (:meth:`_publish`)."""
+        return None
+
+    def _commit_patch(self, patch):
+        """Publish a prepared write (called by ``Patch.commit``)."""
+        from repro.core.changeset import ApplyResult
+
+        changeset = patch.changeset
         result = ApplyResult(applied=len(changeset))
-        with self._scope("update.apply", deltas=len(changeset)):
-            self._apply_changeset(changeset, result)
+        with self._scope(
+            "update.apply", lead=patch.prepare_seconds, deltas=len(changeset)
+        ):
+            self._publish(changeset, patch.prepared, result)
         self.metrics.counter(
             f"backend.{self.backend_name}.update.applied"
         ).inc(len(changeset))
         return result
 
-    def _apply_changeset(self, changeset, result) -> None:
-        """Default maintenance strategy: mutate the network, rebuild.
+    def _publish(self, changeset, prepared, result) -> None:
+        """Make the prepared write visible.  Default maintenance
+        strategy: mutate the network, rebuild, in place.
 
-        Backends with an incremental path override this; they must
-        record their outcome on ``result`` (``bump("repaired")`` /
+        Backends with an incremental path override this (and, to
+        compute off the event loop, :meth:`_prepare_changeset`); they
+        must record their outcome on ``result`` (``bump("repaired")`` /
         ``bump("rebuilt")``) and mirror it onto
         ``backend.<name>.update.{repaired,rebuilt}`` counters.
         """
@@ -918,6 +986,9 @@ class HierarchyIndexBase:
     def _note_rebuilt(self, result) -> None:
         """Rebuild from ``self.network`` and account for it."""
         self._rebuild()
+        self._count_rebuild(result)
+
+    def _count_rebuild(self, result) -> None:
         self.metrics.counter("backend.rebuilds").inc()
         self.metrics.counter(
             f"backend.{self.backend_name}.update.rebuilt"

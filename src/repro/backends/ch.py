@@ -1497,10 +1497,11 @@ class CHIndex(HierarchyIndexBase):
         self.build_trace = rebuilt.build_trace
         self._object_entries = rebuilt._object_entries
 
-    def _apply_changeset(self, changeset, result) -> None:
-        """Incremental §5.4 maintenance: repair the hierarchy, then
-        recompute search spaces only for objects the repair may have
-        moved.
+    def _publish(self, changeset, prepared, result) -> None:
+        """Incremental §5.4 maintenance at commit, in place: repair the
+        hierarchy, then recompute search spaces only for objects the
+        repair may have moved.  (The query path reads the hierarchy, so
+        there is nothing to prepare off the event loop.)
 
         The repair's phases land on ``backend.ch.update.<phase>_seconds``
         histograms, once per repaired write: ``replay`` (the damaged
@@ -1552,7 +1553,9 @@ class CHIndex(HierarchyIndexBase):
                     moved.append(rank)
         with phases("objects"):
             if moved:
-                self._refresh_object_rows(self._object_entries, moved)
+                self.buckets, self.partition, self.object_table = (
+                    self._object_rows(self._object_entries, moved)
+                )
         phases.observe(self.metrics, "ch")
         self.metrics.counter("backend.ch.update.repaired").inc()
         self.metrics.counter("backend.ch.update.damaged_nodes").inc(

@@ -52,6 +52,7 @@ from repro.backends.base import (
     batch_label_join_csr,
     label_join,
     pairwise_label_distances,
+    release_join_workspace,
 )
 from repro.backends.ch import (
     WITNESS_SETTLE_CAP,
@@ -62,6 +63,7 @@ from repro.backends.ch import (
 from repro.core.signature import ObjectDistanceTable
 from repro.core.update import UpdateReport
 from repro.network.graph import RoadNetwork
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 
 __all__ = ["HubLabelIndex", "build_labels"]
@@ -290,6 +292,119 @@ def _find_keys(keys, indptr, hubs, rows, base):
     return row_keys[at] == keys, positions[at]
 
 
+def _redistill(spaces, old_spaces, labels, affected_nodes, crossings):
+    """The labels of ``affected_nodes`` recomputed, as a fresh label CSR.
+
+    Returns ``(labels, joined)``: the label CSR ``labels`` with the
+    affected rows replaced (the inputs are only read) and the number of
+    entries that needed a join.
+
+    The keep rule — retain a space entry iff its settled distance
+    is exact — normally costs one label join per entry.  But for an
+    entry ``(u, d)`` of node ``v`` whose true distance
+    ``d_G(v, u)`` did not change, exactness is decided by comparing
+    against the *old* space and label:
+
+    * ``d`` unchanged from the old space → the old verdict stands
+      (exact iff the entry survived the previous pruning);
+    * ``d`` increased → it was ``≥ d_G(v, u)`` before and ``d_G``
+      did not move, so it is now strictly inexact — drop;
+    * ``d`` decreased, or the entry is new → it may have become
+      exact; only these need a join.
+
+    ``crossings`` guard those carried verdicts: ``d_G(v, u)`` can
+    change only if a shortest ``v``–``u`` path crosses a changed
+    edge (:func:`_moved`).  Entries that may have moved always go
+    through the join, in the same entry-bounded blocks as the
+    build.
+    The joins run against the maintained unstalled space CSR
+    ``spaces`` with the exact same rule as ``build_labels`` (spaces are
+    valid labels carrying exact entries), so the resulting label arrays
+    match a full redistillation bit for bit.  Only the affected
+    rows of the space, old-space and label CSRs are read, and the
+    new label rows are spliced into a copy of the label CSR.
+    """
+    sp_indptr, sp_hubs, sp_dists = spaces
+    label_indptr, label_hubs, label_dists = labels
+    base = np.int64(len(sp_indptr))
+    positions, counts = _expand_side(sp_indptr, affected_nodes)
+    total = len(positions)
+    owner = np.repeat(affected_nodes.astype(np.int64), counts)
+    entry_hubs = sp_hubs[positions]
+    entry_dists = sp_dists[positions]
+    # Node-prefixed keys make every lookup one searchsorted over the
+    # affected rows, already sorted (CSRs are node-major and
+    # hub-sorted within each node).
+    keys = owner * base + entry_hubs
+    old_sp_indptr, old_sp_hubs, old_sp_dists = old_spaces
+    in_old, old_at = _find_keys(
+        keys, old_sp_indptr, old_sp_hubs, affected_nodes, base
+    )
+    old_vals = np.where(in_old, old_sp_dists[old_at], np.nan)
+    in_label, _ = _find_keys(
+        keys, label_indptr, label_hubs, affected_nodes, base
+    )
+    unchanged = in_old & (entry_dists == old_vals)
+    pair_marked = np.zeros(total, dtype=bool)
+    for crossing in crossings:
+        pair_marked |= _moved(
+            crossing, owner, entry_hubs, entry_dists, old_vals, in_old,
+            in_label,
+        )
+    carried = ~pair_marked & (
+        unchanged | (in_old & (entry_dists > old_vals))
+    )
+    keep = carried & unchanged & in_label
+    join_at = np.flatnonzero(~carried)
+    keep[join_at] = _exact_mask(
+        sp_indptr,
+        sp_hubs,
+        sp_dists,
+        owner[join_at],
+        entry_hubs[join_at],
+        entry_dists[join_at],
+    )
+    # Kept entries per affected node (owners are ascending).
+    kept_counts = np.diff(
+        np.searchsorted(owner[keep], np.r_[affected_nodes, base])
+    )
+    indptr, (hubs, dists) = splice_rows(
+        label_indptr,
+        (label_hubs, label_dists),
+        affected_nodes,
+        kept_counts,
+        (entry_hubs[keep], entry_dists[keep]),
+    )
+    return (indptr, hubs, dists), len(join_at)
+
+
+def _object_entries(dataset, labels) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-object ``(hubs, dists)`` label slices, in dataset order."""
+    indptr, hubs, dists = labels
+    return [
+        (hubs[indptr[obj]:indptr[obj + 1]],
+         dists[indptr[obj]:indptr[obj + 1]])
+        for obj in dataset
+    ]
+
+
+class _HubRepair(NamedTuple):
+    """One prepared incremental hub write: the read-visible structures
+    to swap in, the space CSR that goes with them, and the telemetry
+    recorded at commit."""
+
+    labels: tuple[np.ndarray, np.ndarray, np.ndarray]
+    #: ``(buckets, partition, object_table)``, or ``None`` when no
+    #: object's label changed.
+    objects: tuple | None
+    spaces: tuple[np.ndarray, np.ndarray, np.ndarray]
+    phases: RepairPhases
+    damaged: int
+    relabeled: int
+    join_entries: int
+    affected_objects: set[int]
+
+
 def build_labels(
     hierarchy: ContractionHierarchy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -312,6 +427,12 @@ class HubLabelIndex(HierarchyIndexBase):
     nodes dominate the index size — which is exactly the trade the
     head-to-head benchmark quantifies against CH and the signature
     index.
+
+    Because queries read nothing else, a write never edits a structure
+    a query reads: ``prepare_updates`` repairs the writer-owned
+    hierarchy and space CSR and builds fresh label, bucket, partition
+    and object-table objects (:meth:`_prepare_changeset`), and the
+    patch's ``commit`` swaps the references in (:meth:`_publish`).
     """
 
     backend_name = "hub"
@@ -366,6 +487,11 @@ class HubLabelIndex(HierarchyIndexBase):
         # labels that actually changed.  Indexes restored from a
         # snapshot derive it on their first write.
         self._spaces = spaces
+        # Set while a prepared write has begun rewriting the hierarchy
+        # and has not been committed: the hierarchy and ``_spaces`` then
+        # run ahead of the published labels, and the next prepare
+        # rebuilds instead of repairing.
+        self._writer_ahead = False
         super().__init__(
             network, dataset, partition, object_table, buckets,
             metrics=metrics,
@@ -388,7 +514,8 @@ class HubLabelIndex(HierarchyIndexBase):
         Build phases — ``build.contract``, ``build.labels``,
         ``build.buckets``, ``build.object_table`` — land on
         ``index.build_trace`` spans and ``backend.hub.build.*_seconds``
-        gauges.
+        gauges.  The calling thread's join workspace is released on
+        return (:func:`~repro.backends.base.release_join_workspace`).
         """
         trace = Tracer()
         with trace.span("build.hub", nodes=network.num_nodes):
@@ -402,13 +529,7 @@ class HubLabelIndex(HierarchyIndexBase):
                 indptr, hubs, dists = _distil(spaces)
                 span.set("entries", len(hubs))
             with trace.span("build.buckets") as span:
-                entries = [
-                    (
-                        hubs[indptr[obj]:indptr[obj + 1]],
-                        dists[indptr[obj]:indptr[obj + 1]],
-                    )
-                    for obj in dataset
-                ]
+                entries = _object_entries(dataset, (indptr, hubs, dists))
                 buckets = BucketLists.build(network.num_nodes, entries)
                 span.set("entries", buckets.num_entries)
             with trace.span("build.object_table"):
@@ -424,6 +545,7 @@ class HubLabelIndex(HierarchyIndexBase):
             metrics=metrics,
         )
         index._record_build_trace(trace)
+        release_join_workspace()
         return index
 
     def _record_build_trace(self, trace: Tracer) -> None:
@@ -475,28 +597,19 @@ class HubLabelIndex(HierarchyIndexBase):
         )
         return [float(value) for value in joined]
 
-    def _rebuild(self) -> None:
-        rebuilt = type(self).build(
-            self.network,
-            self.dataset,
-            settle_cap=self.settle_cap,
-            metrics=self.metrics,
-        )
-        self.order = rebuilt.order
-        self.label_indptr = rebuilt.label_indptr
-        self.label_hubs = rebuilt.label_hubs
-        self.label_dists = rebuilt.label_dists
-        self.buckets = rebuilt.buckets
-        self.partition = rebuilt.partition
-        self.object_table = rebuilt.object_table
-        self.build_trace = rebuilt.build_trace
-        self.hierarchy = rebuilt.hierarchy
-        self._spaces = rebuilt._spaces
-        self._bind_backend_metrics(self.metrics)
+    def _prepare_changeset(self, changeset):
+        """Incremental §5.4 maintenance into private state: repair the
+        hierarchy, then redistill only the labels the changeset
+        actually invalidated.
 
-    def _apply_changeset(self, changeset, result) -> None:
-        """Incremental §5.4 maintenance: repair the hierarchy, then
-        redistill only the labels the changeset actually invalidated.
+        Runs against writer-owned state only — the hierarchy and the
+        space CSR, which no query reads — and a copy-on-write view of
+        the network carrying the changeset; every read-visible structure
+        (labels, buckets, partition, object table) comes out as a fresh
+        object.  :meth:`_publish` swaps them in and applies the same
+        deltas to the live network.  Nothing here touches a metric, a
+        span or the index's tracer, so the prepare may run on a thread
+        beside the queries.
 
         A node ``x``'s pruned label is a pure function of two things —
         its upward search space and the true network distances from
@@ -524,24 +637,36 @@ class HubLabelIndex(HierarchyIndexBase):
         Affected nodes are re-pruned against the updated space CSR with
         the same keep rule the build distils with, so the resulting
         label arrays stay bit-identical to ``build_labels`` on the
-        repaired hierarchy.  Phase wall times land on
-        ``backend.hub.update.<phase>_seconds`` histograms, once per
-        repaired write: ``replay``, ``spaces``, ``masks``,
-        ``redistill`` and ``objects``.
+        repaired hierarchy.  Phase wall times travel in the prepared
+        write and land on ``backend.hub.update.<phase>_seconds``
+        histograms at commit, once per repaired write: ``replay``,
+        ``spaces``, ``masks``, ``redistill`` and ``objects``.
 
-        Falls back to a full rebuild when no repair recording exists
-        (indexes loaded from older snapshots), hierarchy damage exceeds
-        ``repair_threshold`` × nodes, or the affected-label count
-        exceeds ``relabel_threshold`` × nodes.
+        Prepares a full rebuild instead when no repair recording exists
+        (indexes loaded from older snapshots), when an earlier prepare
+        was never committed (or raised) after it began rewriting the
+        hierarchy, when hierarchy damage exceeds ``repair_threshold`` ×
+        nodes, or when the affected-label count exceeds
+        ``relabel_threshold`` × nodes.
         """
+        try:
+            return self._prepare_repair(changeset)
+        finally:
+            release_join_workspace()
+
+    def _prepare_repair(self, changeset):
         from repro.core.changeset import apply_changeset_to_network
 
+        network = self.network.copy_on_write()
         hierarchy = self.hierarchy
-        n = self.network.num_nodes
-        if hierarchy is None or hierarchy.repair_state is None:
-            apply_changeset_to_network(self.network, changeset)
-            self._note_rebuilt(result)
-            return
+        if (
+            self._writer_ahead
+            or hierarchy is None
+            or hierarchy.repair_state is None
+        ):
+            apply_changeset_to_network(network, changeset)
+            return self._prepare_rebuild(network)
+        n = network.num_nodes
         if self._spaces is None:
             self._spaces = hierarchy.batch_search_spaces()
         limit = max(1, int(self.repair_threshold * n))
@@ -557,11 +682,10 @@ class HubLabelIndex(HierarchyIndexBase):
                 decreases.append((delta.u, delta.v, delta.weight))
             elif delta.op == "remove":
                 increases.append(
-                    (delta.u, delta.v,
-                     self.network.edge_weight(delta.u, delta.v))
+                    (delta.u, delta.v, network.edge_weight(delta.u, delta.v))
                 )
             else:
-                old = self.network.edge_weight(delta.u, delta.v)
+                old = network.edge_weight(delta.u, delta.v)
                 if delta.weight < old:
                     decreases.append((delta.u, delta.v, delta.weight))
                 elif delta.weight > old:
@@ -576,17 +700,19 @@ class HubLabelIndex(HierarchyIndexBase):
         labels = (self.label_indptr, self.label_hubs, self.label_dists)
         with phases("masks"):
             crossings = [
-                _Crossing.measure(self.network, labels, a, b, w, True)
+                _Crossing.measure(network, labels, a, b, w, True)
                 for a, b, w in increases
             ]
-        apply_changeset_to_network(self.network, changeset)
+        apply_changeset_to_network(network, changeset)
+        # From here on the hierarchy runs ahead of the published labels
+        # until this write commits.
+        self._writer_ahead = True
         with phases("replay"):
             outcome = hierarchy.repair(
-                self.network, changeset.edges(), damage_limit=limit
+                network, changeset.edges(), damage_limit=limit
             )
         if outcome is None:
-            self._note_rebuilt(result)
-            return
+            return self._prepare_rebuild(network)
         old_spaces = self._spaces
         with phases("spaces"):
             spaces, space_changed = hierarchy.patch_search_spaces(
@@ -596,7 +722,7 @@ class HubLabelIndex(HierarchyIndexBase):
         # labeling of the updated graph.
         with phases("masks"):
             crossings += [
-                _Crossing.measure(self.network, spaces, a, b, w, False)
+                _Crossing.measure(network, spaces, a, b, w, False)
                 for a, b, w in decreases
             ]
             affected = np.zeros(n, dtype=bool)
@@ -605,147 +731,105 @@ class HubLabelIndex(HierarchyIndexBase):
                 affected |= _straddlers(spaces, crossing)
             affected_nodes = np.flatnonzero(affected)
         if len(affected_nodes) > self.relabel_threshold * n:
-            self._note_rebuilt(result)
-            return
-        self._spaces = spaces
-        old_labels = labels
+            return self._prepare_rebuild(network)
+        new_labels, join_entries = labels, 0
         with phases("redistill"):
             if len(affected_nodes):
-                self._redistill(affected_nodes, old_spaces, crossings)
+                new_labels, join_entries = _redistill(
+                    spaces, old_spaces, labels, affected_nodes, crossings
+                )
+        objects = None
         with phases("objects"):
             object_rows = np.asarray(self.dataset, dtype=np.int64)
             moved = np.flatnonzero(
                 changed_rows(
-                    old_labels,
-                    (self.label_indptr, self.label_hubs, self.label_dists),
+                    labels,
+                    new_labels,
                     rows=object_rows[affected[object_rows]],
                 )[object_rows]
             )
             if len(moved):
-                self._refresh_object_rows(self._object_entries(), moved)
-        phases.observe(self.metrics, "hub")
-        self.metrics.counter("backend.hub.update.repaired").inc()
-        self.metrics.counter("backend.hub.update.damaged_nodes").inc(
-            outcome.damaged
+                objects = self._object_rows(
+                    _object_entries(self.dataset, new_labels), moved
+                )
+        return _HubRepair(
+            labels=new_labels,
+            objects=objects,
+            spaces=spaces,
+            phases=phases,
+            damaged=outcome.damaged,
+            relabeled=len(affected_nodes),
+            join_entries=join_entries,
+            affected_objects={
+                rank
+                for rank, object_node in enumerate(self.dataset)
+                if affected[int(object_node)]
+            },
         )
-        self.metrics.counter("backend.hub.update.relabeled_nodes").inc(
-            len(affected_nodes)
+
+    def _prepare_rebuild(self, network) -> "HubLabelIndex":
+        """A fresh index over ``network`` with a registry of its own;
+        :meth:`_publish` adopts its structures and folds the registry
+        into the index's."""
+        return type(self).build(
+            network, self.dataset, settle_cap=self.settle_cap,
+            metrics=MetricsRegistry(),
+        )
+
+    def _publish(self, changeset, prepared, result) -> None:
+        """Swap a prepared write's structures in and apply its deltas to
+        the live network — reference assignments plus O(changed edges)
+        of adjacency edits — then record its telemetry."""
+        from repro.core.changeset import apply_changeset_to_network
+
+        apply_changeset_to_network(self.network, changeset)
+        if isinstance(prepared, HubLabelIndex):
+            self.order = prepared.order
+            self.label_indptr = prepared.label_indptr
+            self.label_hubs = prepared.label_hubs
+            self.label_dists = prepared.label_dists
+            self.buckets = prepared.buckets
+            self.partition = prepared.partition
+            self.object_table = prepared.object_table
+            self.build_trace = prepared.build_trace
+            self.hierarchy = prepared.hierarchy
+            self._spaces = prepared._spaces
+            self._writer_ahead = False
+            self.hierarchy.bind_metrics(self.metrics)
+            self.metrics.merge(prepared.metrics)
+            self._bind_backend_metrics(self.metrics)
+            self._count_rebuild(result)
+            return
+        self.label_indptr, self.label_hubs, self.label_dists = prepared.labels
+        if prepared.objects is not None:
+            self.buckets, self.partition, self.object_table = prepared.objects
+        self._spaces = prepared.spaces
+        self._writer_ahead = False
+        metrics = self.metrics
+        if prepared.relabeled:
+            metrics.counter("backend.hub.update.join_entries").inc(
+                prepared.join_entries
+            )
+            self._bind_backend_metrics(metrics)
+        prepared.phases.observe(metrics, "hub")
+        metrics.counter("backend.hub.update.repaired").inc()
+        metrics.counter("backend.hub.update.damaged_nodes").inc(
+            prepared.damaged
+        )
+        metrics.counter("backend.hub.update.relabeled_nodes").inc(
+            prepared.relabeled
         )
         result.bump("repaired")
-        result.bump("damaged_nodes", outcome.damaged)
-        result.bump("relabeled_nodes", len(affected_nodes))
-        affected_ranks = {
-            rank
-            for rank, object_node in enumerate(self.dataset)
-            if affected[int(object_node)]
-        }
+        result.bump("damaged_nodes", prepared.damaged)
+        result.bump("relabeled_nodes", prepared.relabeled)
         result.report.merge(
             UpdateReport(
-                affected_objects=affected_ranks,
+                affected_objects=prepared.affected_objects,
                 changed_components=0,
-                touched_nodes=int(len(affected_nodes)),
+                touched_nodes=prepared.relabeled,
                 recompressed_nodes=0,
             )
         )
-
-    def _redistill(
-        self,
-        affected_nodes: np.ndarray,
-        old_spaces: tuple[np.ndarray, np.ndarray, np.ndarray],
-        crossings: list[_Crossing],
-    ) -> None:
-        """Recompute the labels of ``affected_nodes`` in place.
-
-        The keep rule — retain a space entry iff its settled distance
-        is exact — normally costs one label join per entry.  But for an
-        entry ``(u, d)`` of node ``v`` whose true distance
-        ``d_G(v, u)`` did not change, exactness is decided by comparing
-        against the *old* space and label:
-
-        * ``d`` unchanged from the old space → the old verdict stands
-          (exact iff the entry survived the previous pruning);
-        * ``d`` increased → it was ``≥ d_G(v, u)`` before and ``d_G``
-          did not move, so it is now strictly inexact — drop;
-        * ``d`` decreased, or the entry is new → it may have become
-          exact; only these need a join.
-
-        ``crossings`` guard those carried verdicts: ``d_G(v, u)`` can
-        change only if a shortest ``v``–``u`` path crosses a changed
-        edge (:func:`_moved`).  Entries that may have moved always go
-        through the join, in the same entry-bounded blocks as the
-        build.
-        The joins run against the maintained unstalled space CSR with
-        the exact same rule as ``build_labels`` (spaces are valid
-        labels carrying exact entries), so the resulting label arrays
-        match a full redistillation bit for bit.  Only the affected
-        rows of the space, old-space and label CSRs are read, and the
-        new label rows are spliced into the label CSR.
-        """
-        sp_indptr, sp_hubs, sp_dists = self._spaces
-        base = np.int64(self.network.num_nodes + 1)
-        positions, counts = _expand_side(sp_indptr, affected_nodes)
-        total = len(positions)
-        owner = np.repeat(affected_nodes.astype(np.int64), counts)
-        entry_hubs = sp_hubs[positions]
-        entry_dists = sp_dists[positions]
-        # Node-prefixed keys make every lookup one searchsorted over the
-        # affected rows, already sorted (CSRs are node-major and
-        # hub-sorted within each node).
-        keys = owner * base + entry_hubs
-        old_sp_indptr, old_sp_hubs, old_sp_dists = old_spaces
-        in_old, old_at = _find_keys(
-            keys, old_sp_indptr, old_sp_hubs, affected_nodes, base
-        )
-        old_vals = np.where(in_old, old_sp_dists[old_at], np.nan)
-        in_label, _ = _find_keys(
-            keys, self.label_indptr, self.label_hubs, affected_nodes, base
-        )
-        unchanged = in_old & (entry_dists == old_vals)
-        pair_marked = np.zeros(total, dtype=bool)
-        for crossing in crossings:
-            pair_marked |= _moved(
-                crossing, owner, entry_hubs, entry_dists, old_vals, in_old,
-                in_label,
-            )
-        carried = ~pair_marked & (
-            unchanged | (in_old & (entry_dists > old_vals))
-        )
-        keep = carried & unchanged & in_label
-        join_at = np.flatnonzero(~carried)
-        keep[join_at] = _exact_mask(
-            sp_indptr,
-            sp_hubs,
-            sp_dists,
-            owner[join_at],
-            entry_hubs[join_at],
-            entry_dists[join_at],
-        )
-        self.metrics.counter("backend.hub.update.join_entries").inc(
-            len(join_at)
-        )
-        # Kept entries per affected node (owners are ascending).
-        kept_counts = np.diff(
-            np.searchsorted(owner[keep], np.r_[affected_nodes, base])
-        )
-        self.label_indptr, (self.label_hubs, self.label_dists) = splice_rows(
-            self.label_indptr,
-            (self.label_hubs, self.label_dists),
-            affected_nodes,
-            kept_counts,
-            (entry_hubs[keep], entry_dists[keep]),
-        )
-        self._bind_backend_metrics(self.metrics)
-
-    def _object_entries(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-object ``(hubs, dists)`` label slices, in dataset order."""
-        indptr, hubs, dists = (
-            self.label_indptr, self.label_hubs, self.label_dists,
-        )
-        return [
-            (hubs[indptr[obj]:indptr[obj + 1]],
-             dists[indptr[obj]:indptr[obj + 1]])
-            for obj in self.dataset
-        ]
 
     def _structure_bytes(self) -> int:
         return (

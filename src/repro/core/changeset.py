@@ -33,22 +33,34 @@ touching anything, so a rejected changeset leaves the index untouched.
 :class:`~repro.core.update.UpdateReport`, and per-phase counters
 (``repaired`` / ``rebuilt`` / ... — whatever the implementation's
 maintenance strategy wants to report).
+
+Every write runs in two steps.  ``index.prepare_updates(changeset)``
+validates the changeset and computes the write while reading the live
+index and writing only private state; it returns a :class:`Patch`.
+:meth:`Patch.commit` publishes that state and returns the
+:class:`ApplyResult`.  ``apply_updates(changeset)`` is exactly
+``prepare_updates(changeset).commit()``.  Reads that run while a
+prepare is in flight see the index as the last commit left it, so a
+serving tier can prepare on a thread of its own and hold its write lock
+only around the commit.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.core.update import UpdateReport
-from repro.errors import DatasetError, QueryError
+from repro.errors import DatasetError, IndexError_, QueryError
 
 __all__ = [
     "EDGE_OPS",
     "EdgeDelta",
     "ChangeSet",
     "ApplyResult",
+    "Patch",
     "as_changeset",
     "apply_changeset_to_network",
 ]
@@ -302,3 +314,53 @@ class ApplyResult:
     def bump(self, phase: str, count: int = 1) -> None:
         """Increment a per-phase counter."""
         self.counters[phase] = self.counters.get(phase, 0) + count
+
+
+class Patch:
+    """One prepared, unpublished write: what ``prepare_updates`` returns.
+
+    ``changeset`` is the validated batch; ``prepared`` is whatever the
+    index computed for it (``None`` for indexes whose commit runs the
+    whole write in place).  :meth:`commit` publishes it, once, and only
+    against the index state it was prepared from: a patch prepared
+    before another write was committed is stale and raises
+    :class:`~repro.errors.IndexError_` instead of publishing.
+    ``prepare_seconds`` and ``commit_seconds`` time the two steps.
+    """
+
+    __slots__ = (
+        "changeset", "prepared", "prepare_seconds", "commit_seconds",
+        "_index", "_generation",
+    )
+
+    def __init__(
+        self, index, changeset: ChangeSet, prepared=None, *,
+        prepare_seconds: float = 0.0,
+    ) -> None:
+        self.changeset = changeset
+        self.prepared = prepared
+        self.prepare_seconds = prepare_seconds
+        self.commit_seconds: float | None = None
+        self._index = index
+        self._generation = index.write_generation
+
+    def commit(self) -> "ApplyResult":
+        """Publish the write; returns its :class:`ApplyResult`."""
+        index = self._index
+        if self.commit_seconds is not None:
+            raise IndexError_("this patch has already been committed")
+        if index.write_generation != self._generation:
+            raise IndexError_(
+                "stale patch: another write was committed after this one "
+                "was prepared; prepare it again"
+            )
+        start = time.perf_counter()
+        try:
+            return index._commit_patch(self)
+        finally:
+            index.write_generation += 1
+            self.commit_seconds = time.perf_counter() - start
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "committed" if self.commit_seconds is not None else "pending"
+        return f"Patch({len(self.changeset)} deltas, {state})"

@@ -235,18 +235,29 @@ class SignatureIndex:
     shared state: the page-access :attr:`counter`, the
     :attr:`decompressions` tally, the buffer pool, every metrics
     instrument, and the active tracer.
-    Two constraints follow, and :mod:`repro.serve` is built around them:
+    Three constraints follow, and :mod:`repro.serve` is built around them:
 
     * concurrent *queries* must be serialized onto one thread (an asyncio
       event loop qualifies: facade calls are synchronous and never yield,
       so interleaving happens only at call boundaries) — this is exactly
       what makes request *coalescing* attractive: many logical clients,
       one ``range_query_batch`` sweep;
-    * *updates* (§5.4) must additionally be ordered against in-flight
-      query batches, because they rewrite signature rows and spanning
-      trees non-atomically; :class:`repro.serve.UpdateCoordinator`
-      provides the readers-writer lock for that.
+    * a write is two calls: :meth:`prepare_updates` reads the index and
+      writes nothing a query reads, so it may run on another thread
+      while queries run; the returned patch's ``commit`` publishes the
+      write.  Here the §5.4 functions rewrite signature rows, spanning
+      trees and the paged layout in place, so ``prepare_updates`` only
+      validates and ``commit`` does the whole write;
+    * ``commit`` must therefore be ordered against in-flight query
+      batches: :class:`repro.serve.UpdateCoordinator` runs it on the
+      event loop under the write side of its readers-writer lock, so a
+      batch sees the index as of one commit — the epoch it reports —
+      never a torn mix.
     """
+
+    #: Committed writes so far; a patch commits only at the generation
+    #: it was prepared at (:class:`~repro.core.changeset.Patch`).
+    write_generation = 0
 
     def __init__(
         self,
@@ -854,16 +865,42 @@ class SignatureIndex:
     def apply_updates(self, changeset):
         """Apply a validated :class:`~repro.core.changeset.ChangeSet`.
 
-        The batch entry point of the unified update pipeline: the whole
-        changeset is validated against the network *before* any tree or
-        signature mutates, then each delta runs the §5.4 incremental
-        machinery in canonical order.  It is the only edge-update entry
-        point; both query engines read the signature arrays the §5.4
-        functions maintain.
+        The batch entry point of the unified update pipeline —
+        ``prepare_updates(changeset).commit()``: the whole changeset is
+        validated against the network *before* any tree or signature
+        mutates, then each delta runs the §5.4 incremental machinery in
+        canonical order.  It is the only edge-update entry point; both
+        query engines read the signature arrays the §5.4 functions
+        maintain.
         """
-        from repro.core.changeset import ApplyResult, as_changeset
+        return self.prepare_updates(changeset).commit()
 
+    def prepare_updates(self, changeset):
+        """Validate ``changeset`` into an unpublished
+        :class:`~repro.core.changeset.Patch`.
+
+        The §5.4 functions rewrite signature rows, trees and the paged
+        layout in place, so preparing only validates; the patch's
+        ``commit`` runs the whole write (see "Concurrency" above).
+        """
+        from repro.core.changeset import Patch, as_changeset
+
+        start = time.perf_counter()
         changeset = as_changeset(changeset)
+        changeset.validate(self.network)
+        return Patch(
+            self, changeset, prepare_seconds=time.perf_counter() - start
+        )
+
+    def _commit_patch(self, patch):
+        """Run a prepared write in place (called by ``Patch.commit``).
+
+        Validation repeats first: ``add_node`` / ``remove_node`` change
+        the network outside the patch protocol.
+        """
+        from repro.core.changeset import ApplyResult
+
+        changeset = patch.changeset
         changeset.validate(self.network)
         result = ApplyResult()
         with self._scope("update.apply", deltas=len(changeset)) as span:

@@ -108,6 +108,18 @@ class DistanceIndex(Protocol):
         problems raise :class:`~repro.errors.QueryError`, unknown nodes
         / edges raise :class:`~repro.errors.DatasetError` — and the
         return value is a :class:`~repro.core.changeset.ApplyResult`.
+        Exactly ``prepare_updates(changeset).commit()``.
+        """
+        ...
+
+    def prepare_updates(self, changeset) -> Any:
+        """Validate ``changeset`` and compute its write, unpublished.
+
+        Reads the live index and writes only state no query reads, and
+        records no metric or span, so queries may run meanwhile on
+        another thread.  Returns a :class:`~repro.core.changeset.Patch`
+        whose ``commit()`` publishes the write and returns the
+        :class:`~repro.core.changeset.ApplyResult`.
         """
         ...
 

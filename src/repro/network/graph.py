@@ -83,6 +83,10 @@ class RoadNetwork:
     :mod:`repro.core.update` always re-resolves links after a removal.
     """
 
+    #: Nodes whose adjacency rows this network owns, in a
+    #: :meth:`copy_on_write` view; ``None`` when it owns every row.
+    _owned: set[int] | None = None
+
     def __init__(self, coordinates: Iterable[tuple[float, float]] = ()) -> None:
         self._coords: list[tuple[float, float]] = [
             (float(x), float(y)) for x, y in coordinates
@@ -162,8 +166,8 @@ class RoadNetwork:
         self._check_node(v)
         if self.has_edge(u, v):
             raise GraphError(f"edge ({u}, {v}) already exists")
-        self._adjacency[u].append((v, edge.weight))
-        self._adjacency[v].append((u, edge.weight))
+        self._row(u).append((v, edge.weight))
+        self._row(v).append((u, edge.weight))
         self._num_edges += 1
 
     def remove_edge(self, u: int, v: int) -> float:
@@ -174,13 +178,13 @@ class RoadNetwork:
         for i, (nbr, w) in enumerate(self._adjacency[u]):
             if nbr == v:
                 weight = w
-                del self._adjacency[u][i]
+                del self._row(u)[i]
                 break
         if weight is None:
             raise EdgeNotFoundError(u, v)
         for i, (nbr, _) in enumerate(self._adjacency[v]):
             if nbr == u:
-                del self._adjacency[v][i]
+                del self._row(v)[i]
                 break
         self._num_edges -= 1
         return weight
@@ -195,13 +199,13 @@ class RoadNetwork:
         for i, (nbr, w) in enumerate(self._adjacency[u]):
             if nbr == v:
                 old = w
-                self._adjacency[u][i] = (v, float(weight))
+                self._row(u)[i] = (v, float(weight))
                 break
         if old is None:
             raise EdgeNotFoundError(u, v)
         for i, (nbr, _) in enumerate(self._adjacency[v]):
             if nbr == u:
-                self._adjacency[v][i] = (u, float(weight))
+                self._row(v)[i] = (u, float(weight))
                 break
         return old
 
@@ -366,6 +370,25 @@ class RoadNetwork:
         clone._num_edges = self._num_edges
         return clone
 
+    def copy_on_write(self) -> "RoadNetwork":
+        """An independent copy that shares this network's adjacency rows
+        until it writes to them.
+
+        Creating the view copies two lists of ``num_nodes`` references;
+        the first mutation of a node's row through the view copies that
+        row, so a changeset's worth of edits costs O(changed rows) and
+        leaves this network untouched.  The view must not outlive a
+        mutation of *this* network's rows (it would see it): it is the
+        private network a writer prepares a change against before the
+        same edits are applied here.
+        """
+        view = RoadNetwork()
+        view._coords = list(self._coords)
+        view._adjacency = list(self._adjacency)
+        view._num_edges = self._num_edges
+        view._owned = set()
+        return view
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RoadNetwork(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
@@ -377,3 +400,12 @@ class RoadNetwork:
     def _check_node(self, node: int) -> None:
         if not 0 <= node < len(self._coords):
             raise NodeNotFoundError(node)
+
+    def _row(self, node: int) -> list[tuple[int, float]]:
+        """``node``'s adjacency list for writing, made private first in
+        a :meth:`copy_on_write` view."""
+        owned = self._owned
+        if owned is not None and node not in owned:
+            self._adjacency[node] = list(self._adjacency[node])
+            owned.add(node)
+        return self._adjacency[node]

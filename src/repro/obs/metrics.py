@@ -295,6 +295,22 @@ class MetricsRegistry:
             },
         }
 
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold ``other``'s instruments into this registry: counters
+        add, gauges take ``other``'s value, histograms merge exactly.
+
+        How work recorded into a private registry — say, on another
+        thread — lands here afterwards.
+        """
+        if not self.enabled:
+            return
+        for name, counter in other._counters.items():
+            self.counter(name).inc(counter.value)
+        for name, gauge in other._gauges.items():
+            self.gauge(name).set(gauge.value)
+        for name, histogram in other._histograms.items():
+            self.histogram(name).merge_state(histogram.state())
+
     def reset(self) -> None:
         """Zero every instrument (start of an experiment)."""
         for family in (self._counters, self._gauges, self._histograms):

@@ -3,9 +3,10 @@
 Pure stdlib: ``asyncio.start_server`` plus a minimal HTTP/1.1
 request/response implementation (keep-alive, Content-Length framing — the
 subset a JSON API and a load generator need).  One process serves one
-:class:`~repro.core.index.SignatureIndex`; everything runs on one event
-loop, which is what makes inline index calls safe (see the facade's
-"Concurrency" section) and request coalescing effective.
+index; every query runs on one event loop, which is what makes inline
+index calls safe (see the facade's "Concurrency" section) and request
+coalescing effective.  Only a write's prepare runs elsewhere, on the
+update coordinator's writer thread (:mod:`repro.serve.coordinator`).
 
 Endpoints (GET with query-string parameters or POST with a JSON body;
 the body wins where both supply a key):
@@ -719,7 +720,8 @@ class QueryServer:
         The drain order matters: stop accepting connections and drop
         idle keep-alive ones, flush the coalescer so buffered requests
         still get answers, wait (bounded by ``drain_timeout_s``) for
-        active requests, then close what is left.  Busy connections
+        active requests, let the update coordinator commit the write in
+        flight and join its writer thread, then close what is left.  Busy connections
         close themselves after their response (``Connection: close``
         while draining).  Since Python 3.12.1 ``Server.wait_closed()``
         waits for every connection handler to return, so it comes last,
@@ -740,6 +742,9 @@ class QueryServer:
         while self._active_requests > 0 and loop.time() < deadline:
             await asyncio.sleep(0.005)
             await self.coalescer.drain()
+        # A write still in flight (past the deadline, say) commits and
+        # resolves its requests; the writer thread exits.
+        await self.coordinator.close()
         for writer in list(self._connections):
             writer.close()
         if self._server is not None:

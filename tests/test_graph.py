@@ -229,3 +229,33 @@ class TestConversions:
         clone = triangle.copy()
         for node in triangle.nodes():
             assert clone.neighbors(node) == triangle.neighbors(node)
+
+
+class TestCopyOnWrite:
+    def test_view_edits_leave_the_original_alone(self, triangle):
+        view = triangle.copy_on_write()
+        view.set_edge_weight(0, 1, 9.0)
+        view.remove_edge(1, 2)
+        view.add_edge(1, 2, 3.0)
+        assert triangle.edge_weight(0, 1) == 1.0
+        assert triangle.neighbors(1) == [(0, 1.0), (2, 2.0)]
+        assert view.edge_weight(0, 1) == 9.0
+        assert view.neighbors(1) == [(0, 9.0), (2, 3.0)]
+        assert view.num_edges == triangle.num_edges == 3
+
+    def test_only_written_rows_are_copied(self, triangle):
+        triangle.add_node(5, 5)
+        view = triangle.copy_on_write()
+        view.set_edge_weight(0, 1, 7.0)
+        rows, shared = view.adjacency_lists(), triangle.adjacency_lists()
+        assert rows[2] is shared[2] and rows[3] is shared[3]
+        assert rows[0] is not shared[0] and rows[1] is not shared[1]
+
+    def test_same_edits_give_the_same_rows(self, triangle):
+        view = triangle.copy_on_write()
+        for network in (view, triangle):
+            network.remove_edge(0, 2)
+            network.add_edge(2, 0, 0.5)
+            network.set_edge_weight(1, 2, 1.5)
+        assert view.adjacency_lists() == triangle.adjacency_lists()
+        assert view.adjacency_lists() is not triangle.adjacency_lists()

@@ -120,16 +120,22 @@ class TestDistillation:
         dataset = uniform_dataset(network, density=0.01, seed=3)
         sizes = []
 
-        # The workspace is thread-local and only ever grows, so measure
-        # it in a thread of its own.
+        # The workspace is thread-local, so measure it in a thread of
+        # its own: ``peak`` is the largest capacity the build reserved,
+        # and the buffers themselves are released when build returns.
         def build():
             HubLabelIndex.build(network, dataset)
-            sizes.append(base._JOIN_WORKSPACE.iota.size)
+            sizes.append(
+                (base._JOIN_WORKSPACE.peak, base._JOIN_WORKSPACE.iota.size)
+            )
 
         worker = threading.Thread(target=build)
         worker.start()
         worker.join()
-        assert sizes and 0 < sizes[0] <= 1 << 18
+        assert sizes
+        peak, held = sizes[0]
+        assert 0 < peak <= 1 << 18
+        assert held == 0
 
 
 class TestFirstWriteRepairs:

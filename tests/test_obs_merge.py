@@ -76,3 +76,25 @@ class TestHistogramMerge:
         assert merged.count == ground.count
         assert math.isclose(merged.total, ground.total, rel_tol=1e-9)
         assert math.isclose(merged.p99, ground.p99, rel_tol=1e-9)
+
+
+class TestRegistryMerge:
+    def test_counters_add_gauges_replace_histograms_merge(self):
+        from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+
+        live, private = MetricsRegistry(), MetricsRegistry()
+        live.counter("c").inc(2)
+        live.gauge("g").set(1.0)
+        live.histogram("h").observe(1.0)
+        private.counter("c").inc(3)
+        private.gauge("g").set(4.0)
+        private.histogram("h").observe(3.0)
+        private.counter("new").inc()
+        live.merge(private)
+        assert live.counter("c").value == 5
+        assert live.counter("new").value == 1
+        assert live.gauge("g").value == 4.0
+        assert live.histogram("h").count == 2
+        assert live.histogram("h").total == 4.0
+        NULL_REGISTRY.merge(private)
+        assert NULL_REGISTRY.histogram("h").count == 0
