@@ -32,7 +32,7 @@ Three metric kinds, because they regress differently:
     (default 15%); with no same-host history — e.g. a fresh CI runner —
     the check is skipped, not failed.
 ``cost_ratio``
-    Same-run *cost* ratios (CH/hub build time over the signature build).
+    Same-run *cost* ratios (hub build time over the signature build).
     Machine-normalized like ``ratio`` and gated with the same loose
     tolerance, but the regression direction is inverted: a build that
     quietly got more expensive moves the ratio *up*.
@@ -115,9 +115,6 @@ METRIC_SPECS: dict[str, dict[str, dict[str, tuple[str, ...]]]] = {
     },
     "updates": {
         "ratio": {
-            "ch_incremental_vs_rebuild": (
-                "speedups", "ch_incremental_vs_rebuild",
-            ),
             "hub_incremental_vs_rebuild": (
                 "speedups", "hub_incremental_vs_rebuild",
             ),
@@ -125,9 +122,6 @@ METRIC_SPECS: dict[str, dict[str, dict[str, tuple[str, ...]]]] = {
         "qps": {
             "signature_updates_per_s": (
                 "signature_family", "signature", "updates_per_s",
-            ),
-            "ch_incremental_updates_per_s": (
-                "hierarchy", "ch", "incremental_updates_per_s",
             ),
             "hub_incremental_updates_per_s": (
                 "hierarchy", "hub", "incremental_updates_per_s",
@@ -139,12 +133,8 @@ METRIC_SPECS: dict[str, dict[str, dict[str, tuple[str, ...]]]] = {
             "hub_vs_signature_distance": (
                 "speedups", "hub_vs_signature_distance",
             ),
-            "hub_vs_ch_distance": ("speedups", "hub_vs_ch_distance"),
         },
         "cost_ratio": {
-            "ch_vs_signature_build": (
-                "build_ratios", "ch_vs_signature_build",
-            ),
             "hub_vs_signature_build": (
                 "build_ratios", "hub_vs_signature_build",
             ),
@@ -153,7 +143,6 @@ METRIC_SPECS: dict[str, dict[str, dict[str, tuple[str, ...]]]] = {
             "signature_distance_qps": (
                 "backends", "signature", "distance_qps",
             ),
-            "ch_distance_qps": ("backends", "ch", "distance_qps"),
             "hub_distance_qps": ("backends", "hub", "distance_qps"),
         },
     },

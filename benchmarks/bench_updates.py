@@ -1,13 +1,13 @@
 """§5.4 maintenance head-to-head: incremental repair vs rebuild-on-update.
 
-The hierarchy backends historically answered every edge mutation with a
-full rebuild; the changeset pipeline gave them genuinely incremental
-maintenance (witness-replay repair for the contraction hierarchy,
-affected-region redistillation for hub labels).  This bench measures
+The hub-label backend historically answered every edge mutation with a
+full rebuild; the changeset pipeline gave it genuinely incremental
+maintenance (witness-replay repair of its contraction hierarchy, then
+affected-region redistillation of the labels).  This bench measures
 what that buys, on traffic-shaped single-edge reweights from
 :class:`~repro.workloads.traffic.TrafficSimulator`:
 
-* **Correctness before timing.**  For each hierarchy backend, a short
+* **Correctness before timing.**  For each registered backend, a short
   update stream is applied incrementally and, after *every* step, the
   index's distances are asserted bit-identical to a fresh rebuild on
   the mutated network over a sampled (node, object) set.  Only then is
@@ -24,7 +24,7 @@ what that buys, on traffic-shaped single-edge reweights from
   interleaved, spread evenly over one timed phase, so host-speed drift
   during the run lands on both sides of the ratio alike.  Each row also
   carries the median and p90 single-write time and the mean
-  ``damaged_nodes`` (and, for hub, ``relabeled_nodes``) per write.
+  ``damaged_nodes`` and ``relabeled_nodes`` per write.
 * **Scaling** — the median single-edge hub repair at two network sizes
   5x apart (2000 and 10,000 nodes; 1000 and 5000 in ``--quick``) and
   their ratio: a repair whose cost follows the damage, not the node
@@ -98,7 +98,7 @@ SERVE_CLIENTS = 8 if QUICK else 16
 SCALING_NODES = (1000, 5000) if QUICK else (2000, 10000)
 SCALING_WRITES = 20
 
-#: The acceptance bar: hierarchy-backend incremental repair over
+#: The acceptance bar: hub-label incremental repair over
 #: rebuild-on-update on single-edge reweights.  The full-size run
 #: clears 5x comfortably; the quick smoke (2000 nodes, less rebuild
 #: work to amortize) only checks the direction.
@@ -113,7 +113,7 @@ def _sample_pairs(network, dataset, rng) -> list[tuple[int, int]]:
 
 def bench_hierarchy(name: str, network, dataset) -> dict:
     """Correctness pass, then incremental-vs-rebuild timing, for one
-    hierarchy backend."""
+    registered backend."""
     build = BACKENDS[name]
     registry = MetricsRegistry()
     start = time.perf_counter()
@@ -366,8 +366,7 @@ def main() -> int:
     )
 
     hierarchy = {
-        name: bench_hierarchy(name, network, dataset)
-        for name in ("ch", "hub")
+        name: bench_hierarchy(name, network, dataset) for name in BACKENDS
     }
     scaling = bench_scaling()
     signature = bench_signature_family(network, dataset)

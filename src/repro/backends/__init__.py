@@ -1,18 +1,17 @@
 """Alternate point-to-point index families behind ``DistanceIndex``.
 
 The paper's signature index answers queries from *per-object* distance
-signatures; the families here preprocess the *network* instead:
+signatures; the family here preprocesses the *network* instead:
 
-* :class:`~repro.backends.ch.CHIndex` — a contraction hierarchy
-  (edge-difference ordering, witness-bounded shortcuts) queried by
-  bidirectional upward Dijkstra;
 * :class:`~repro.backends.hub_labels.HubLabelIndex` — 2-hop hub labels
-  distilled from the CH search spaces, queried by sorted-merge
+  distilled from the search spaces of a
+  :class:`~repro.backends.ch.ContractionHierarchy` (edge-difference
+  ordering, witness-bounded shortcuts), queried by sorted-merge
   intersection.
 
-Both implement the full :class:`~repro.core.interface.DistanceIndex`
+It implements the full :class:`~repro.core.interface.DistanceIndex`
 surface, so persistence (:mod:`repro.backends.persistence` registers
-their on-disk formats with core), serving, and the CLI treat them
+its on-disk format with core), serving, and the CLI treat it
 interchangeably with the signature index.  ``BACKENDS`` maps registry
 names to builders; ``repro build --backend`` and the conformance suite
 iterate it, so a new family added here inherits the plumbing.
@@ -24,15 +23,12 @@ index-size / query-time trade-off the families bracket.
 from __future__ import annotations
 
 from repro.backends import persistence as _persistence  # noqa: F401 (registers formats)
-from repro.backends.base import HierarchyIndexBase
-from repro.backends.ch import CHIndex, ContractionHierarchy
+from repro.backends.ch import ContractionHierarchy
 from repro.backends.hub_labels import HubLabelIndex
 
 __all__ = [
     "BACKENDS",
-    "CHIndex",
     "ContractionHierarchy",
-    "HierarchyIndexBase",
     "HubLabelIndex",
     "backend_of",
     "build_backend",
@@ -40,7 +36,6 @@ __all__ = [
 
 #: Registry name -> ``build(network, dataset, *, metrics=None, **kw)``.
 BACKENDS = {
-    "ch": CHIndex.build,
     "hub": HubLabelIndex.build,
 }
 

@@ -1,40 +1,26 @@
-"""Shared machinery of the point-to-point backends (CH and hub labels).
+"""Shared machinery of the hub-label backend.
 
-Both backends in this package answer ``distance()`` from a contraction
-hierarchy (directly, or through labels distilled from it) rather than
-from per-object signatures.  What they share — and what this module
-holds — is everything *around* that primitive:
+What :mod:`repro.backends.hub_labels` builds its
+:class:`~repro.core.interface.DistanceIndex` from:
 
+* **Label joins.**  :func:`label_join` is the scalar sorted-merge
+  intersection of two hub labels; :func:`batch_label_join_csr` answers
+  many pairs of one label CSR in a single vectorized pass, bit-identical
+  to it, and serves both ``distance_batch`` and the label distillation.
 * **Object-bucket lists on hubs.**  Range and kNN need one-to-many
-  answers.  Instead of probing every object, each backend precomputes,
+  answers.  Instead of probing every object, the index precomputes,
   per hub node ``h``, the list of ``(distance, object rank)`` entries of
-  objects whose label (or CH search space) contains ``h`` — sorted by
-  distance and stored as one contiguous CSR (``bucket_indptr`` /
-  ``bucket_ranks`` / ``bucket_dists``).  A query then joins its own
-  forward entries against those lists: scanning each touched bucket in
+  objects whose label contains ``h`` — sorted by distance and stored as
+  one contiguous CSR (:class:`BucketLists`).  A query then joins its
+  own label against those lists: scanning each touched bucket in
   ascending distance with an early cut answers range queries, and a
   k-way lazy merge over the same lists pops candidate ``(d_qh + d_ho)``
   sums in globally ascending order — the first time an object surfaces,
   its sum is its *exact* distance (the minimizing meeting hub is popped
   first), so the first k distinct objects are the exact kNN.
-* **The full :class:`~repro.core.interface.DistanceIndex` surface** with
-  the same validation the signature index pins: batch inputs through
-  :func:`~repro.core.index._coerce_batch_nodes`, radii/k through the
-  same coercions, empty-dataset kNN raising the identical
-  :class:`~repro.errors.QueryError`.  Ties are resolved by
-  ``(distance, dataset rank)`` — the ordering the monolith's
-  ``EXACT_DISTANCES`` results pin.
-* **§5.4 updates through** ``prepare_updates`` / ``Patch.commit``
-  (``apply_updates`` is the two in one call).  By default preparing
-  only validates, and the commit applies the changeset to the network
-  and rebuilds the backend's structures wholesale, in place; backends
-  with an incremental path override ``_publish`` (CH: repair in place
-  at commit) and ``_prepare_changeset`` (hub labels: everything
-  computed privately in the prepare, published by reference swap).  A rebuild's
-  :class:`~repro.core.update.UpdateReport` honestly marks every object
-  affected and every node touched.  The serving tier
-  (:mod:`repro.serve.coordinator`) runs the same two calls, so
-  acknowledged updates are never stale.
+* **Repair timing.**  :class:`RepairPhases` times the phases of one
+  incremental write for the ``backend.<name>.update.*_seconds``
+  histograms.
 """
 
 from __future__ import annotations
@@ -44,7 +30,6 @@ import threading
 import time
 import weakref
 from contextlib import contextmanager
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -58,19 +43,8 @@ except ImportError:  # pragma: no cover - scipy ships with the test extra
 #: serves every batch, same answers.
 _DIRECT_GATHER_OK = True
 
-from repro.core import update
-from repro.core.categories import CategoryPartition, optimal_partition
-from repro.core.index import _coerce_batch_nodes, _coerce_k, _coerce_radius
-from repro.core.queries import _AGGREGATES, KnnType
-from repro.core.signature import ObjectDistanceTable
-from repro.errors import IndexError_, QueryError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_SPAN, Tracer, span_of
-from repro.storage.pager import PageAccessCounter
-
 __all__ = [
     "BucketLists",
-    "HierarchyIndexBase",
     "RepairPhases",
     "batch_label_join_csr",
     "label_join",
@@ -450,11 +424,10 @@ def pairwise_label_distances(
 class BucketLists:
     """Per-hub object lists as one CSR, sorted by distance within a hub.
 
-    ``entries(h)`` answers the ``(ranks, dists)`` slice for hub ``h``.
-    Entries come from each object's label (hub backend) or stalled CH
-    search space (CH backend); either way the minimum of
-    ``d_query(h) + dists`` over every hub the query's forward entries
-    share with an object is that object's exact distance.
+    Hub ``h``'s ``(ranks, dists)`` slice lists the objects whose label
+    holds ``h``; the minimum of ``d_query(h) + dists`` over every hub
+    the query's label shares with an object is that object's exact
+    distance.
     """
 
     def __init__(
@@ -533,536 +506,3 @@ class RepairPhases:
             metrics.histogram(
                 f"backend.{backend}.update.{phase}_seconds"
             ).observe(seconds)
-
-
-class HierarchyIndexBase:
-    """Common :class:`DistanceIndex` implementation of the CH/hub backends.
-
-    Subclasses provide:
-
-    * :attr:`backend_name` — the registry name (``"ch"`` / ``"hub"``);
-    * ``_forward_entries(node) -> (hubs, dists)`` — the query-side label;
-    * ``_point_distance(node, target) -> float`` — exact point-to-point;
-    * ``_rebuild()`` — reconstruct every derived structure from
-      ``self.network`` (the in-place §5.4 rebuild-on-update path; a
-      backend that overrides ``_prepare_changeset`` / ``_publish``
-      rebuilds in its prepare instead);
-    * ``_bind_backend_metrics(registry)`` — rebind backend instruments;
-    * ``_structure_bytes()`` — backend array footprint for stats.
-    """
-
-    backend_name = "hierarchy"
-
-    #: Committed writes so far; a patch commits only at the generation
-    #: it was prepared at (:class:`~repro.core.changeset.Patch`).
-    write_generation = 0
-
-    def __init__(
-        self,
-        network,
-        dataset,
-        partition: CategoryPartition,
-        object_table: ObjectDistanceTable,
-        buckets: BucketLists,
-        *,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self.network = network
-        self.dataset = dataset
-        self.partition = partition
-        self.object_table = object_table
-        self.buckets = buckets
-        # Backends are array-resident, not page-simulated: the counter
-        # exists for surface compatibility (serving telemetry, CLI
-        # reporting) and stays at zero.
-        self.counter = PageAccessCounter()
-        self.buffer_pool = None
-        self.tracer: Tracer | None = None
-        self.build_trace: Tracer | None = None
-        self.use_metrics(metrics if metrics is not None else MetricsRegistry())
-
-    # ------------------------------------------------------------------
-    # shared build helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _derive_partition(object_distances: np.ndarray) -> CategoryPartition:
-        """A partition scaled to the dataset's distance spread.
-
-        Backends need no categories to answer queries (they hold exact
-        distances); the partition exists for surface parity — serving
-        clients read its boundaries to form workload radii.  The scale
-        comes from the largest finite object-to-object distance.
-        """
-        finite = object_distances[np.isfinite(object_distances)]
-        spread = float(finite.max()) if finite.size else 0.0
-        if spread <= 0.0:
-            return CategoryPartition([])
-        return optimal_partition(spread)
-
-    # ------------------------------------------------------------------
-    # observability (mirrors SignatureIndex)
-    # ------------------------------------------------------------------
-    @contextmanager
-    def trace(self):
-        """Record a span tree for everything run inside the block."""
-        tracer = Tracer(self.counter)
-        previous = self.tracer
-        self.tracer = tracer
-        try:
-            yield tracer
-        finally:
-            self.tracer = previous
-
-    def use_metrics(self, registry: MetricsRegistry) -> None:
-        """Swap the metrics registry and rebind cached instruments."""
-        self.metrics = registry
-        self._bind_backend_metrics(registry)
-
-    def _bind_backend_metrics(self, registry: MetricsRegistry) -> None:
-        raise NotImplementedError
-
-    @contextmanager
-    def _observed(self, kind: str, *, count: int, lead: float, attrs: dict):
-        start = time.perf_counter() - lead
-        with span_of(self, kind, **attrs) as span:
-            yield span
-            elapsed = time.perf_counter() - start
-        metrics = self.metrics
-        metrics.counter(f"{kind}.count").inc(count)
-        if count > 0:
-            metrics.histogram(f"{kind}.seconds").observe(elapsed / count)
-
-    def _scope(self, kind: str, *, count: int = 1, lead: float = 0.0,
-               **attrs):
-        """One instrumented region; ``lead`` seconds spent on it before
-        the block (a write's prepare) count toward ``kind.seconds``."""
-        if self.tracer is None and not self.metrics.enabled:
-            return _NULL_SCOPE
-        return self._observed(kind, count=count, lead=lead, attrs=attrs)
-
-    # ------------------------------------------------------------------
-    # validation
-    # ------------------------------------------------------------------
-    def _check_node(self, node: int) -> int:
-        node = int(node)
-        if not 0 <= node < self.network.num_nodes:
-            raise QueryError(
-                f"node {node} does not exist "
-                f"(network has {self.network.num_nodes} nodes)"
-            )
-        return node
-
-    def _require_objects(self) -> None:
-        # Same message (and QueryError/ValueError typing) as
-        # repro.core.queries._require_objects, so HTTP 400 mapping and
-        # caller handling are backend-agnostic.
-        if len(self.dataset) == 0:
-            raise QueryError("kNN query requires a non-empty object dataset")
-
-    # ------------------------------------------------------------------
-    # bucket query core
-    # ------------------------------------------------------------------
-    def _range_row(
-        self, fwd_hubs: np.ndarray, fwd_dists: np.ndarray, radius: float
-    ) -> np.ndarray:
-        """Best candidate sum per object rank, scanning only entries
-        whose sum can land within ``radius`` (``inf`` elsewhere).
-
-        For every object whose true distance is within ``radius`` the
-        minimizing hub pair sums to that distance and survives the cut,
-        so qualifying entries of the returned row are *exact*.
-        """
-        best = np.full(len(self.dataset), math.inf)
-        indptr, ranks, dists = (
-            self.buckets.indptr, self.buckets.ranks, self.buckets.dists,
-        )
-        for i in range(len(fwd_hubs)):
-            hub = int(fwd_hubs[i])
-            lo, hi = int(indptr[hub]), int(indptr[hub + 1])
-            if lo == hi:
-                continue
-            reach = radius - float(fwd_dists[i])
-            if reach < 0:
-                continue
-            cut = lo + int(
-                np.searchsorted(dists[lo:hi], reach, side="right")
-            )
-            if cut > lo:
-                np.minimum.at(
-                    best, ranks[lo:cut], fwd_dists[i] + dists[lo:cut]
-                )
-        return best
-
-    def _knn_pairs(
-        self, fwd_hubs: np.ndarray, fwd_dists: np.ndarray, k: int
-    ) -> list[tuple[int, float]]:
-        """The k nearest ``(rank, distance)`` pairs, ascending.
-
-        Lazy k-way merge over the touched buckets: candidates pop in
-        globally ascending ``(sum, rank)`` order, the first pop of each
-        rank carries its exact distance, and ties at the k-th distance
-        resolve to the lowest dataset rank.
-        """
-        indptr, ranks, dists = (
-            self.buckets.indptr, self.buckets.ranks, self.buckets.dists,
-        )
-        heap: list[tuple[float, int, int, int]] = []
-        ends: list[int] = []
-        for i in range(len(fwd_hubs)):
-            hub = int(fwd_hubs[i])
-            lo, hi = int(indptr[hub]), int(indptr[hub + 1])
-            ends.append(hi)
-            if lo < hi:
-                heappush(
-                    heap,
-                    (
-                        float(fwd_dists[i] + dists[lo]),
-                        int(ranks[lo]),
-                        i,
-                        lo,
-                    ),
-                )
-        seen: set[int] = set()
-        out: list[tuple[int, float]] = []
-        while heap and len(out) < k:
-            total, rank, i, pos = heappop(heap)
-            if rank not in seen:
-                seen.add(rank)
-                out.append((rank, total))
-            pos += 1
-            if pos < ends[i]:
-                heappush(
-                    heap,
-                    (
-                        float(fwd_dists[i] + dists[pos]),
-                        int(ranks[pos]),
-                        i,
-                        pos,
-                    ),
-                )
-        return out
-
-    def _knn_result(self, pairs: list[tuple[int, float]], knn_type: KnnType):
-        if knn_type is KnnType.EXACT_DISTANCES:
-            return [(self.dataset[rank], d) for rank, d in pairs]
-        return [self.dataset[rank] for rank, _ in pairs]
-
-    # ------------------------------------------------------------------
-    # queries (§4 surface)
-    # ------------------------------------------------------------------
-    def distance(self, node: int, object_node: int) -> float:
-        """Exact network distance from ``node`` to the object at
-        ``object_node``."""
-        self.dataset.rank(object_node)  # same not-an-object error surface
-        node = self._check_node(node)
-        with self._scope("query.distance", node=node):
-            return self._point_distance(node, int(object_node))
-
-    def distance_batch(self, nodes, object_nodes) -> list[float]:
-        """One distance per aligned ``(nodes[i], object_nodes[i])`` pair.
-
-        Disconnected pairs yield ``math.inf`` — never a per-element
-        exception, so one unreachable pair cannot poison a coalesced
-        batch.  Validation (unknown node, non-object target) still
-        raises for the whole call, before any distance is computed.
-        """
-        nodes = _coerce_batch_nodes(nodes)
-        object_nodes = _coerce_batch_nodes(object_nodes)
-        if len(nodes) != len(object_nodes):
-            raise QueryError(
-                f"distance_batch needs aligned inputs: {len(nodes)} nodes "
-                f"vs {len(object_nodes)} objects"
-            )
-        for object_node in object_nodes:
-            self.dataset.rank(object_node)
-        nodes = [self._check_node(node) for node in nodes]
-        with self._scope("query.distance_batch", count=len(nodes)):
-            return self._distance_batch_values(nodes, object_nodes)
-
-    def _distance_batch_values(
-        self, nodes: list[int], object_nodes: list[int]
-    ) -> list[float]:
-        # Scalar fallback; the hub backend overrides with the vectorized
-        # label-join kernel.  The counters make kernel-vs-scalar traffic
-        # visible on /metrics.
-        self.metrics.counter("query.distance_batch.scalar_pairs").inc(
-            len(nodes)
-        )
-        return [
-            self._point_distance(node, int(object_node))
-            for node, object_node in zip(nodes, object_nodes)
-        ]
-
-    def range_query(
-        self, node: int, radius: float, *, with_distances: bool = False
-    ):
-        """Objects within ``radius`` of ``node``, in dataset order."""
-        node = self._check_node(node)
-        radius = _coerce_radius(radius)
-        with self._scope("query.range", node=node, radius=radius) as span:
-            fwd_hubs, fwd_dists = self._forward_entries(node)
-            best = self._range_row(fwd_hubs, fwd_dists, radius)
-            hits = np.nonzero(best <= radius)[0]
-            span.set("results", len(hits))
-        if with_distances:
-            return [
-                (self.dataset[int(rank)], float(best[rank])) for rank in hits
-            ]
-        return [self.dataset[int(rank)] for rank in hits]
-
-    def range_query_batch(
-        self, nodes, radius: float, *, with_distances: bool = False
-    ):
-        """One range query per node, results aligned with ``nodes``."""
-        nodes = _coerce_batch_nodes(nodes)
-        radius = _coerce_radius(radius)
-        with self._scope(
-            "query.range_batch", count=len(nodes), radius=radius
-        ):
-            return [
-                self.range_query(node, radius, with_distances=with_distances)
-                for node in nodes
-            ]
-
-    def knn(self, node: int, k: int, *, knn_type: KnnType = KnnType.SET):
-        """The k nearest objects to ``node``; ties break by dataset rank."""
-        node = self._check_node(node)
-        k = _coerce_k(k)
-        self._require_objects()
-        with self._scope(
-            "query.knn", node=node, k=k, knn_type=knn_type.name
-        ) as span:
-            fwd_hubs, fwd_dists = self._forward_entries(node)
-            pairs = self._knn_pairs(fwd_hubs, fwd_dists, k)
-            span.set("results", len(pairs))
-        return self._knn_result(pairs, knn_type)
-
-    def knn_batch(self, nodes, k: int, *, knn_type: KnnType = KnnType.SET):
-        """One kNN query per node, results aligned with ``nodes``."""
-        nodes = _coerce_batch_nodes(nodes)
-        k = _coerce_k(k)
-        self._require_objects()
-        with self._scope("query.knn_batch", count=len(nodes), k=k):
-            return [self.knn(node, k, knn_type=knn_type) for node in nodes]
-
-    def knn_approximate(self, node: int, k: int) -> list[int]:
-        """Degraded-mode kNN.  Backends hold exact distances — there is
-        no cheaper category-only representation to fall back to — so the
-        "approximation" is the exact answer set."""
-        node = self._check_node(node)
-        k = _coerce_k(k)
-        self._require_objects()
-        with self._scope("query.knn_approximate", node=node, k=k):
-            fwd_hubs, fwd_dists = self._forward_entries(node)
-            pairs = self._knn_pairs(fwd_hubs, fwd_dists, k)
-        return [self.dataset[rank] for rank, _ in pairs]
-
-    def approximate_range(self, node: int, radius: float) -> list[int]:
-        """Degraded-mode range (serving §3.2 fallback): exact here."""
-        return self.range_query(node, radius)
-
-    def aggregate_range(
-        self, node: int, radius: float, aggregate: str = "count"
-    ) -> float:
-        """Aggregate over the objects within ``radius`` of ``node``."""
-        try:
-            reducer = _AGGREGATES[aggregate]
-        except KeyError:
-            raise QueryError(
-                f"unknown aggregate {aggregate!r}; pick one of "
-                f"{sorted(_AGGREGATES)}"
-            ) from None
-        with self._scope(
-            "query.aggregate_range", node=node, radius=radius,
-            aggregate=aggregate,
-        ):
-            pairs = self.range_query(node, radius, with_distances=True)
-            return reducer([distance for _, distance in pairs])
-
-    def _object_rows(self, entries, ranks):
-        """Fresh ``(buckets, partition, object_table)`` after the
-        per-object ``(hubs, dists)`` entries of object ``ranks`` changed.
-
-        Only those rows (and columns) of the object distance matrix are
-        re-joined; the rest carry over from the current table, which is
-        only read.  Each pair goes through the same :func:`label_join`
-        the build's :func:`pairwise_label_distances` runs, so the result
-        equals a fresh derivation from ``entries``.
-        """
-        distances = np.array(self.object_table.matrix_view())
-        for i in ranks:
-            hubs_i, dists_i = entries[i]
-            for j, (hubs_j, dists_j) in enumerate(entries):
-                if j != i:
-                    distances[i, j] = distances[j, i] = label_join(
-                        hubs_i, dists_i, hubs_j, dists_j
-                    )
-        partition = self._derive_partition(distances)
-        return (
-            BucketLists.build(self.network.num_nodes, entries),
-            partition,
-            ObjectDistanceTable(distances, partition, drop_last_category=False),
-        )
-
-    # ------------------------------------------------------------------
-    # updates (§5.4): the unified changeset pipeline
-    # ------------------------------------------------------------------
-    def _full_rebuild_report(self) -> update.UpdateReport:
-        # Rebuild-on-update touches everything; report it honestly.
-        return update.UpdateReport(
-            affected_objects=set(range(len(self.dataset))),
-            changed_components=0,
-            touched_nodes=self.network.num_nodes,
-            recompressed_nodes=0,
-        )
-
-    def apply_updates(self, changeset):
-        """Apply a coalesced batch of edge deltas under one maintenance
-        pass: ``prepare_updates(changeset).commit()``.
-
-        Returns an :class:`~repro.core.changeset.ApplyResult`.
-        """
-        return self.prepare_updates(changeset).commit()
-
-    def prepare_updates(self, changeset):
-        """Validate ``changeset`` and prepare its write, unpublished.
-
-        The whole batch is validated before anything is computed
-        (structural problems raise :class:`~repro.errors.QueryError`,
-        unknown nodes and edges :class:`~repro.errors.DatasetError`),
-        then handed to the backend's ``_prepare_changeset`` hook, which
-        reads the live index and writes only state no query reads — so
-        queries may run on another thread meanwhile — and records no
-        metric and no span.  Returns a
-        :class:`~repro.core.changeset.Patch` whose ``commit`` publishes
-        the write.
-        """
-        from repro.core.changeset import Patch, as_changeset
-
-        start = time.perf_counter()
-        changeset = as_changeset(changeset)
-        changeset.validate(self.network)
-        prepared = self._prepare_changeset(changeset)
-        return Patch(
-            self, changeset, prepared,
-            prepare_seconds=time.perf_counter() - start,
-        )
-
-    def _prepare_changeset(self, changeset):
-        """Default: nothing to prepare; the commit runs the whole write
-        in place (:meth:`_publish`)."""
-        return None
-
-    def _commit_patch(self, patch):
-        """Publish a prepared write (called by ``Patch.commit``)."""
-        from repro.core.changeset import ApplyResult
-
-        changeset = patch.changeset
-        result = ApplyResult(applied=len(changeset))
-        with self._scope(
-            "update.apply", lead=patch.prepare_seconds, deltas=len(changeset)
-        ):
-            self._publish(changeset, patch.prepared, result)
-        self.metrics.counter(
-            f"backend.{self.backend_name}.update.applied"
-        ).inc(len(changeset))
-        return result
-
-    def _publish(self, changeset, prepared, result) -> None:
-        """Make the prepared write visible.  Default maintenance
-        strategy: mutate the network, rebuild, in place.
-
-        Backends with an incremental path override this (and, to
-        compute off the event loop, :meth:`_prepare_changeset`); they
-        must record their outcome on ``result`` (``bump("repaired")`` /
-        ``bump("rebuilt")``) and mirror it onto
-        ``backend.<name>.update.{repaired,rebuilt}`` counters.
-        """
-        from repro.core.changeset import apply_changeset_to_network
-
-        apply_changeset_to_network(self.network, changeset)
-        self._note_rebuilt(result)
-
-    def _note_rebuilt(self, result) -> None:
-        """Rebuild from ``self.network`` and account for it."""
-        self._rebuild()
-        self._count_rebuild(result)
-
-    def _count_rebuild(self, result) -> None:
-        self.metrics.counter("backend.rebuilds").inc()
-        self.metrics.counter(
-            f"backend.{self.backend_name}.update.rebuilt"
-        ).inc()
-        result.bump("rebuilt")
-        result.report.merge(self._full_rebuild_report())
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def reset_counters(self) -> None:
-        """Surface parity with the signature index (pages stay zero)."""
-        self.counter.reset()
-
-    def refresh_storage(self) -> None:
-        """No-op: backends hold plain arrays, nothing paged to re-pack.
-
-        Exists so the serving tier's maintenance endpoint works
-        unchanged against any backend.
-        """
-
-    def stats(self) -> dict:
-        """Structural summary as plain data (CLI ``info``/``stats``)."""
-        return {
-            "type": self.backend_name,
-            "backend": self.backend_name,
-            "nodes": self.network.num_nodes,
-            "edges": self.network.num_edges,
-            "objects": len(self.dataset),
-            "categories": self.partition.num_categories,
-            "bucket_entries": self.buckets.num_entries,
-            "index_bytes": self._structure_bytes(),
-            "object_table_bytes": self.object_table.size_bytes(),
-        }
-
-    def verify(self, *, sample_nodes: int = 16, seed: int = 0) -> None:
-        """Self-check sampled distances against fresh Dijkstra runs."""
-        from repro.network.dijkstra import shortest_path_tree
-
-        rng = np.random.default_rng(seed)
-        nodes = rng.choice(
-            self.network.num_nodes,
-            size=min(sample_nodes, self.network.num_nodes),
-            replace=False,
-        )
-        for object_node in self.dataset:
-            tree = shortest_path_tree(self.network, object_node)
-            for node in nodes:
-                node = int(node)
-                truth = tree.distance[node]
-                got = self._point_distance(node, int(object_node))
-                if got != truth:
-                    raise IndexError_(
-                        f"node {node} object {object_node}: "
-                        f"{self.backend_name} distance {got} != "
-                        f"Dijkstra {truth}"
-                    )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{type(self).__name__}(nodes={self.network.num_nodes}, "
-            f"objects={len(self.dataset)}, "
-            f"bucket_entries={self.buckets.num_entries})"
-        )
-
-
-class _NullScope:
-    __slots__ = ()
-
-    def __enter__(self):
-        return NULL_SPAN
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_SCOPE = _NullScope()

@@ -1,8 +1,7 @@
-"""Contraction hierarchies: the preprocessing and the upward search.
+"""Contraction hierarchies: the preprocessing behind the hub labels.
 
-The second index family (see ``docs/BACKENDS.md``): instead of
-precomputing per-object distance *signatures*, preprocess the network
-itself.  Nodes are contracted one by one in importance order; each
+Instead of precomputing per-object distance *signatures*, the hub-label
+index (``docs/BACKENDS.md``) preprocesses the network itself.  Nodes are contracted one by one in importance order; each
 contraction inserts *shortcut* edges between the removed node's
 neighbors whenever the two-hop path through it was a shortest path
 (checked by a bounded *witness search*).  The surviving structure — the
@@ -11,17 +10,13 @@ to its higher-ranked endpoint — is the *upward graph*, stored here as a
 CSR over contiguous numpy arrays so it can be persisted and mmapped
 verbatim.
 
-Two query primitives come out of it:
-
-* :meth:`ContractionHierarchy.distance` — a bidirectional Dijkstra that
-  only relaxes upward edges from both endpoints; the exact distance is
-  the best meeting point (Geisberger et al.'s CH query, engineered as in
-  Zhu et al., "Shortest Path and Distance Queries on Road Networks:
-  Towards Bridging Theory and Practice");
-* :meth:`ContractionHierarchy.search_space` — one upward sweep with
-  stall-on-demand, the building block for hub labels and for the
-  object-bucket lists both backends use for range/kNN
-  (:mod:`repro.backends.base`).
+The labels are distilled from its upward search spaces (Geisberger et
+al.'s contraction, engineered as in Zhu et al., "Shortest Path and
+Distance Queries on Road Networks: Towards Bridging Theory and
+Practice"): :meth:`ContractionHierarchy.batch_search_spaces` computes
+every node's space in one rank-descending dynamic program, and
+:meth:`ContractionHierarchy.search_space` — one stalled upward sweep —
+is the per-node reference it must agree with.
 
 Node ordering is *edge difference over independent-set rounds*: the
 priority of a node is (shortcuts its contraction would insert) − (edges
@@ -49,20 +44,11 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from repro.backends.base import (
-    BucketLists,
-    HierarchyIndexBase,
-    RepairPhases,
-    _expand_side,
-    pairwise_label_distances,
-)
-from repro.core.signature import ObjectDistanceTable
-from repro.core.update import UpdateReport
+from repro.backends.base import _expand_side
 from repro.network.graph import RoadNetwork
 from repro.obs.metrics import NULL_REGISTRY
-from repro.obs.tracing import Tracer
 
-__all__ = ["CHIndex", "ContractionHierarchy"]
+__all__ = ["ContractionHierarchy"]
 
 #: Witness searches give up after settling this many nodes.  A missed
 #: witness only costs one redundant shortcut (correctness is unaffected),
@@ -697,9 +683,9 @@ class _RankView(dict):
 class RepairOutcome:
     """What one :meth:`ContractionHierarchy.repair` pass changed."""
 
-    __slots__ = ("changed_up", "damaged", "repaired", "removed_up")
+    __slots__ = ("changed_up", "damaged", "repaired")
 
-    def __init__(self, changed_up, damaged, repaired, removed_up) -> None:
+    def __init__(self, changed_up, damaged, repaired) -> None:
         #: Nodes whose upward edge list (targets or weights) changed,
         #: ascending.
         self.changed_up = changed_up
@@ -707,11 +693,6 @@ class RepairOutcome:
         self.damaged = damaged
         #: Damaged nodes whose witness searches actually re-ran.
         self.repaired = repaired
-        #: Upward edges ``(v, target)`` the repair dropped — with the
-        #: maintained reverse CSR, the union of old and new upward
-        #: graphs that :meth:`ContractionHierarchy.downward_closure`
-        #: walks.
-        self.removed_up = removed_up
 
 
 class ContractionHierarchy:
@@ -739,8 +720,6 @@ class ContractionHierarchy:
         up_targets: np.ndarray,
         up_weights: np.ndarray,
         num_shortcuts: int,
-        *,
-        metrics=None,
     ) -> None:
         self.order = order
         self.up_indptr = up_indptr
@@ -761,13 +740,6 @@ class ContractionHierarchy:
         # overlay and the reverse upward CSR.
         self._overlay: _Overlay | None = None
         self._reverse: _KeyedCSR | None = None
-        self.bind_metrics(metrics)
-
-    def bind_metrics(self, metrics) -> None:
-        """Bind (or rebind) the ``backend.ch.settled`` counter."""
-        if metrics is None:
-            metrics = NULL_REGISTRY
-        self._metric_settled = metrics.counter("backend.ch.settled")
 
     # ------------------------------------------------------------------
     # preprocessing
@@ -933,9 +905,7 @@ class ContractionHierarchy:
             for offset, (u, weight) in enumerate(up_edges[v]):
                 targets[start + offset] = u
                 weights[start + offset] = weight
-        hierarchy = cls(
-            order, indptr, targets, weights, num_shortcuts, metrics=metrics
-        )
+        hierarchy = cls(order, indptr, targets, weights, num_shortcuts)
         hierarchy.settle_cap = int(settle_cap)
         hierarchy.rounds = rounds
         hierarchy.repair_state = RepairState(cached, visited_sets)
@@ -1044,20 +1014,19 @@ class ContractionHierarchy:
                     touched.update((a, b))
             recorded[v] = (pairs, visited)
         state.rerecord(recorded)
-        changed_up, removed_up = self._rewrite_up_rows(sorted(touched))
+        changed_up = self._rewrite_up_rows(sorted(touched))
         self.num_shortcuts = overlay.num_shortcuts
         return RepairOutcome(
             changed_up=changed_up,
             damaged=len(damaged),
             repaired=len(recorded),
-            removed_up=removed_up,
         )
 
     def _rewrite_up_rows(self, rows: list[int]):
         """Re-derive the upward rows of ``rows`` from the overlay and
         splice the ones that differ into the CSR (and the reverse CSR).
 
-        Returns ``(changed rows, removed upward edges)``.
+        Returns the changed rows.
         """
         overlay = self._overlay
         rank = overlay.rank
@@ -1069,7 +1038,6 @@ class ContractionHierarchy:
         counts: list[int] = []
         row_targets: list[int] = []
         row_weights: list[float] = []
-        removed: list[tuple[int, int]] = []
         gone: list[int] = []
         added: list[int] = []
         for x in rows:
@@ -1088,7 +1056,6 @@ class ContractionHierarchy:
             row_targets += new_targets
             row_weights += new_weights
             before, after = set(old_targets), set(new_targets)
-            removed.extend((x, t) for t in before - after)
             gone.extend(t * n + x for t in before - after)
             added.extend(t * n + x for t in after - before)
         if changed:
@@ -1098,7 +1065,7 @@ class ContractionHierarchy:
             )
             if self._reverse is not None:
                 self._reverse.patch(gone, added)
-        return np.asarray(changed, dtype=np.int64), removed
+        return np.asarray(changed, dtype=np.int64)
 
     def reverse_csr(self) -> _KeyedCSR:
         """The reverse upward graph: row ``x`` lists the nodes whose
@@ -1113,36 +1080,8 @@ class ContractionHierarchy:
             self._reverse = _KeyedCSR(n, self.up_targets, owners)
         return self._reverse
 
-    def downward_closure(self, seeds, removed_up=()) -> np.ndarray:
-        """Nodes whose stalled upward search space may differ after repair.
-
-        A node's upward sweep reads only the upward edges of nodes it
-        reaches, so its search space can change only if it reaches — in
-        the old upward graph or the new one — a node whose upward edges
-        changed.  Returns a boolean mask of that reverse-reachable
-        closure over the union of both graphs (seeds included): the
-        maintained reverse CSR covers the new graph, ``removed_up``
-        (:attr:`RepairOutcome.removed_up`) the edges only the old one
-        had.
-        """
-        reverse = self.reverse_csr()
-        dropped: dict[int, list[int]] = {}
-        for v, target in removed_up:
-            dropped.setdefault(target, []).append(v)
-        affected = np.zeros(self.num_nodes, dtype=bool)
-        stack = [int(s) for s in seeds]
-        seen = set(stack)
-        while stack:
-            x = stack.pop()
-            for v in reverse.row(x) + dropped.get(x, []):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        affected[list(seen)] = True
-        return affected
-
     # ------------------------------------------------------------------
-    # queries
+    # search spaces
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
@@ -1161,15 +1100,18 @@ class ContractionHierarchy:
             + self.up_weights.nbytes
         )
 
-    def _upward_dijkstra(self, source: int, *, stall: bool) -> dict[int, float]:
-        """All settled upward distances from ``source`` (possibly > exact).
+    def search_space(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stalled upward search space, sorted by node id.
 
-        With ``stall`` (stall-on-demand), a popped node whose tentative
-        distance is beaten by a settled neighbor plus the connecting
-        edge is suppressed: that entry provably is not a shortest path,
-        and — because an exact entry can never be beaten by a real path
-        — every exact-distance entry survives.  The settled map is
-        therefore still a valid hub label for ``source``.
+        One upward Dijkstra from ``source`` with stall-on-demand: a
+        popped node whose tentative distance is beaten by a settled
+        neighbor plus the connecting edge is suppressed — that entry
+        provably is not a shortest path, and because an exact entry can
+        never be beaten by a real path, every exact-distance entry
+        survives.  Returns ``(nodes, distances)`` — a valid (unpruned)
+        hub label for ``source``: for every target ``t`` the minimum of
+        ``d_s(m) + d_t(m)`` over shared entries ``m`` is the exact
+        network distance.
         """
         indptr, targets, weights = (
             self.up_indptr, self.up_targets, self.up_weights,
@@ -1182,15 +1124,11 @@ class ContractionHierarchy:
             if u in settled or d > dist.get(u, math.inf):
                 continue
             lo, hi = int(indptr[u]), int(indptr[u + 1])
-            if stall:
-                stalled = False
-                for pos in range(lo, hi):
-                    w = int(targets[pos])
-                    if settled.get(w, math.inf) + weights[pos] < d:
-                        stalled = True
-                        break
-                if stalled:
-                    continue
+            if any(
+                settled.get(int(targets[pos]), math.inf) + weights[pos] < d
+                for pos in range(lo, hi)
+            ):
+                continue
             settled[u] = d
             for pos in range(lo, hi):
                 w = int(targets[pos])
@@ -1198,18 +1136,6 @@ class ContractionHierarchy:
                 if nd < dist.get(w, math.inf):
                     dist[w] = nd
                     heappush(heap, (nd, w))
-        self._metric_settled.inc(len(settled))
-        return settled
-
-    def search_space(self, source: int) -> tuple[np.ndarray, np.ndarray]:
-        """The stalled upward search space, sorted by node id.
-
-        Returns ``(nodes, distances)`` — a valid (unpruned) hub label
-        for ``source``: for every target ``t`` the minimum of
-        ``d_s(m) + d_t(m)`` over shared entries ``m`` is the exact
-        network distance.
-        """
-        settled = self._upward_dijkstra(source, stall=True)
         nodes = np.fromiter(settled.keys(), dtype=np.int64, count=len(settled))
         dists = np.fromiter(
             settled.values(), dtype=np.float64, count=len(settled)
@@ -1311,275 +1237,9 @@ class ContractionHierarchy:
             return self._overlay.rank
         return self.order.tolist()
 
-    def distance(self, source: int, target: int) -> float:
-        """Exact point-to-point distance (bidirectional upward Dijkstra).
-
-        Both directions relax only upward edges; every shortest path has
-        a unique highest-ranked node, reached upward from both ends, so
-        the best meeting point is exact.  A direction stops once its
-        queue head can no longer improve the incumbent.
-        """
-        if source == target:
-            return 0.0
-        indptr, targets, weights = (
-            self.up_indptr, self.up_targets, self.up_weights,
-        )
-        dist_f: dict[int, float] = {source: 0.0}
-        dist_b: dict[int, float] = {target: 0.0}
-        heap_f: list[tuple[float, int]] = [(0.0, source)]
-        heap_b: list[tuple[float, int]] = [(0.0, target)]
-        done_f: set[int] = set()
-        done_b: set[int] = set()
-        best = math.inf
-        settled = 0
-        while heap_f or heap_b:
-            if heap_f and (not heap_b or heap_f[0][0] <= heap_b[0][0]):
-                heap, dist, done, other = heap_f, dist_f, done_f, dist_b
-            else:
-                heap, dist, done, other = heap_b, dist_b, done_b, dist_f
-            d, u = heappop(heap)
-            if d >= best:
-                # Nothing on this side can improve the incumbent; drain it.
-                heap.clear()
-                continue
-            if u in done or d > dist.get(u, math.inf):
-                continue
-            done.add(u)
-            settled += 1
-            if u in other:
-                total = d + other[u]
-                if total < best:
-                    best = total
-            for pos in range(int(indptr[u]), int(indptr[u + 1])):
-                w = int(targets[pos])
-                nd = d + weights[pos]
-                if nd < dist.get(w, math.inf):
-                    dist[w] = nd
-                    heappush(heap, (nd, w))
-        self._metric_settled.inc(settled)
-        return best
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ContractionHierarchy(nodes={self.num_nodes}, "
             f"upward_edges={self.num_upward_edges}, "
             f"shortcuts={self.num_shortcuts})"
         )
-
-
-class CHIndex(HierarchyIndexBase):
-    """The contraction-hierarchy backend behind ``DistanceIndex``.
-
-    Point-to-point ``distance()`` is the bidirectional upward Dijkstra.
-    Range/kNN use the shared bucket lists of :mod:`repro.backends.base`,
-    fed from each *object's* stalled upward search space; the query side
-    runs one upward sweep per query (its search space is computed on the
-    fly, not stored), which keeps the index small at the cost of per-
-    query settle work — the trade-off the hub-label backend flips.
-
-    Bucket entries taken from raw search spaces may overestimate
-    individual hub distances, but for every object the minimum over
-    shared hubs is exact (a search space is a valid hub label), which is
-    all the bucket algorithms rely on.
-    """
-
-    backend_name = "ch"
-
-    #: ``apply_updates`` falls back to a full rebuild once the repair
-    #: damage set exceeds this fraction of the network's nodes.
-    repair_threshold = 0.25
-
-    def __init__(
-        self,
-        network,
-        dataset,
-        hierarchy: ContractionHierarchy,
-        partition,
-        object_table,
-        buckets,
-        *,
-        settle_cap: int = WITNESS_SETTLE_CAP,
-        object_entries=None,
-        metrics=None,
-    ) -> None:
-        self.hierarchy = hierarchy
-        self.settle_cap = int(settle_cap)
-        # Per-object search spaces, aligned with dataset rank — kept so
-        # incremental repair recomputes only the affected objects'
-        # bucket entries.  Snapshots rederive them from the buckets;
-        # ``None`` only when the hierarchy has no repair recording (the
-        # first apply_updates then rebuilds).
-        self._object_entries = object_entries
-        super().__init__(
-            network, dataset, partition, object_table, buckets,
-            metrics=metrics,
-        )
-
-    @classmethod
-    def build(
-        cls,
-        network: RoadNetwork,
-        dataset,
-        *,
-        settle_cap: int = WITNESS_SETTLE_CAP,
-        metrics=None,
-    ) -> "CHIndex":
-        """Contract the network, then bucket the object search spaces.
-
-        ``settle_cap`` bounds each witness search; it is persisted with
-        the index and reused on §5.4 rebuilds.
-
-        The build trace (``index.build_trace``) carries one span per
-        phase — ``build.contract``, ``build.buckets``,
-        ``build.object_table`` — and each phase's wall time also lands
-        on a ``backend.ch.build.<phase>_seconds`` gauge when metrics are
-        enabled.
-        """
-        trace = Tracer()
-        with trace.span("build.ch", nodes=network.num_nodes):
-            with trace.span("build.contract") as span:
-                hierarchy = ContractionHierarchy.build(
-                    network, settle_cap=settle_cap, metrics=metrics
-                )
-                span.set("shortcuts", hierarchy.num_shortcuts)
-            with trace.span("build.buckets") as span:
-                entries = [
-                    hierarchy.search_space(object_node)
-                    for object_node in dataset
-                ]
-                buckets = BucketLists.build(network.num_nodes, entries)
-                span.set("entries", buckets.num_entries)
-            with trace.span("build.object_table"):
-                distances = pairwise_label_distances(entries)
-                partition = cls._derive_partition(distances)
-                object_table = ObjectDistanceTable(
-                    distances, partition, drop_last_category=False
-                )
-        index = cls(
-            network, dataset, hierarchy, partition, object_table, buckets,
-            settle_cap=settle_cap, object_entries=entries, metrics=metrics,
-        )
-        index._record_build_trace(trace)
-        return index
-
-    def _record_build_trace(self, trace: Tracer) -> None:
-        self.build_trace = trace
-        for span in trace.walk():
-            if span.name.startswith("build.") and span.name != "build.ch":
-                phase = span.name.removeprefix("build.")
-                self.metrics.gauge(
-                    f"backend.ch.build.{phase}_seconds"
-                ).set(span.seconds)
-
-    # ------------------------------------------------------------------
-    # HierarchyIndexBase hooks
-    # ------------------------------------------------------------------
-    def _bind_backend_metrics(self, registry) -> None:
-        self.hierarchy.bind_metrics(registry)
-
-    def _forward_entries(self, node: int):
-        return self.hierarchy.search_space(node)
-
-    def _point_distance(self, node: int, target: int) -> float:
-        return self.hierarchy.distance(node, target)
-
-    def _rebuild(self) -> None:
-        rebuilt = type(self).build(
-            self.network,
-            self.dataset,
-            settle_cap=self.settle_cap,
-            metrics=self.metrics,
-        )
-        self.hierarchy = rebuilt.hierarchy
-        self.buckets = rebuilt.buckets
-        self.partition = rebuilt.partition
-        self.object_table = rebuilt.object_table
-        self.build_trace = rebuilt.build_trace
-        self._object_entries = rebuilt._object_entries
-
-    def _publish(self, changeset, prepared, result) -> None:
-        """Incremental §5.4 maintenance at commit, in place: repair the
-        hierarchy, then recompute search spaces only for objects the
-        repair may have moved.  (The query path reads the hierarchy, so
-        there is nothing to prepare off the event loop.)
-
-        The repair's phases land on ``backend.ch.update.<phase>_seconds``
-        histograms, once per repaired write: ``replay`` (the damaged
-        contractions and the upward-row patch), ``spaces`` (the
-        downward closure and the affected objects' search spaces) and
-        ``objects`` (buckets and object table).
-
-        Falls back to a full rebuild when no repair recording exists
-        (indexes loaded from older snapshots), or the contraction damage
-        exceeds ``repair_threshold`` × nodes.  Either way the resulting
-        structures are bit-identical to a fresh build on the mutated
-        network's repaired hierarchy — queries stay exact.
-        """
-        from repro.core.changeset import apply_changeset_to_network
-
-        changed_edges = changeset.edges()
-        apply_changeset_to_network(self.network, changeset)
-        n = self.network.num_nodes
-        phases = RepairPhases(("replay", "spaces", "objects"))
-        outcome = None
-        if self._object_entries is not None:
-            limit = max(1, int(self.repair_threshold * n))
-            with phases("replay"):
-                outcome = self.hierarchy.repair(
-                    self.network, changed_edges, damage_limit=limit
-                )
-        if outcome is None:
-            self._note_rebuilt(result)
-            return
-        hierarchy = self.hierarchy
-        with phases("spaces"):
-            affected = hierarchy.downward_closure(
-                outcome.changed_up, outcome.removed_up
-            )
-            affected_ranks = [
-                rank
-                for rank, object_node in enumerate(self.dataset)
-                if affected[int(object_node)]
-            ]
-            moved = []
-            for rank in affected_ranks:
-                entry = hierarchy.search_space(int(self.dataset[rank]))
-                old = self._object_entries[rank]
-                if not (
-                    np.array_equal(entry[0], old[0])
-                    and np.array_equal(entry[1], old[1])
-                ):
-                    self._object_entries[rank] = entry
-                    moved.append(rank)
-        with phases("objects"):
-            if moved:
-                self.buckets, self.partition, self.object_table = (
-                    self._object_rows(self._object_entries, moved)
-                )
-        phases.observe(self.metrics, "ch")
-        self.metrics.counter("backend.ch.update.repaired").inc()
-        self.metrics.counter("backend.ch.update.damaged_nodes").inc(
-            outcome.damaged
-        )
-        result.bump("repaired")
-        result.bump("damaged_nodes", outcome.damaged)
-        result.report.merge(
-            UpdateReport(
-                affected_objects=set(affected_ranks),
-                changed_components=0,
-                touched_nodes=int(affected.sum()),
-                recompressed_nodes=0,
-            )
-        )
-
-    def _structure_bytes(self) -> int:
-        return self.hierarchy.nbytes() + self.buckets.nbytes()
-
-    def stats(self) -> dict:
-        report = super().stats()
-        report["shortcuts"] = self.hierarchy.num_shortcuts
-        report["upward_edges"] = self.hierarchy.num_upward_edges
-        report["settle_cap"] = self.settle_cap
-        if self.hierarchy.rounds is not None:
-            report["contraction_rounds"] = self.hierarchy.rounds
-        return report

@@ -1,14 +1,14 @@
 """Hub labels distilled from CH search spaces (2-hop distance labels).
 
-The third index family: where the CH backend runs an upward search per
-query, this one runs *all* the searches at preprocessing time and stores
-the result.  Every node ``v`` gets a label ``L(v)`` — hub ids and exact
-distances, sorted by hub id in one contiguous CSR — such that for any
-``s, t`` the minimum of ``d_s(h) + d_t(h)`` over hubs shared by
-``L(s)`` and ``L(t)`` is the exact network distance (the 2-hop cover
-property, cf. "Hop Doubling Label Indexing" in PAPERS.md; the
-construction here is the CH-based one of Abraham et al. as engineered by
-Zhu et al.).
+The point-to-point index family beside the paper's signatures: it runs
+every node's upward contraction-hierarchy search at preprocessing time
+and stores the result.  Every node ``v`` gets a label ``L(v)`` — hub
+ids and exact distances, sorted by hub id in one contiguous CSR — such
+that for any ``s, t`` the minimum of ``d_s(h) + d_t(h)`` over hubs
+shared by ``L(s)`` and ``L(t)`` is the exact network distance (the
+2-hop cover property, cf. "Hop Doubling Label Indexing" in PAPERS.md;
+the construction here is the CH-based one of Abraham et al. as
+engineered by Zhu et al.).
 
 Construction: labels are the upward search spaces of
 :class:`~repro.backends.ch.ContractionHierarchy`, pruned of
@@ -34,19 +34,22 @@ base incremental maintenance diffs against.
 ``distance()`` is then a sorted-merge intersection of two label slices —
 no graph traversal at all — and ``distance_batch()`` runs the same join
 for a whole batch in one vectorized kernel pass, which is what buys the
-order-of-magnitude qps gap over both other backends
-(``BENCH_backends.json``, ``BENCH_scale.json``).
+distance-qps lead over the signature index (``BENCH_backends.json``,
+``BENCH_scale.json``).
 """
 
 from __future__ import annotations
 
+import math
+import time
+from contextlib import contextmanager
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.backends.base import (
     BucketLists,
-    HierarchyIndexBase,
     RepairPhases,
     _expand_side,
     batch_label_join_csr,
@@ -60,11 +63,21 @@ from repro.backends.ch import (
     changed_rows,
     splice_rows,
 )
+from repro.core.categories import CategoryPartition, optimal_partition
+from repro.core.index import (
+    _NULL_SCOPE,
+    _coerce_batch_nodes,
+    _coerce_k,
+    _coerce_radius,
+)
+from repro.core.queries import _AGGREGATES, KnnType
 from repro.core.signature import ObjectDistanceTable
 from repro.core.update import UpdateReport
+from repro.errors import IndexError_, QueryError
 from repro.network.graph import RoadNetwork
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Tracer, span_of
+from repro.storage.pager import PageAccessCounter
 
 __all__ = ["HubLabelIndex", "build_labels"]
 
@@ -417,41 +430,41 @@ def build_labels(
     return _distil(hierarchy.batch_search_spaces())
 
 
-class HubLabelIndex(HierarchyIndexBase):
+class HubLabelIndex:
     """The hub-label backend behind ``DistanceIndex``.
 
     Queries touch only label arrays: ``distance()`` joins two label
-    slices; range/kNN join the query label against the shared bucket
-    lists (built from the *object labels*, so every bucket entry is an
-    exact distance).  The price is paid up front — labels for all n
-    nodes dominate the index size — which is exactly the trade the
-    head-to-head benchmark quantifies against CH and the signature
-    index.
+    slices; range/kNN join the query label against the bucket lists
+    (built from the *object labels*, so every bucket entry is an exact
+    distance).  The price is paid up front — labels for all n nodes
+    dominate the index size — which is exactly the trade the
+    head-to-head benchmark quantifies against the signature index.
+
+    The surface mirrors the signature index: batch inputs go through
+    :func:`~repro.core.index._coerce_batch_nodes`, radii and k through
+    the same coercions, and empty-dataset kNN raises the identical
+    :class:`~repro.errors.QueryError`.  Ties are resolved by
+    ``(distance, dataset rank)`` — the ordering the signature index's
+    ``EXACT_DISTANCES`` results pin.
 
     Because queries read nothing else, a write never edits a structure
     a query reads: ``prepare_updates`` repairs the writer-owned
     hierarchy and space CSR and builds fresh label, bucket, partition
-    and object-table objects (:meth:`_prepare_changeset`), and the
-    patch's ``commit`` swaps the references in (:meth:`_publish`).
+    and object-table objects (:meth:`_prepare_repair`), and the patch's
+    ``commit`` swaps the references in (:meth:`_publish`).
     """
 
     backend_name = "hub"
+
+    #: Committed writes so far; a patch commits only at the generation
+    #: it was prepared at (:class:`~repro.core.changeset.Patch`).
+    write_generation = 0
 
     #: ``apply_updates`` falls back to a full rebuild once the
     #: hierarchy repair's damage set exceeds this fraction of the
     #: network's nodes (replaying a mostly-damaged contraction costs as
     #: much as contracting afresh).
     repair_threshold = 0.25
-
-    #: Separate fallback for the *redistillation* phase: rebuild only
-    #: when more than this fraction of labels needs recomputation.
-    #: Defaults to 1.0 — never — because redistillation on a repaired
-    #: hierarchy is vectorized CSR work that measures several times
-    #: cheaper than a full rebuild even when every label is affected
-    #: (the rebuild's contraction dominates); the knob exists for
-    #: deployments that would rather re-derive the contraction order
-    #: than serve from an aging one.
-    relabel_threshold = 1.0
 
     def __init__(
         self,
@@ -461,19 +474,24 @@ class HubLabelIndex(HierarchyIndexBase):
         label_indptr: np.ndarray,
         label_hubs: np.ndarray,
         label_dists: np.ndarray,
-        partition,
-        object_table,
-        buckets,
+        partition: CategoryPartition,
+        object_table: ObjectDistanceTable,
+        buckets: BucketLists,
         *,
         settle_cap: int = WITNESS_SETTLE_CAP,
         hierarchy: ContractionHierarchy | None = None,
         spaces: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-        metrics=None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
+        self.network = network
+        self.dataset = dataset
         self.order = order
         self.label_indptr = label_indptr
         self.label_hubs = label_hubs
         self.label_dists = label_dists
+        self.partition = partition
+        self.object_table = object_table
+        self.buckets = buckets
         self.settle_cap = int(settle_cap)
         # The hierarchy the labels were distilled from — kept so
         # incremental repair can replay contractions and recompute only
@@ -492,10 +510,14 @@ class HubLabelIndex(HierarchyIndexBase):
         # run ahead of the published labels, and the next prepare
         # rebuilds instead of repairing.
         self._writer_ahead = False
-        super().__init__(
-            network, dataset, partition, object_table, buckets,
-            metrics=metrics,
-        )
+        # The index is array-resident, not page-simulated: the counter
+        # exists for surface compatibility (serving telemetry, CLI
+        # reporting) and stays at zero.
+        self.counter = PageAccessCounter()
+        self.buffer_pool = None
+        self.tracer: Tracer | None = None
+        self.build_trace: Tracer | None = None
+        self.use_metrics(metrics if metrics is not None else MetricsRegistry())
 
     @classmethod
     def build(
@@ -548,6 +570,21 @@ class HubLabelIndex(HierarchyIndexBase):
         release_join_workspace()
         return index
 
+    @staticmethod
+    def _derive_partition(object_distances: np.ndarray) -> CategoryPartition:
+        """A partition scaled to the dataset's distance spread.
+
+        The index needs no categories to answer queries (it holds exact
+        distances); the partition exists for surface parity — serving
+        clients read its boundaries to form workload radii.  The scale
+        comes from the largest finite object-to-object distance.
+        """
+        finite = object_distances[np.isfinite(object_distances)]
+        spread = float(finite.max()) if finite.size else 0.0
+        if spread <= 0.0:
+            return CategoryPartition([])
+        return optimal_partition(spread)
+
     def _record_build_trace(self, trace: Tracer) -> None:
         self.build_trace = trace
         for span in trace.walk():
@@ -558,46 +595,364 @@ class HubLabelIndex(HierarchyIndexBase):
                 ).set(span.seconds)
 
     # ------------------------------------------------------------------
-    # HierarchyIndexBase hooks
+    # observability (mirrors SignatureIndex)
     # ------------------------------------------------------------------
     @property
     def num_label_entries(self) -> int:
         return len(self.label_hubs)
 
-    def _bind_backend_metrics(self, registry) -> None:
-        registry.gauge("backend.hub.label_entries").set(
+    @contextmanager
+    def trace(self):
+        """Record a span tree for everything run inside the block."""
+        tracer = Tracer(self.counter)
+        previous = self.tracer
+        self.tracer = tracer
+        try:
+            yield tracer
+        finally:
+            self.tracer = previous
+
+    def use_metrics(self, registry: MetricsRegistry) -> None:
+        """Swap the metrics registry and set the label-size gauge on it."""
+        self.metrics = registry
+        self._set_label_gauge()
+
+    def _set_label_gauge(self) -> None:
+        self.metrics.gauge("backend.hub.label_entries").set(
             self.num_label_entries
         )
 
-    def _forward_entries(self, node: int):
+    @contextmanager
+    def _observed(self, kind: str, *, count: int, lead: float, attrs: dict):
+        start = time.perf_counter() - lead
+        with span_of(self, kind, **attrs) as span:
+            yield span
+            elapsed = time.perf_counter() - start
+        metrics = self.metrics
+        metrics.counter(f"{kind}.count").inc(count)
+        if count > 0:
+            metrics.histogram(f"{kind}.seconds").observe(elapsed / count)
+
+    def _scope(self, kind: str, *, count: int = 1, lead: float = 0.0,
+               **attrs):
+        """One instrumented region; ``lead`` seconds spent on it before
+        the block (a write's prepare) count toward ``kind.seconds``."""
+        if self.tracer is None and not self.metrics.enabled:
+            return _NULL_SCOPE
+        return self._observed(kind, count=count, lead=lead, attrs=attrs)
+
+    # ------------------------------------------------------------------
+    # validation
+    # ------------------------------------------------------------------
+    def _check_node(self, node: int) -> int:
+        node = int(node)
+        if not 0 <= node < self.network.num_nodes:
+            raise QueryError(
+                f"node {node} does not exist "
+                f"(network has {self.network.num_nodes} nodes)"
+            )
+        return node
+
+    def _require_objects(self) -> None:
+        # Same message (and QueryError/ValueError typing) as
+        # repro.core.queries._require_objects, so HTTP 400 mapping and
+        # caller handling are backend-agnostic.
+        if len(self.dataset) == 0:
+            raise QueryError("kNN query requires a non-empty object dataset")
+
+    # ------------------------------------------------------------------
+    # label and bucket query core
+    # ------------------------------------------------------------------
+    def _label(self, node: int):
         lo = int(self.label_indptr[node])
         hi = int(self.label_indptr[node + 1])
         return self.label_hubs[lo:hi], self.label_dists[lo:hi]
 
     def _point_distance(self, node: int, target: int) -> float:
-        hubs_a, dists_a = self._forward_entries(node)
-        hubs_b, dists_b = self._forward_entries(target)
+        hubs_a, dists_a = self._label(node)
+        hubs_b, dists_b = self._label(target)
         return label_join(hubs_a, dists_a, hubs_b, dists_b)
 
-    def _distance_batch_values(
-        self, nodes: list[int], object_nodes: list[int]
-    ) -> list[float]:
-        # The whole batch in one vectorized label-join pass — the same
-        # minimum over the same shared-hub sums the scalar sorted-merge
-        # computes, so answers are bit-identical.
-        self.metrics.counter("query.distance_batch.kernel_pairs").inc(
-            len(nodes)
-        )
-        joined = batch_label_join_csr(
-            self.label_indptr,
-            self.label_hubs,
-            self.label_dists,
-            np.asarray(nodes, dtype=np.int64),
-            np.asarray(object_nodes, dtype=np.int64),
-        )
-        return [float(value) for value in joined]
+    def _range_row(
+        self, fwd_hubs: np.ndarray, fwd_dists: np.ndarray, radius: float
+    ) -> np.ndarray:
+        """Best candidate sum per object rank, scanning only entries
+        whose sum can land within ``radius`` (``inf`` elsewhere).
 
-    def _prepare_changeset(self, changeset):
+        For every object whose true distance is within ``radius`` the
+        minimizing hub pair sums to that distance and survives the cut,
+        so qualifying entries of the returned row are *exact*.
+        """
+        best = np.full(len(self.dataset), math.inf)
+        indptr, ranks, dists = (
+            self.buckets.indptr, self.buckets.ranks, self.buckets.dists,
+        )
+        for i in range(len(fwd_hubs)):
+            hub = int(fwd_hubs[i])
+            lo, hi = int(indptr[hub]), int(indptr[hub + 1])
+            if lo == hi:
+                continue
+            reach = radius - float(fwd_dists[i])
+            if reach < 0:
+                continue
+            cut = lo + int(
+                np.searchsorted(dists[lo:hi], reach, side="right")
+            )
+            if cut > lo:
+                np.minimum.at(
+                    best, ranks[lo:cut], fwd_dists[i] + dists[lo:cut]
+                )
+        return best
+
+    def _knn_pairs(
+        self, fwd_hubs: np.ndarray, fwd_dists: np.ndarray, k: int
+    ) -> list[tuple[int, float]]:
+        """The k nearest ``(rank, distance)`` pairs, ascending.
+
+        Lazy k-way merge over the touched buckets: candidates pop in
+        globally ascending ``(sum, rank)`` order, the first pop of each
+        rank carries its exact distance, and ties at the k-th distance
+        resolve to the lowest dataset rank.
+        """
+        indptr, ranks, dists = (
+            self.buckets.indptr, self.buckets.ranks, self.buckets.dists,
+        )
+        heap: list[tuple[float, int, int, int]] = []
+        ends: list[int] = []
+        for i in range(len(fwd_hubs)):
+            hub = int(fwd_hubs[i])
+            lo, hi = int(indptr[hub]), int(indptr[hub + 1])
+            ends.append(hi)
+            if lo < hi:
+                heappush(
+                    heap,
+                    (
+                        float(fwd_dists[i] + dists[lo]),
+                        int(ranks[lo]),
+                        i,
+                        lo,
+                    ),
+                )
+        seen: set[int] = set()
+        out: list[tuple[int, float]] = []
+        while heap and len(out) < k:
+            total, rank, i, pos = heappop(heap)
+            if rank not in seen:
+                seen.add(rank)
+                out.append((rank, total))
+            pos += 1
+            if pos < ends[i]:
+                heappush(
+                    heap,
+                    (
+                        float(fwd_dists[i] + dists[pos]),
+                        int(ranks[pos]),
+                        i,
+                        pos,
+                    ),
+                )
+        return out
+
+    def _knn_result(self, pairs: list[tuple[int, float]], knn_type: KnnType):
+        if knn_type is KnnType.EXACT_DISTANCES:
+            return [(self.dataset[rank], d) for rank, d in pairs]
+        return [self.dataset[rank] for rank, _ in pairs]
+
+    # ------------------------------------------------------------------
+    # queries (§4 surface)
+    # ------------------------------------------------------------------
+    def distance(self, node: int, object_node: int) -> float:
+        """Exact network distance from ``node`` to the object at
+        ``object_node``."""
+        self.dataset.rank(object_node)  # same not-an-object error surface
+        node = self._check_node(node)
+        with self._scope("query.distance", node=node):
+            return self._point_distance(node, int(object_node))
+
+    def distance_batch(self, nodes, object_nodes) -> list[float]:
+        """One distance per aligned ``(nodes[i], object_nodes[i])`` pair.
+
+        The whole batch runs in one vectorized label-join pass — the
+        same minimum over the same shared-hub sums the scalar
+        sorted-merge computes, so answers are bit-identical.
+        Disconnected pairs yield ``math.inf`` — never a per-element
+        exception, so one unreachable pair cannot poison a coalesced
+        batch.  Validation (unknown node, non-object target) still
+        raises for the whole call, before any distance is computed.
+        """
+        nodes = _coerce_batch_nodes(nodes)
+        object_nodes = _coerce_batch_nodes(object_nodes)
+        if len(nodes) != len(object_nodes):
+            raise QueryError(
+                f"distance_batch needs aligned inputs: {len(nodes)} nodes "
+                f"vs {len(object_nodes)} objects"
+            )
+        for object_node in object_nodes:
+            self.dataset.rank(object_node)
+        nodes = [self._check_node(node) for node in nodes]
+        with self._scope("query.distance_batch", count=len(nodes)):
+            self.metrics.counter("query.distance_batch.kernel_pairs").inc(
+                len(nodes)
+            )
+            joined = batch_label_join_csr(
+                self.label_indptr,
+                self.label_hubs,
+                self.label_dists,
+                np.asarray(nodes, dtype=np.int64),
+                np.asarray(object_nodes, dtype=np.int64),
+            )
+            return [float(value) for value in joined]
+
+    def range_query(
+        self, node: int, radius: float, *, with_distances: bool = False
+    ):
+        """Objects within ``radius`` of ``node``, in dataset order."""
+        node = self._check_node(node)
+        radius = _coerce_radius(radius)
+        with self._scope("query.range", node=node, radius=radius) as span:
+            fwd_hubs, fwd_dists = self._label(node)
+            best = self._range_row(fwd_hubs, fwd_dists, radius)
+            hits = np.nonzero(best <= radius)[0]
+            span.set("results", len(hits))
+        if with_distances:
+            return [
+                (self.dataset[int(rank)], float(best[rank])) for rank in hits
+            ]
+        return [self.dataset[int(rank)] for rank in hits]
+
+    def range_query_batch(
+        self, nodes, radius: float, *, with_distances: bool = False
+    ):
+        """One range query per node, results aligned with ``nodes``."""
+        nodes = _coerce_batch_nodes(nodes)
+        radius = _coerce_radius(radius)
+        with self._scope(
+            "query.range_batch", count=len(nodes), radius=radius
+        ):
+            return [
+                self.range_query(node, radius, with_distances=with_distances)
+                for node in nodes
+            ]
+
+    def knn(self, node: int, k: int, *, knn_type: KnnType = KnnType.SET):
+        """The k nearest objects to ``node``; ties break by dataset rank."""
+        node = self._check_node(node)
+        k = _coerce_k(k)
+        self._require_objects()
+        with self._scope(
+            "query.knn", node=node, k=k, knn_type=knn_type.name
+        ) as span:
+            fwd_hubs, fwd_dists = self._label(node)
+            pairs = self._knn_pairs(fwd_hubs, fwd_dists, k)
+            span.set("results", len(pairs))
+        return self._knn_result(pairs, knn_type)
+
+    def knn_batch(self, nodes, k: int, *, knn_type: KnnType = KnnType.SET):
+        """One kNN query per node, results aligned with ``nodes``."""
+        nodes = _coerce_batch_nodes(nodes)
+        k = _coerce_k(k)
+        self._require_objects()
+        with self._scope("query.knn_batch", count=len(nodes), k=k):
+            return [self.knn(node, k, knn_type=knn_type) for node in nodes]
+
+    def knn_approximate(self, node: int, k: int) -> list[int]:
+        """Degraded-mode kNN.  Backends hold exact distances — there is
+        no cheaper category-only representation to fall back to — so the
+        "approximation" is the exact answer set."""
+        node = self._check_node(node)
+        k = _coerce_k(k)
+        self._require_objects()
+        with self._scope("query.knn_approximate", node=node, k=k):
+            fwd_hubs, fwd_dists = self._label(node)
+            pairs = self._knn_pairs(fwd_hubs, fwd_dists, k)
+        return [self.dataset[rank] for rank, _ in pairs]
+
+    def approximate_range(self, node: int, radius: float) -> list[int]:
+        """Degraded-mode range (serving §3.2 fallback): exact here."""
+        return self.range_query(node, radius)
+
+    def aggregate_range(
+        self, node: int, radius: float, aggregate: str = "count"
+    ) -> float:
+        """Aggregate over the objects within ``radius`` of ``node``."""
+        try:
+            reducer = _AGGREGATES[aggregate]
+        except KeyError:
+            raise QueryError(
+                f"unknown aggregate {aggregate!r}; pick one of "
+                f"{sorted(_AGGREGATES)}"
+            ) from None
+        with self._scope(
+            "query.aggregate_range", node=node, radius=radius,
+            aggregate=aggregate,
+        ):
+            pairs = self.range_query(node, radius, with_distances=True)
+            return reducer([distance for _, distance in pairs])
+
+    def _object_rows(self, entries, ranks):
+        """Fresh ``(buckets, partition, object_table)`` after the
+        per-object ``(hubs, dists)`` entries of object ``ranks`` changed.
+
+        Only those rows (and columns) of the object distance matrix are
+        re-joined; the rest carry over from the current table, which is
+        only read.  Each pair goes through the same :func:`label_join`
+        the build's :func:`pairwise_label_distances` runs, so the result
+        equals a fresh derivation from ``entries``.
+        """
+        distances = np.array(self.object_table.matrix_view())
+        for i in ranks:
+            hubs_i, dists_i = entries[i]
+            for j, (hubs_j, dists_j) in enumerate(entries):
+                if j != i:
+                    distances[i, j] = distances[j, i] = label_join(
+                        hubs_i, dists_i, hubs_j, dists_j
+                    )
+        partition = self._derive_partition(distances)
+        return (
+            BucketLists.build(self.network.num_nodes, entries),
+            partition,
+            ObjectDistanceTable(distances, partition, drop_last_category=False),
+        )
+
+    # ------------------------------------------------------------------
+    # updates (§5.4): prepare privately, commit by reference swap
+    # ------------------------------------------------------------------
+    def apply_updates(self, changeset):
+        """Apply a coalesced batch of edge deltas under one maintenance
+        pass: ``prepare_updates(changeset).commit()``.
+
+        Returns an :class:`~repro.core.changeset.ApplyResult`.
+        """
+        return self.prepare_updates(changeset).commit()
+
+    def prepare_updates(self, changeset):
+        """Validate ``changeset`` and prepare its write, unpublished.
+
+        The whole batch is validated before anything is computed
+        (structural problems raise :class:`~repro.errors.QueryError`,
+        unknown nodes and edges :class:`~repro.errors.DatasetError`),
+        then prepared by :meth:`_prepare_repair`, which reads the live
+        index and writes only state no query reads — so queries may run
+        on another thread meanwhile — and records no metric and no span.
+        The calling thread's join workspace is released afterwards.
+        Returns a :class:`~repro.core.changeset.Patch` whose ``commit``
+        publishes the write.
+        """
+        from repro.core.changeset import Patch, as_changeset
+
+        start = time.perf_counter()
+        changeset = as_changeset(changeset)
+        changeset.validate(self.network)
+        try:
+            prepared = self._prepare_repair(changeset)
+        finally:
+            release_join_workspace()
+        return Patch(
+            self, changeset, prepared,
+            prepare_seconds=time.perf_counter() - start,
+        )
+
+    def _prepare_repair(self, changeset):
         """Incremental §5.4 maintenance into private state: repair the
         hierarchy, then redistill only the labels the changeset
         actually invalidated.
@@ -645,16 +1000,9 @@ class HubLabelIndex(HierarchyIndexBase):
         Prepares a full rebuild instead when no repair recording exists
         (indexes loaded from older snapshots), when an earlier prepare
         was never committed (or raised) after it began rewriting the
-        hierarchy, when hierarchy damage exceeds ``repair_threshold`` ×
-        nodes, or when the affected-label count exceeds
-        ``relabel_threshold`` × nodes.
+        hierarchy, or when hierarchy damage exceeds
+        ``repair_threshold`` × nodes.
         """
-        try:
-            return self._prepare_repair(changeset)
-        finally:
-            release_join_workspace()
-
-    def _prepare_repair(self, changeset):
         from repro.core.changeset import apply_changeset_to_network
 
         network = self.network.copy_on_write()
@@ -730,8 +1078,6 @@ class HubLabelIndex(HierarchyIndexBase):
             for crossing in crossings:
                 affected |= _straddlers(spaces, crossing)
             affected_nodes = np.flatnonzero(affected)
-        if len(affected_nodes) > self.relabel_threshold * n:
-            return self._prepare_rebuild(network)
         new_labels, join_entries = labels, 0
         with phases("redistill"):
             if len(affected_nodes):
@@ -776,6 +1122,21 @@ class HubLabelIndex(HierarchyIndexBase):
             metrics=MetricsRegistry(),
         )
 
+    def _commit_patch(self, patch):
+        """Publish a prepared write (called by ``Patch.commit``)."""
+        from repro.core.changeset import ApplyResult
+
+        changeset = patch.changeset
+        result = ApplyResult(applied=len(changeset))
+        with self._scope(
+            "update.apply", lead=patch.prepare_seconds, deltas=len(changeset)
+        ):
+            self._publish(changeset, patch.prepared, result)
+        self.metrics.counter("backend.hub.update.applied").inc(
+            len(changeset)
+        )
+        return result
+
     def _publish(self, changeset, prepared, result) -> None:
         """Swap a prepared write's structures in and apply its deltas to
         the live network — reference assignments plus O(changed edges)
@@ -795,9 +1156,8 @@ class HubLabelIndex(HierarchyIndexBase):
             self.hierarchy = prepared.hierarchy
             self._spaces = prepared._spaces
             self._writer_ahead = False
-            self.hierarchy.bind_metrics(self.metrics)
             self.metrics.merge(prepared.metrics)
-            self._bind_backend_metrics(self.metrics)
+            self._set_label_gauge()
             self._count_rebuild(result)
             return
         self.label_indptr, self.label_hubs, self.label_dists = prepared.labels
@@ -810,7 +1170,7 @@ class HubLabelIndex(HierarchyIndexBase):
             metrics.counter("backend.hub.update.join_entries").inc(
                 prepared.join_entries
             )
-            self._bind_backend_metrics(metrics)
+            self._set_label_gauge()
         prepared.phases.observe(metrics, "hub")
         metrics.counter("backend.hub.update.repaired").inc()
         metrics.counter("backend.hub.update.damaged_nodes").inc(
@@ -831,22 +1191,87 @@ class HubLabelIndex(HierarchyIndexBase):
             )
         )
 
-    def _structure_bytes(self) -> int:
-        return (
-            self.order.nbytes
-            + self.label_indptr.nbytes
-            + self.label_hubs.nbytes
-            + self.label_dists.nbytes
-            + self.buckets.nbytes()
+    def _count_rebuild(self, result) -> None:
+        self.metrics.counter("backend.rebuilds").inc()
+        self.metrics.counter("backend.hub.update.rebuilt").inc()
+        result.bump("rebuilt")
+        # A rebuild touches everything; report it honestly.
+        result.report.merge(
+            UpdateReport(
+                affected_objects=set(range(len(self.dataset))),
+                changed_components=0,
+                touched_nodes=self.network.num_nodes,
+                recompressed_nodes=0,
+            )
         )
 
+    # ------------------------------------------------------------------
+    # reporting
+    # ------------------------------------------------------------------
+    def reset_counters(self) -> None:
+        """Surface parity with the signature index (pages stay zero)."""
+        self.counter.reset()
+
+    def refresh_storage(self) -> None:
+        """No-op: the index holds plain arrays, nothing paged to re-pack.
+
+        Exists so the serving tier's maintenance endpoint works
+        unchanged against any backend.
+        """
+
     def stats(self) -> dict:
-        report = super().stats()
-        report["label_entries"] = self.num_label_entries
-        report["mean_label_size"] = (
-            self.num_label_entries / self.network.num_nodes
-            if self.network.num_nodes
-            else 0.0
+        """Structural summary as plain data (CLI ``info``/``stats``)."""
+        return {
+            "type": self.backend_name,
+            "backend": self.backend_name,
+            "nodes": self.network.num_nodes,
+            "edges": self.network.num_edges,
+            "objects": len(self.dataset),
+            "categories": self.partition.num_categories,
+            "bucket_entries": self.buckets.num_entries,
+            "index_bytes": (
+                self.order.nbytes
+                + self.label_indptr.nbytes
+                + self.label_hubs.nbytes
+                + self.label_dists.nbytes
+                + self.buckets.nbytes()
+            ),
+            "object_table_bytes": self.object_table.size_bytes(),
+            "label_entries": self.num_label_entries,
+            "mean_label_size": (
+                self.num_label_entries / self.network.num_nodes
+                if self.network.num_nodes
+                else 0.0
+            ),
+            "settle_cap": self.settle_cap,
+        }
+
+    def verify(self, *, sample_nodes: int = 16, seed: int = 0) -> None:
+        """Self-check sampled distances against fresh Dijkstra runs."""
+        from repro.network.dijkstra import shortest_path_tree
+
+        rng = np.random.default_rng(seed)
+        nodes = rng.choice(
+            self.network.num_nodes,
+            size=min(sample_nodes, self.network.num_nodes),
+            replace=False,
         )
-        report["settle_cap"] = self.settle_cap
-        return report
+        for object_node in self.dataset:
+            tree = shortest_path_tree(self.network, object_node)
+            for node in nodes:
+                node = int(node)
+                truth = tree.distance[node]
+                got = self._point_distance(node, int(object_node))
+                if got != truth:
+                    raise IndexError_(
+                        f"node {node} object {object_node}: "
+                        f"{self.backend_name} distance {got} != "
+                        f"Dijkstra {truth}"
+                    )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}(nodes={self.network.num_nodes}, "
+            f"objects={len(self.dataset)}, "
+            f"bucket_entries={self.buckets.num_entries})"
+        )

@@ -1,15 +1,14 @@
-"""On-disk persistence of the CH and hub-label backends.
+"""On-disk persistence of the hub-label backend.
 
-Each backend owns a magic line and a v2-style layout: the network and
-dataset in their text formats, the backend's numpy arrays as raw
+The backend owns a magic line and a v2-style layout: the network and
+dataset in their text formats, the index's numpy arrays as raw
 little-endian ``.bin`` files under ``arrays/`` described by a
 ``manifest.json``, and a ``meta.txt`` (written last, so a partial save
 never looks loadable) whose first line is the magic.  Loading memory-
 maps every array in copy-on-write mode — O(1), zero-copy, and safe to
-mutate (rebuild-on-update replaces the arrays wholesale anyway).
+mutate (a write publishes fresh arrays instead of editing these).
 
-Directory layout (``repro-ch-index 1`` shown; hub differs only in which
-arrays it stores)::
+Directory layout (``repro-hub-index 1``)::
 
     network.txt                 # repro-network 2
     dataset.txt                 # repro-dataset 1
@@ -17,19 +16,23 @@ arrays it stores)::
     arrays/<name>.bin           # raw array bytes, exact-size-checked
     meta.txt                    # magic + "key value" lines
 
-Both layouts also carry the hierarchy's repair recording
-(:attr:`RepairState.ARRAYS <repro.backends.ch.RepairState.ARRAYS>`), and
-the hub layout the upward CSR it was distilled from, so an index loaded
-from a snapshot repairs on its first write instead of rebuilding.
-Snapshots written before those arrays existed still load; their first
-write rebuilds (recording), as it always did.
+The layout also carries the upward CSR the labels were distilled from
+and the hierarchy's repair recording
+(:attr:`RepairState.ARRAYS <repro.backends.ch.RepairState.ARRAYS>`), so
+an index loaded from a snapshot repairs on its first write instead of
+rebuilding.  Snapshots written before those arrays existed still load;
+their first write rebuilds (recording), as it always did.
+
+Contraction-hierarchy snapshots (``repro-ch-index 1``) belonged to an
+index family this build no longer has; their magic stays registered so
+loading one fails with a typed error telling the user to rebuild.
 
 Every mismatch — missing file, wrong byte count, manifest/meta
 disagreement — raises a typed
 :class:`~repro.errors.PersistenceError` at load time, not a numpy
 error at query time.
 
-Importing this module registers both formats with
+Importing this module registers the formats with
 :func:`repro.core.persistence.register_backend_io`, which is how
 ``save_index``/``load_index`` (and their error messages) learn about
 them without core naming any backend.
@@ -46,13 +49,12 @@ import numpy as np
 from repro.backends.base import BucketLists
 from repro.backends.ch import (
     WITNESS_SETTLE_CAP,
-    CHIndex,
     ContractionHierarchy,
     RepairState,
 )
 from repro.backends.hub_labels import HubLabelIndex
 from repro.core.categories import CategoryPartition
-from repro.core.persistence import register_backend_io
+from repro.core.persistence import register_backend_io, register_format
 from repro.core.signature import ObjectDistanceTable
 from repro.errors import PersistenceError
 from repro.network.io import (
@@ -65,8 +67,6 @@ from repro.network.io import (
 __all__ = [
     "CH_MAGIC",
     "HUB_MAGIC",
-    "save_ch_index",
-    "load_ch_index",
     "save_hub_index",
     "load_hub_index",
 ]
@@ -252,90 +252,6 @@ def _hierarchy_from(
     return hierarchy
 
 
-def _object_entries_from(buckets: BucketLists, num_objects: int) -> list:
-    """Per-object ``(hubs, dists)`` in dataset-rank order, read back out
-    of the bucket CSR — the exact inverse of :meth:`BucketLists.build`
-    (each object's entries come out hub-sorted, as they went in)."""
-    hubs = np.repeat(
-        np.arange(len(buckets.indptr) - 1, dtype=np.int32),
-        np.diff(buckets.indptr),
-    )
-    by_rank = np.argsort(buckets.ranks, kind="stable")
-    hubs = hubs[by_rank]
-    dists = np.asarray(buckets.dists)[by_rank]
-    bounds = np.searchsorted(
-        np.asarray(buckets.ranks)[by_rank], np.arange(num_objects + 1)
-    )
-    return [
-        (hubs[bounds[r]:bounds[r + 1]], dists[bounds[r]:bounds[r + 1]])
-        for r in range(num_objects)
-    ]
-
-
-# ----------------------------------------------------------------------
-# contraction hierarchy (repro-ch-index 1)
-# ----------------------------------------------------------------------
-def save_ch_index(index: CHIndex, directory: str | Path) -> None:
-    """Persist a :class:`~repro.backends.ch.CHIndex` directory."""
-    directory = _save_common(index, directory)
-    hierarchy = index.hierarchy
-    _write_arrays(
-        directory,
-        {
-            "order": hierarchy.order,
-            "up_indptr": hierarchy.up_indptr,
-            "up_targets": hierarchy.up_targets,
-            "up_weights": hierarchy.up_weights,
-            "bucket_indptr": index.buckets.indptr,
-            "bucket_ranks": index.buckets.ranks,
-            "bucket_dists": index.buckets.dists,
-            "object_distances": index.object_table.matrix_view(),
-            **_repair_arrays(hierarchy),
-        },
-    )
-    _write_meta(
-        directory, CH_MAGIC, index,
-        [
-            f"num_shortcuts {hierarchy.num_shortcuts}",
-            f"settle_cap {index.settle_cap}",
-        ],
-    )
-
-
-def load_ch_index(directory: Path, meta: dict[str, str]) -> CHIndex:
-    """Restore a ``repro-ch-index 1`` directory (mmap, copy-on-write)."""
-    directory = Path(directory)
-    network, dataset, partition = _load_common(directory, meta)
-    arrays = _read_arrays(
-        directory,
-        ("order",) + _UP_ARRAYS + _BUCKET_ARRAYS + ("object_distances",),
-        optional=RepairState.ARRAYS,
-    )
-    if len(arrays["order"]) != network.num_nodes:
-        raise PersistenceError(
-            f"{directory}: contraction order covers {len(arrays['order'])} "
-            f"nodes but the network has {network.num_nodes}"
-        )
-    hierarchy = _hierarchy_from(
-        arrays, arrays["order"], network.num_nodes, meta, directory
-    )
-    buckets = _buckets_from(arrays, network.num_nodes, directory)
-    return CHIndex(
-        network,
-        dataset,
-        hierarchy,
-        partition,
-        _object_table(arrays, partition, len(dataset), directory),
-        buckets,
-        settle_cap=hierarchy.settle_cap,
-        object_entries=(
-            _object_entries_from(buckets, len(dataset))
-            if hierarchy.repair_state is not None
-            else None
-        ),
-    )
-
-
 # ----------------------------------------------------------------------
 # hub labels (repro-hub-index 1)
 # ----------------------------------------------------------------------
@@ -406,5 +322,14 @@ def load_hub_index(directory: Path, meta: dict[str, str]) -> HubLabelIndex:
     )
 
 
-register_backend_io("ch", CH_MAGIC, save_ch_index, load_ch_index)
+def _load_ch_index(directory: Path, meta: dict[str, str]):
+    raise PersistenceError(
+        f"{directory}: {CH_MAGIC!r} snapshots hold a contraction-hierarchy "
+        f"index, and that backend was removed; rebuild the snapshot with "
+        f"`repro build --backend hub` (or the default signature backend)",
+        magic=CH_MAGIC,
+    )
+
+
+register_format(CH_MAGIC, _load_ch_index)
 register_backend_io("hub", HUB_MAGIC, save_hub_index, load_hub_index)

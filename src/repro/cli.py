@@ -91,11 +91,11 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("index_dir", help="directory to write the index to")
     build.add_argument(
         "--backend",
-        choices=("signature", "ch", "hub"),
+        choices=("signature", "hub"),
         default="signature",
         help=(
-            "index family: the paper's distance signatures (default), a "
-            "contraction hierarchy, or hub labels (docs/BACKENDS.md)"
+            "index family: the paper's distance signatures (default) or "
+            "hub labels (docs/BACKENDS.md)"
         ),
     )
     build.add_argument(
@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="settle_cap",
         help=(
-            "ch/hub only: max settled nodes per witness search (default "
+            "hub only: max settled nodes per witness search (default "
             "60); lower builds faster with more redundant shortcuts"
         ),
     )
@@ -379,15 +379,11 @@ def _cmd_build(args) -> int:
         )
         save_index(index, args.index_dir)
         stats = index.stats()
-        extra = (
-            f"{stats['shortcuts']} shortcuts"
-            if args.backend == "ch"
-            else f"{stats['label_entries']} label entries"
-        )
         print(
             f"built {args.backend} index in {args.index_dir}: "
             f"{stats['nodes']} nodes, {stats['objects']} objects, "
-            f"{extra}, {stats['index_bytes']} index bytes "
+            f"{stats['label_entries']} label entries, "
+            f"{stats['index_bytes']} index bytes "
             f"(settle_cap={stats['settle_cap']})"
         )
         return 0
@@ -395,7 +391,7 @@ def _cmd_build(args) -> int:
         from repro.errors import QueryError
 
         raise QueryError(
-            "--settle-cap is a ch/hub build parameter; the signature "
+            "--settle-cap is a hub build parameter; the signature "
             "backend has no witness searches"
         )
     partition = args.partition
@@ -445,12 +441,8 @@ def _cmd_info(args) -> int:
         print(f"bucket entries:      {stats['bucket_entries']}")
         print(f"index bytes:         {stats['index_bytes']}")
         print(f"object table bytes:  {stats['object_table_bytes']}")
-        if "shortcuts" in stats:
-            print(f"shortcuts:           {stats['shortcuts']}")
-            print(f"upward edges:        {stats['upward_edges']}")
-        if "label_entries" in stats:
-            print(f"label entries:       {stats['label_entries']}")
-            print(f"mean label size:     {stats['mean_label_size']:.1f}")
+        print(f"label entries:       {stats['label_entries']}")
+        print(f"mean label size:     {stats['mean_label_size']:.1f}")
         return 0
     report = index.storage_report()
     print(f"nodes:               {index.network.num_nodes}")

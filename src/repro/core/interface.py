@@ -3,7 +3,7 @@
 Historically every layer of the library imported the concrete
 :class:`~repro.core.index.SignatureIndex`: persistence, the serving
 stack, the CLI, and the workload harness all called its methods
-directly.  With the hierarchy backends (:mod:`repro.backends`) there
+directly.  With the hub-label backend (:mod:`repro.backends`) there
 are several implementations of the same surface, so the contract those
 layers actually rely on is captured here as a
 :func:`typing.runtime_checkable` :class:`typing.Protocol`.

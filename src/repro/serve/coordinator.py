@@ -11,8 +11,8 @@ A write is two calls (:class:`~repro.core.changeset.Patch`):
   under the write side of the lock, so no query batch sees a half
   published write.  The hub-label index computes everything in the
   prepare and commits by swapping references, in O(changed edges); the
-  signature and CH indexes only validate in the prepare and run their
-  in-place §5.4 maintenance in the commit.
+  signature index only validates in the prepare and runs its in-place
+  §5.4 maintenance in the commit.
 
 :class:`ReadWriteLock` is a write-preferring asyncio readers-writer
 lock: any number of query batches share the read side; a commit takes

@@ -36,10 +36,10 @@ from repro.network.dijkstra import shortest_path_tree
 BACKEND_NAMES = sorted(BACKENDS)
 
 #: Every ``apply_updates`` implementation: the signature index under
-#: both query engines and the two hierarchy backends.  The
+#: both query engines and the hub-label backend.  The
 #: update-validation battery below runs against all of them so
 #: rejection behavior cannot drift apart.
-UPDATE_IMPLEMENTATIONS = ("signature", "columnar", "ch", "hub")
+UPDATE_IMPLEMENTATIONS = ("signature", "columnar", "hub")
 
 SAMPLE_NODES = list(range(0, 250, 13))
 RADII = (0.0, 12.0, 35.0, 80.0)

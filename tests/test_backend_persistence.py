@@ -1,27 +1,28 @@
-"""Hierarchy-backend snapshots: deterministic builds and old meta lines.
+"""Hub-label snapshots: deterministic builds and old snapshots.
 
-The CH and hub builders are single-process and deterministic: two
-builds of the same network must persist to the same bytes.  Snapshots
-written before construction became single-process carry a
-``build_workers`` provenance line in ``meta.txt``; they must keep
-loading and answering exactly.
+The hub builder is single-process and deterministic: two builds of the
+same network must persist to the same bytes.  Snapshots written before
+construction became single-process carry a ``build_workers``
+provenance line in ``meta.txt``; they must keep loading and answering
+exactly.  Snapshots of the removed contraction-hierarchy backend must
+fail loudly, with a rebuild hint.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.backends.ch import CHIndex
+from repro.backends import build_backend
 from repro.backends.hub_labels import HubLabelIndex
+from repro.cli import main as cli_main
 from repro.core import KnnType
 from repro.core.persistence import load_index, save_index
+from repro.errors import PersistenceError
 from repro.network.datasets import uniform_dataset
 from repro.network.dijkstra import shortest_path_tree
 from repro.network.generators import random_planar_network
 
-BACKENDS = pytest.mark.parametrize(
-    "cls", (CHIndex, HubLabelIndex), ids=("ch", "hub")
-)
+BACKENDS = pytest.mark.parametrize("cls", (HubLabelIndex,), ids=("hub",))
 
 
 @BACKENDS
@@ -76,3 +77,36 @@ def test_snapshot_with_worker_count_line_loads_exact(cls, tmp_path):
         assert loaded.knn(node, 3, knn_type=KnnType.EXACT_DISTANCES) == [
             (dataset[rank], d) for d, rank in truth[:3]
         ]
+
+
+def _ch_snapshot(directory):
+    """A directory shaped like a contraction-hierarchy snapshot."""
+    directory.mkdir()
+    (directory / "meta.txt").write_text(
+        "repro-ch-index 1\nboundaries 10.0\nnum_shortcuts 3\n"
+    )
+    return directory
+
+
+class TestRemovedCHBackend:
+    def test_ch_snapshot_raises_rebuild_hint(self, tmp_path):
+        directory = _ch_snapshot(tmp_path / "old")
+        with pytest.raises(PersistenceError) as excinfo:
+            load_index(directory)
+        assert excinfo.value.magic == "repro-ch-index 1"
+        message = str(excinfo.value)
+        assert "contraction-hierarchy" in message
+        assert "repro build" in message
+
+    def test_ch_snapshot_fails_repro_info(self, tmp_path, capsys):
+        directory = _ch_snapshot(tmp_path / "old")
+        assert cli_main(["info", str(directory)]) == 1
+        err = capsys.readouterr().err
+        assert "contraction-hierarchy" in err
+        assert "repro build" in err
+
+    def test_ch_is_an_unknown_backend(self):
+        network = random_planar_network(30, seed=1)
+        dataset = uniform_dataset(network, density=0.1, seed=1)
+        with pytest.raises(ValueError, match="unknown backend 'ch'"):
+            build_backend("ch", network, dataset)

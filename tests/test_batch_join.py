@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends.base import batch_label_join_csr, label_join
-from repro.backends.ch import CHIndex, ContractionHierarchy
+from repro.backends.ch import ContractionHierarchy
 from repro.backends.hub_labels import HubLabelIndex, build_labels
 from repro.errors import DisconnectedError
 from repro.network.datasets import ObjectDataset
@@ -82,7 +82,6 @@ class TestBatchKernelEquivalence:
         objects = [0, 0, 4, 4, 4, 0]
         for build in (
             lambda: SignatureIndex.build(network, dataset, backend="python"),
-            lambda: CHIndex.build(network, dataset),
             lambda: HubLabelIndex.build(network, dataset),
         ):
             index = build()

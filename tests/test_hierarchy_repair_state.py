@@ -1,9 +1,9 @@
-"""Hierarchy indexes are ready to repair from the first write on.
+"""Hub-label indexes are ready to repair from the first write on.
 
 Every contraction records its repair state, hub labels are distilled
 from the rank-descending search-space DP (the same spaces incremental
-maintenance diffs against), and both snapshot formats store what a
-repair needs.  So a freshly built *or* freshly loaded CH/hub index
+maintenance diffs against), and the snapshot format stores what a
+repair needs.  So a freshly built *or* freshly loaded hub index
 answers its first ``apply_updates`` with a repair, not a rebuild —
 while snapshots written before the repair arrays existed still load,
 answer exactly, and rebuild on their first write as they always did.
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.backends import base
 from repro.backends.base import batch_label_join_csr
 from repro.backends.ch import (
-    CHIndex,
     ContractionHierarchy,
     RepairState,
     _shortcuts_for,
@@ -37,9 +36,7 @@ from repro.network.dijkstra import shortest_path_tree
 from repro.network.generators import grid_network, random_planar_network
 from repro.obs.metrics import MetricsRegistry
 
-BACKENDS = pytest.mark.parametrize(
-    "cls", (CHIndex, HubLabelIndex), ids=("ch", "hub")
-)
+BACKENDS = pytest.mark.parametrize("cls", (HubLabelIndex,), ids=("hub",))
 
 
 def _world(num_nodes=300, seed=17):
@@ -195,16 +192,15 @@ class TestOlderSnapshots:
     ):
         network, dataset = _world(seed=23)
         save_index(cls.build(network, dataset), tmp_path / "idx")
-        stripped = RepairState.ARRAYS
-        if cls is HubLabelIndex:
-            stripped += ("up_indptr", "up_targets", "up_weights")
-            meta = tmp_path / "idx" / "meta.txt"
-            meta.write_text(
-                "".join(
-                    line for line in meta.read_text().splitlines(True)
-                    if not line.startswith("num_shortcuts")
-                )
+        stripped = RepairState.ARRAYS + ("up_indptr", "up_targets",
+                                         "up_weights")
+        meta = tmp_path / "idx" / "meta.txt"
+        meta.write_text(
+            "".join(
+                line for line in meta.read_text().splitlines(True)
+                if not line.startswith("num_shortcuts")
             )
+        )
         _strip_arrays(tmp_path / "idx", stripped)
         loaded = load_index(tmp_path / "idx")
         for obj in dataset:
@@ -444,17 +440,14 @@ def _assert_maintained_state(index, expected, exact_sums=True):
             v for v in range(n)
             if x in targets[indptr[v]:indptr[v + 1]].tolist()
         ]
-    if isinstance(index, HubLabelIndex):
-        for kept, full in zip(index._spaces,
-                              hierarchy.batch_search_spaces()):
-            assert kept.dtype == full.dtype
-            assert np.array_equal(kept, full)
-        labels = build_labels(hierarchy)
-        for kept, full in zip(
-            (index.label_indptr, index.label_hubs, index.label_dists),
-            labels,
-        ):
-            assert np.array_equal(kept, full)
+    for kept, full in zip(index._spaces, hierarchy.batch_search_spaces()):
+        assert kept.dtype == full.dtype
+        assert np.array_equal(kept, full)
+    labels = build_labels(hierarchy)
+    for kept, full in zip(
+        (index.label_indptr, index.label_hubs, index.label_dists), labels,
+    ):
+        assert np.array_equal(kept, full)
     for obj in index.dataset:
         tree = shortest_path_tree(index.network, obj)
         for node in range(n):
@@ -529,10 +522,7 @@ class TestMaintainedRepairState:
         _replay_steps(cls, nodes, seed, steps, fractional=True)
 
 
-PHASES = {
-    CHIndex: ("replay", "spaces", "objects"),
-    HubLabelIndex: ("replay", "spaces", "masks", "redistill", "objects"),
-}
+PHASES = ("replay", "spaces", "masks", "redistill", "objects")
 
 
 class TestRepairPhaseMetrics:
@@ -547,7 +537,7 @@ class TestRepairPhaseMetrics:
         name = cls.backend_name
         histograms = [
             registry.histogram(f"backend.{name}.update.{phase}_seconds")
-            for phase in PHASES[cls]
+            for phase in PHASES
         ]
         apply_span = registry.histogram("update.apply.seconds")
         for pick in (3, 11, 40):

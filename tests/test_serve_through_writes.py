@@ -447,13 +447,12 @@ def _implementations(network, dataset):
         "columnar": SignatureIndex.build(
             network.copy(), dataset, keep_trees=True
         ),
-        "ch": build_backend("ch", network.copy(), dataset),
         "hub": build_backend("hub", network.copy(), dataset),
     }
 
 
 class TestPatchProtocol:
-    @pytest.mark.parametrize("name", ["signature", "columnar", "ch", "hub"])
+    @pytest.mark.parametrize("name", ["signature", "columnar", "hub"])
     def test_prepare_publishes_nothing_until_commit(self, name):
         network, dataset = _world()
         index = _implementations(network, dataset)[name]
@@ -470,7 +469,7 @@ class TestPatchProtocol:
         with pytest.raises(IndexError_, match="already been committed"):
             patch.commit()
 
-    @pytest.mark.parametrize("name", ["signature", "ch", "hub"])
+    @pytest.mark.parametrize("name", ["signature", "hub"])
     def test_a_patch_prepared_before_another_commit_is_stale(self, name):
         network, dataset = _world()
         index = _implementations(network, dataset)[name]

@@ -3,13 +3,13 @@
 Three layers of guarantees:
 
 * **Interleaving equivalence (hypothesis)** — random alternations of
-  coalesced changesets and queries, applied to all four
-  ``DistanceIndex`` implementations at once, must keep every
+  coalesced changesets and queries, applied to every
+  ``DistanceIndex`` implementation at once, must keep every
   implementation bit-identical to a Dijkstra oracle on the mutated
   network after *every* step.
-* **Repair vs rebuild** — the hierarchy backends' incremental repair
+* **Repair vs rebuild** — the hub backend's incremental repair
   (forced via ``repair_threshold = 1.0``) must produce the same
-  distances as their rebuild-on-update fallback, with the
+  distances as its rebuild-on-update fallback, with the
   ``repaired`` / ``rebuilt`` counters proving which path ran.
 * **Serving coordinator** — concurrent writes coalesce into one
   changeset per write-lock acquisition, inconsistent batches degrade so
@@ -46,7 +46,7 @@ def _world(seed: int = SEED):
 
 
 def _all_implementations(network, dataset):
-    """All four DistanceIndex implementations, repair paths forced on."""
+    """Every DistanceIndex implementation, repair paths forced on."""
     indexes = {
         "signature": SignatureIndex.build(
             network.copy(), dataset, keep_trees=True
@@ -55,12 +55,10 @@ def _all_implementations(network, dataset):
             network.copy(), dataset, keep_trees=True,
             query_engine="columnar",
         ),
-        "ch": build_backend("ch", network.copy(), dataset),
         "hub": build_backend("hub", network.copy(), dataset),
     }
     # Tiny networks blow the default damage threshold immediately; the
     # interleaving test is about the *incremental* path, so force it.
-    indexes["ch"].repair_threshold = 1.0
     indexes["hub"].repair_threshold = 1.0
     return indexes
 
@@ -156,7 +154,7 @@ class TestInterleavings:
 
 
 class TestRepairVsRebuild:
-    @pytest.mark.parametrize("name", ["ch", "hub"])
+    @pytest.mark.parametrize("name", ["hub"])
     def test_incremental_repair_matches_rebuild(self, name):
         network, dataset = _world(seed=31)
         repair_registry = MetricsRegistry()
@@ -164,7 +162,6 @@ class TestRepairVsRebuild:
             name, network.copy(), dataset, metrics=repair_registry
         )
         repairing.repair_threshold = 1.0
-        repairing.relabel_threshold = 1.0
         rebuild_registry = MetricsRegistry()
         rebuilding = build_backend(
             name, network.copy(), dataset, metrics=rebuild_registry
@@ -198,7 +195,7 @@ class TestRepairVsRebuild:
             f"backend.{name}.update.rebuilt"
         ).value == 4
 
-    @pytest.mark.parametrize("name", ["ch", "hub"])
+    @pytest.mark.parametrize("name", ["hub"])
     def test_damage_threshold_falls_back_to_rebuild(self, name):
         network, dataset = _world(seed=31)
         index = build_backend(name, network.copy(), dataset)
